@@ -16,10 +16,10 @@ from .monomial import (ONE, X, Monomial, atom, height_depth, make_monomial,
 from .series import (EXACT, FLOAT, ONE_SERIES, ZERO, DominanceVerdict,
                      GridCertificate, Term, TransSeries, add, compare_to_depth,
                      const, dominance, dominant_decompose, equal_below,
-                     equal_prefix, extend_strongly_linear, from_terms,
-                     geometric_substitute, invert, iterate_contracting,
-                     mono_series, mul, render_series, scale, sum_family,
-                     sum_lazy, truncate_initial)
+                     extend_strongly_linear, from_terms, geometric_substitute,
+                     invert, iterate_contracting, mono_series, mul,
+                     render_series, scale, sum_family, sum_lazy,
+                     truncate_initial)
 from .calculus import (DERIVATION, CompositionHandle, compose, dagger,
                        dagger_support_closure, derive, derive_n, exp_series,
                        faa_di_bruno_coeff, log_series, pow_series)

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceError
 from .limits import LIMITS
-from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
+from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms,
                        make_monomial, mono_cmp, mono_max, mono_mul, mono_pow,
                        pre_log)
 from .series import (EXACT, ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      add, const, dominant_decompose, extend_strongly_linear,
                      from_terms, geometric_substitute, invert, mono_series,
-                     mul, scale, sum_family)
+                     mul, scale, sum_family, _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -180,8 +180,6 @@ class CompositionHandle:
 
 def compose(f: TransSeries, h) -> TransSeries:
     """f o g, extended strongly linearly from monomial images."""
-    from .series import _infinitesimal_bases  # certificate refinement helper
-
     if isinstance(h, TransSeries):
         h = CompositionHandle(h)
     if f.cert.is_trivial:
@@ -212,16 +210,7 @@ def compose(f: TransSeries, h) -> TransSeries:
         cut_f = None
         for b, img in base_img.items():
             mb = img.cert.grid_max()
-            cap = 0
-            if rho is not None:
-                bound = mb
-                guard = LIMITS.level_fuel
-                while mono_cmp(bound, cutoff) >= 0:
-                    cap += 1
-                    bound = mono_mul(bound, rho)
-                    guard -= 1
-                    if guard < 0:
-                        raise ResourceError("composition level bound exceeded fuel")
+            cap = 0 if rho is None else _level_cap(mb, rho, cutoff)
             floor = b if zmin is None else mono_mul(b, mono_pow(zmin, cap))
             if cut_f is None or mono_cmp(floor, cut_f) < 0:
                 cut_f = floor

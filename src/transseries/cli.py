@@ -14,10 +14,10 @@ import sys
 
 from .errors import KernelError, ParseError
 from .limits import configure
-from .monomial import mono_inv
 from .parser import parse, elaborate
-from .powerseries import CutSpec, conv_contains, cut_member, monomial_geometric
-from .series import EXACT, FLOAT, TransSeries, render_series
+from .powerseries import CutSpec, cut_member, monomial_geometric
+from .series import (EXACT, FLOAT, TransSeries, format_shown, render_series,
+                     shown_terms)
 from .taylor import LocusSpec, OperatorHandle, locus_contains, taylor_identity_check
 from .calculus import derive, compose
 
@@ -37,23 +37,8 @@ def _read_arg(text: str) -> str:
     return text
 
 
-def _series_terms(s: TransSeries, n: int) -> list:
-    out = []
-    walker = s._candidates()
-    cands = []
-    for _ in range(n + 1):
-        try:
-            cands.append(next(walker))
-        except StopIteration:
-            break
-    if not cands:
-        return out
-    d = s.expand(cands[-1])
-    from .monomial import sort_monomials
-    for m in sort_monomials(d)[:n]:
-        c = d[m]
-        out.append({"coeff": str(c), "monomial": m.render()})
-    return out
+def _json_terms(terms: list) -> list:
+    return [{"coeff": str(c), "monomial": m.render()} for c, m in terms]
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
@@ -90,33 +75,31 @@ def _parse_cut(text: str, backend) -> CutSpec:
                      "(use all, empty, above:EXPR, aboveeq:EXPR)", 0)
 
 
+def _emit_series(args, command: str, s: TransSeries) -> int:
+    terms, omark = shown_terms(s, args.terms)
+    _emit(args, {"command": command, "verdict": "ok",
+                 "terms": _json_terms(terms), "witnesses": []},
+          [format_shown(terms, omark)])
+    return EXIT_OK
+
+
 def cmd_eval(args) -> int:
     backend = _backend(args.backend)
     s = elaborate(parse(_read_arg(args.expr)), backend)
-    _emit(args, {"command": "eval", "verdict": "ok",
-                 "terms": _series_terms(s, args.terms), "witnesses": []},
-          [render_series(s, args.terms)])
-    return EXIT_OK
+    return _emit_series(args, "eval", s)
 
 
 def cmd_derive(args) -> int:
     backend = _backend(args.backend)
     s = derive(elaborate(parse(_read_arg(args.expr)), backend))
-    _emit(args, {"command": "derive", "verdict": "ok",
-                 "terms": _series_terms(s, args.terms), "witnesses": []},
-          [render_series(s, args.terms)])
-    return EXIT_OK
+    return _emit_series(args, "derive", s)
 
 
 def cmd_compose(args) -> int:
     backend = _backend(args.backend)
     f = elaborate(parse(_read_arg(args.f)), backend)
     g = elaborate(parse(_read_arg(args.g)), backend)
-    s = compose(f, g)
-    _emit(args, {"command": "compose", "verdict": "ok",
-                 "terms": _series_terms(s, args.terms), "witnesses": []},
-          [render_series(s, args.terms)])
-    return EXIT_OK
+    return _emit_series(args, "compose", compose(f, g))
 
 
 def cmd_taylor(args) -> int:
@@ -136,11 +119,12 @@ def cmd_taylor(args) -> int:
         _emit(args, {"command": "taylor", "verdict": "SKIPPED",
                      "terms": [], "witnesses": [report.detail]}, lines)
         return EXIT_SKIPPED
+    rhs_terms, rhs_omark = shown_terms(report.rhs, args.terms)
     lines.append(f"lhs: {render_series(report.lhs, args.terms)}")
-    lines.append(f"rhs: {render_series(report.rhs, args.terms)}")
+    lines.append(f"rhs: {format_shown(rhs_terms, rhs_omark)}")
     lines.append(report.status)
     _emit(args, {"command": "taylor", "verdict": report.status,
-                 "terms": _series_terms(report.rhs, args.terms),
+                 "terms": _json_terms(rhs_terms),
                  "witnesses": witnesses}, lines)
     return EXIT_OK if report.status == "EQUAL" else EXIT_NEGATIVE
 
@@ -205,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=int, default=8,
                         help="terms / comparison depth (default 8)")
-    common.add_argument("--order", type=int, default=6,
-                        help="power series order cap (default 6)")
     common.add_argument("--backend", choices=["exact", "float"],
                         default="exact")
     common.add_argument("--depth-bound", type=int, default=None,
-                        help="iterated-log depth bound")
+                        help="iterated-log depth bound, for this call only")
     common.add_argument("--height-bound", type=int, default=None,
-                        help="exponential height bound")
+                        help="exponential height bound, for this call only")
     common.add_argument("--json", action="store_true",
                         help="emit a stable JSON report")
 
@@ -268,13 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.depth_bound is not None:
-        configure(log_depth_bound=args.depth_bound)
-    if args.height_bound is not None:
-        configure(height_bound=args.height_bound)
-    from .limits import LIMITS
-    if args.order > LIMITS.ps_order_cap:
-        configure(ps_order_cap=args.order)
+    bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound}
+    previous = configure(**{k: v for k, v in bounds.items() if v is not None})
     try:
         return args.fn(args)
     except ParseError as e:
@@ -283,6 +260,8 @@ def main(argv=None) -> int:
     except KernelError as e:
         print(f"error: {type(e).__name__}: {e}")
         return EXIT_INPUT
+    finally:
+        configure(**previous)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ an honest resource error, and where structural recursion is cut off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -16,7 +16,6 @@ class Limits:
     height_bound: int = 4          # max exponential height of a monomial
     log_depth_bound: int = 4       # max iterated-log atom index
     faa_order_bound: int = 6       # highest Faà di Bruno order
-    ps_order_cap: int = 12         # coefficient cap for power-series assertions
 
     # certificate / verdict parameters
     divergence_window: int = 5     # consecutive non-shrinking terms needed
@@ -32,8 +31,13 @@ class Limits:
 LIMITS = Limits()
 
 
-def configure(**kwargs) -> Limits:
-    """Replace fields of the active limits; returns the new value."""
-    global LIMITS
-    LIMITS = replace(LIMITS, **kwargs)
-    return LIMITS
+def configure(**kwargs) -> dict:
+    """Set fields of the active limits in place, so that every module that
+    imported LIMITS sees them; returns the previous values of all fields,
+    which `configure(**previous)` restores."""
+    previous = asdict(LIMITS)
+    for name, value in kwargs.items():
+        if name not in previous:
+            raise TypeError(f"unknown limit {name!r}")
+        setattr(LIMITS, name, value)
+    return previous

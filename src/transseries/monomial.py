@@ -212,19 +212,25 @@ def make_monomial(log_powers: Mapping[int, Rat] | Iterable,
     key = (lp, et)
     hit = _INTERN.get(key)
     if hit is not None:
+        # checked on hits too: the bounds may have been lowered since then
+        _check_bounds(hit)
         return hit
     for c, u in et:
         if not u.is_large():
             raise ValueError(f"exp argument term {u.render()} is not purely large")
     m = Monomial(lp, et)
+    _check_bounds(m)
+    _INTERN[key] = m
+    return m
+
+
+def _check_bounds(m: Monomial) -> None:
     if m.height > LIMITS.height_bound:
         raise ResourceError(
             f"monomial height {m.height} exceeds bound {LIMITS.height_bound}")
     if m.log_depth > LIMITS.log_depth_bound:
         raise ResourceError(
             f"log depth {m.log_depth} exceeds bound {LIMITS.log_depth_bound}")
-    _INTERN[key] = m
-    return m
 
 
 def _SORT_KEY(m: Monomial):

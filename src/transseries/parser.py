@@ -103,6 +103,12 @@ def _tokenize(src: str):
     return out
 
 
+# Parentheses, function calls and chained minus signs nest at most this
+# deep.  Each level costs the recursive-descent parser up to five Python
+# frames; the cap keeps parsing well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 def _literal(text: str) -> Fraction:
     if "." in text:
         whole, frac = text.split(".")
@@ -114,6 +120,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -142,10 +149,20 @@ class _Parser:
             node = Binary(op, node, self.unary(), pos)
         return node
 
+    def nested(self, pos: int, rule):
+        """rule() one nesting level deeper; ParseError past MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        try:
+            return rule()
+        finally:
+            self.depth -= 1
+
     def unary(self) -> Expr:
         if self.peek()[0] == "-":
             _, _, pos = self.take()
-            return Unary("neg", self.unary(), pos)
+            return Unary("neg", self.nested(pos, self.unary), pos)
         return self.power()
 
     def power(self) -> Expr:
@@ -197,12 +214,12 @@ class _Parser:
             if text == "x":
                 return Var(pos)
             self.take("(")
-            arg = self.expr()
+            arg = self.nested(pos, self.expr)
             self.take(")")
             return Unary(text, arg, pos)
         if kind == "(":
             self.take()
-            node = self.expr()
+            node = self.nested(pos, self.expr)
             self.take(")")
             return node
         raise ParseError(f"expected an expression, found {text or 'end of input'}",

@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Callable, Optional, Sequence
 
 from .errors import (BudgetExceededError, EvaluationRefusedError,
                      PreconditionError, SummabilityViolationError)
 from .limits import LIMITS
-from .monomial import (ONE, Monomial, mono_cmp, mono_max, mono_mul, mono_pow,
+from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
-from .series import (ZERO, GridCertificate, TransSeries, add, mono_series,
-                     mul, render_series, scale, sum_family, sum_lazy,
-                     _infinitesimal_bases)
+from .calculus import _compositions
+from .series import (ZERO, TransSeries, add, mono_series, mul, render_series,
+                     scale, sum_family, sum_lazy, _infinitesimal_bases)
 
 
 # -- joint certificates --------------------------------------------------------
@@ -173,16 +172,6 @@ def ps_derive(p: PowerSeries) -> PowerSeries:
                        finite_degree=fin, joint=joint)
 
 
-def _positive_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     """P o Q with Q_0 = 0; coefficient k is the finite sum over ordered
     factorizations of k into positive parts."""
@@ -201,7 +190,7 @@ def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
         top = k if p.finite_degree is None else min(k, p.finite_degree)
         for n in range(1, top + 1):
             pn = p.coeff(n)
-            for v in _positive_compositions(k, n):
+            for v in _compositions(k, n):
                 term = pn
                 for j in v:
                     term = mul(term, q.coeff(j))
@@ -446,6 +435,15 @@ def conv_contains(p: PowerSeries, delta: TransSeries,
                       "certificate test failed and no divergence witness found")
 
 
+def _unit_ratios(s: TransSeries, dom: Monomial) -> set:
+    """Ratios whose grid covers s/dom, for dom the dominant monomial of s:
+    the bases of s's certificate refined at dom, divided by dom (dom
+    itself gives 1), and the certificate's own ratios."""
+    tight = _infinitesimal_bases(s.cert, dom)
+    return ({mono_mul(t, dom.inv()) for t in tight if t is not dom}
+            | set(s.cert.ratios))
+
+
 def ps_eval(p: PowerSeries, delta: TransSeries,
             prefix: Optional[int] = None,
             report: Optional[ConvReport] = None) -> TransSeries:
@@ -475,10 +473,7 @@ def ps_eval(p: PowerSeries, delta: TransSeries,
         return p.coeff(0)
     dd = lt.mono
     joint = p.joint
-    ratios = set(joint.coefficient_ratios())
-    tight = _infinitesimal_bases(delta.cert, dd)
-    ratios |= {mono_mul(t, dd.inv()) for t in tight if t is not dd}
-    ratios |= set(delta.cert.ratios)
+    ratios = set(joint.coefficient_ratios()) | _unit_ratios(delta, dd)
     for d in joint.factors:
         pair = mono_mul(d, dd)
         if pair.is_small():
@@ -574,8 +569,8 @@ def ps_translate(p: PowerSeries, eps: TransSeries,
         if len(distinct) ** min(k, 16) > 4096:
             raise PreconditionError(
                 f"translation coefficient order {k} needs "
-                f"{len(distinct)}^{k} shifted bases; raise ps_order_cap "
-                "or reduce the order")
+                f"{len(distinct)}^{k} shifted bases, more than the 4096 "
+                "allowed")
         bases = set()
         for combo in itertools.combinations_with_replacement(factors, k):
             shift = ONE
@@ -596,9 +591,7 @@ def ps_translate(p: PowerSeries, eps: TransSeries,
     new_ratios = set(joint.ratios)
     if lt is not None:
         de = lt.mono
-        tight = _infinitesimal_bases(eps.cert, de)
-        new_ratios |= {mono_mul(t, de.inv()) for t in tight if t is not de}
-        new_ratios |= set(eps.cert.ratios)
+        new_ratios |= _unit_ratios(eps, de)
         for d in joint.factors:
             pair = mono_mul(d, de)
             if pair.is_small():
@@ -672,9 +665,7 @@ def lift_coefficientwise(op, p: PowerSeries,
                 img = op.apply_monomial(d)
                 dom = img.leading_term().mono
                 factors.add(dom)
-                tight = _infinitesimal_bases(img.cert, dom)
-                ratios |= {mono_mul(t, dom.inv()) for t in tight if t is not dom}
-                ratios |= set(img.cert.ratios)
+                ratios |= _unit_ratios(img, dom)
             ratios = {z for z in ratios if z.is_small()}
             joint = PSJointCert(frozenset(bases), frozenset(ratios),
                                 frozenset(factors))

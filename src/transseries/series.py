@@ -14,8 +14,8 @@ provided as a fuel-bounded facade on top of cutoff expansion.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,33 +156,37 @@ class GridCertificate:
     def points_above(self, cutoff: Monomial, fuel: Optional[int] = None) -> set:
         """All grid monomials >= cutoff (finite, or BudgetExceededError)."""
         fuel = LIMITS.expand_fuel if fuel is None else fuel
-        out: set = set()
         ratios = sort_monomials(self.ratios)
-        for b in self.bases:
-            out |= _region_monomials(b, ratios, cutoff, fuel)
-        return out
+        return {m for b in self.bases
+                for _, m, inside in _walk_region(b, ratios, cutoff, False, fuel)
+                if inside}
 
     def member(self, m: Monomial, min_factors: int = 0,
                fuel: Optional[int] = None) -> bool:
         """Is m a grid point (with at least min_factors ratio factors)?"""
+        if not self.ratios:
+            return m in self.bases and min_factors <= 0
         fuel = LIMITS.expand_fuel if fuel is None else fuel
         ratios = sort_monomials(self.ratios)
-        for b in self.bases:
-            if _region_contains(b, ratios, m, min_factors, fuel):
-                return True
-        return False
+        return any(inside and p is m and sum(v) >= min_factors
+                   for b in self.bases
+                   for v, p, inside in _walk_region(b, ratios, m, False, fuel))
 
 
-def _region_monomials(base: Monomial, ratios: list, cutoff: Monomial,
-                      fuel: int) -> set:
-    """Monomials of the downward-closed lattice region {v : base*z^v >= cutoff}."""
-    if mono_cmp(base, cutoff) < 0:
-        return set()
-    n = len(ratios)
-    found = {base}
-    if n == 0:
-        return found
-    start = (0,) * n
+def _walk_region(base: Monomial, ratios: list, bound: Monomial, strict: bool,
+                 fuel: int) -> Iterator[tuple]:
+    """Breadth-first walk of the downward-closed lattice region
+    {v : base*z^v >= bound} (> bound when strict).
+
+    Yields (v, base*z^v, inside).  A region point is yielded when it is
+    expanded, which costs one unit of fuel; a point outside the region is
+    yielded when it is first reached from a region point and never expanded.
+    """
+    c = mono_cmp(base, bound)
+    start = (0,) * len(ratios)
+    if not (c > 0 if strict else c >= 0):
+        yield start, base, False
+        return
     seen = {start}
     queue = deque([(start, base)])
     budget = fuel
@@ -191,47 +195,20 @@ def _region_monomials(base: Monomial, ratios: list, cutoff: Monomial,
         budget -= 1
         if budget < 0:
             raise BudgetExceededError(
-                "grid expansion exceeded fuel; the cutoff may lie beyond the "
-                "grid's archimedean reach")
-        for i in range(n):
+                f"grid walk above {bound.render()} exceeded {fuel} lattice "
+                "points; the bound may lie beyond the grid's archimedean reach")
+        yield v, m, True
+        for i in range(len(ratios)):
             w = v[:i] + (v[i] + 1,) + v[i + 1:]
             if w in seen:
                 continue
             seen.add(w)
             m2 = mono_mul(m, ratios[i])
-            if mono_cmp(m2, cutoff) >= 0:
-                found.add(m2)
+            c = mono_cmp(m2, bound)
+            if c > 0 if strict else c >= 0:
                 queue.append((w, m2))
-    return found
-
-
-def _region_contains(base: Monomial, ratios: list, target: Monomial,
-                     min_factors: int, fuel: int) -> bool:
-    if not ratios:
-        return base is target and min_factors <= 0
-    if mono_cmp(base, target) < 0:
-        return False
-    n = len(ratios)
-    start = (0,) * n
-    seen = {start}
-    queue = deque([(start, base)])
-    budget = fuel
-    while queue:
-        v, m = queue.popleft()
-        budget -= 1
-        if budget < 0:
-            raise BudgetExceededError("grid membership search exceeded fuel")
-        if m is target and sum(v) >= min_factors:
-            return True
-        for i in range(n):
-            w = v[:i] + (v[i] + 1,) + v[i + 1:]
-            if w in seen:
-                continue
-            seen.add(w)
-            m2 = mono_mul(m, ratios[i])
-            if mono_cmp(m2, target) >= 0:
-                queue.append((w, m2))
-    return False
+            else:
+                yield w, m2, False
 
 
 # -- the series type ----------------------------------------------------------
@@ -252,19 +229,17 @@ class TransSeries:
 
     `cert` bounds the support; `expand(cutoff)` returns the exact finite
     dict of all terms with monomial >= cutoff.  Values are immutable and
-    results are memoized at the deepest cutoff seen so far.  Memo access
-    is serialized per series; the operation graph is a DAG, so nested
-    expansion never self-locks and results are interleaving-independent.
+    results are memoized at the deepest cutoff seen so far.  The memo is
+    unsynchronized: a series is for use by one thread at a time.
     """
 
-    __slots__ = ("cert", "_expander", "_cutoff", "_cache", "_lock")
+    __slots__ = ("cert", "_expander", "_cutoff", "_cache")
 
     def __init__(self, cert: GridCertificate, expander: Callable[[Monomial], dict]):
         self.cert = cert
         self._expander = expander
         self._cutoff = None
         self._cache = None
-        self._lock = threading.RLock()
 
     # -- exact expansion ---------------------------------------------------
 
@@ -272,14 +247,13 @@ class TransSeries:
         """All terms with monomial >= cutoff, as {Monomial: coeff}, exact."""
         if self.cert.is_trivial:
             return {}
-        with self._lock:
-            if self._cutoff is not None and mono_cmp(cutoff, self._cutoff) >= 0:
-                return {m: c for m, c in self._cache.items()
-                        if mono_cmp(m, cutoff) >= 0}
-            got = self._expander(cutoff)
-            self._cache = {m: c for m, c in got.items() if c}
-            self._cutoff = cutoff
-            return dict(self._cache)
+        if self._cutoff is not None and mono_cmp(cutoff, self._cutoff) >= 0:
+            return {m: c for m, c in self._cache.items()
+                    if mono_cmp(m, cutoff) >= 0}
+        got = self._expander(cutoff)
+        self._cache = {m: c for m, c in got.items() if c}
+        self._cutoff = cutoff
+        return dict(self._cache)
 
     def terms_above(self, cutoff: Monomial) -> list:
         """Terms with monomial >= cutoff, sorted decreasing."""
@@ -346,24 +320,6 @@ class TransSeries:
         """Dominant term, or None if the series is provably zero."""
         got = self.first_terms(1, fuel)
         return got[0] if got else None
-
-    def iter_terms(self, fuel: Optional[int] = None) -> Iterator[Term]:
-        """Terms in strictly decreasing monomial order (fuel-bounded walk)."""
-        fuel = LIMITS.term_fuel if fuel is None else fuel
-        steps = 0
-        emitted = set()
-        for cand in self._candidates():
-            steps += 1
-            if steps > fuel:
-                raise BudgetExceededError("term iteration exceeded fuel")
-            d = self.expand(cand)
-            for m in sort_monomials(d):
-                if m not in emitted:
-                    emitted.add(m)
-                    yield Term(d[m], m)
-
-    def is_provably_zero(self, fuel: Optional[int] = None) -> bool:
-        return self.leading_term(fuel) is None
 
     # -- arithmetic sugar -----------------------------------------------------
 
@@ -566,11 +522,6 @@ def dominance(s: TransSeries, t: TransSeries,
     return DominanceVerdict("asymp", ls, lt)
 
 
-def is_infinitesimal(s: TransSeries, fuel: Optional[int] = None) -> bool:
-    lt = s.leading_term(fuel)
-    return lt is None or lt.mono.is_small()
-
-
 def dominant_decompose(s: TransSeries, fuel: Optional[int] = None) -> tuple:
     """Unique (c, d, eps) with s = c*d*(1+eps) and eps infinitesimal."""
     lt = s.leading_term(fuel)
@@ -597,40 +548,28 @@ def _infinitesimal_bases(cert: GridCertificate, dom: Monomial,
     """Rewrite the part of the grid at or below `dom` with bases <= dom.
 
     Walks each base's region strictly above dom and collects the boundary
-    children; sound because the region is downward closed.
+    points; sound because the region is downward closed.
     """
     fuel = LIMITS.expand_fuel if fuel is None else fuel
     ratios = sort_monomials(cert.ratios)
-    n = len(ratios)
-    out = set()
-    for b in cert.bases:
-        if mono_cmp(b, dom) <= 0:
-            out.add(b)
-            continue
-        if n == 0:
-            continue  # this base's only point lies above dom: no support there
-        start = (0,) * n
-        seen = {start}
-        queue = deque([(start, b)])
-        budget = fuel
-        while queue:
-            v, m = queue.popleft()
-            budget -= 1
-            if budget < 0:
-                raise BudgetExceededError(
-                    "certificate refinement exceeded fuel; grid reaches above "
-                    f"{dom.render()} in a higher archimedean class")
-            for i in range(n):
-                w = v[:i] + (v[i] + 1,) + v[i + 1:]
-                if w in seen:
-                    continue
-                seen.add(w)
-                m2 = mono_mul(m, ratios[i])
-                if mono_cmp(m2, dom) <= 0:
-                    out.add(m2)
-                else:
-                    queue.append((w, m2))
-    return frozenset(out)
+    return frozenset(m for b in cert.bases
+                     for _, m, inside in _walk_region(b, ratios, dom, True, fuel)
+                     if not inside)
+
+
+def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
+    """The number of j >= 0 with start*rho^j >= cutoff, for infinitesimal
+    rho; BudgetExceededError once it would exceed LIMITS.level_fuel."""
+    count = 0
+    bound = start
+    while mono_cmp(bound, cutoff) >= 0:
+        count += 1
+        if count > LIMITS.level_fuel:
+            raise BudgetExceededError(
+                f"level bound above {cutoff.render()} exceeded "
+                f"{LIMITS.level_fuel} levels")
+        bound = mono_mul(bound, rho)
+    return count
 
 
 def geometric_substitute(coeffs, eps: TransSeries,
@@ -672,18 +611,7 @@ def geometric_substitute(coeffs, eps: TransSeries,
                 acc[ONE] = c0
         if rho is None:
             return acc
-        level = 0
-        bound = ONE
-        guard = LIMITS.level_fuel
-        while True:
-            bound = mono_mul(bound, rho)
-            if mono_cmp(bound, cutoff) < 0:
-                break
-            level += 1
-            guard -= 1
-            if guard < 0:
-                raise BudgetExceededError(
-                    "geometric substitution: power bound search exceeded fuel")
+        level = _level_cap(rho, rho, cutoff)
         top = level if max_k is None else min(level, max_k)
         for k in range(1, top + 1):
             while len(powers) <= k:
@@ -751,15 +679,7 @@ def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
                     "sum_lazy with no ratios requires a finite producer")
             cap = 0
         else:
-            cap = -1
-            bound = gmax
-            guard = LIMITS.level_fuel
-            while mono_cmp(bound, cutoff) >= 0:
-                cap += 1
-                bound = mono_mul(bound, zmax)
-                guard -= 1
-                if guard < 0:
-                    raise BudgetExceededError("sum_lazy level bound exceeded fuel")
+            cap = _level_cap(gmax, zmax, cutoff) - 1
             # window past the cap: those summands must be provably silent
             # above the cutoff, else the level contract was violated
             pull_through(cap + LIMITS.divergence_window)
@@ -883,15 +803,7 @@ def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
     def expander(cutoff):
         if gmax is None:
             return {}
-        cap = -1
-        bound = gmax
-        guard = LIMITS.level_fuel
-        while mono_cmp(bound, cutoff) >= 0:
-            cap += 1
-            bound = mono_mul(bound, rho)
-            guard -= 1
-            if guard < 0:
-                raise BudgetExceededError("iterate_contracting bound exceeded fuel")
+        cap = _level_cap(gmax, rho, cutoff) - 1
         top = cap if max_k is None else min(cap, max_k)
         acc: dict = {}
         for k in range(top + 1):
@@ -913,12 +825,6 @@ def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
 def equal_below(s: TransSeries, t: TransSeries, cutoff: Monomial) -> bool:
     """Exact equality of all terms with monomial >= cutoff (decidable)."""
     return s.expand(cutoff) == t.expand(cutoff)
-
-
-def equal_prefix(s: TransSeries, t: TransSeries, n: int,
-                 fuel: Optional[int] = None) -> bool:
-    """Do the n largest terms of both series coincide exactly?"""
-    return s.first_terms(n, fuel) == t.first_terms(n, fuel)
 
 
 def depth_cutoff(s: TransSeries, depth: int):
@@ -951,41 +857,55 @@ def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):
     return not bad, cutoff, bad
 
 
-def render_series(s: TransSeries, nterms: int = 8,
-                  fuel: Optional[int] = None) -> str:
-    """`c1*m1 + ... + O(mK)` with up to nterms nonzero terms.
+def shown_terms(s: TransSeries, nterms: int = 8,
+                fuel: Optional[int] = None) -> tuple:
+    """(terms, omark): up to nterms nonzero Terms, largest first, and the
+    O-monomial, or None when no term is left out.
 
     Walks at most 2*nterms+6 grid positions looking for nonzero
     coefficients; the O-monomial marks where knowledge ends (the next
     unexplored grid position, or the first unshown term)."""
     if s.cert.is_trivial:
-        return "0"
+        return [], None
+    nterms = max(nterms, 0)
     walker = s._candidates()
     budget = (2 * nterms + 6) if fuel is None else fuel
-    d: dict = {}
-    exhausted = False
-    while budget > 0:
+    # k grid positions hold at most k terms, so no expansion before
+    # position nterms+1 can end the walk: the first one is made there
+    first = min(nterms + 1, budget)
+    taken, last = 0, None
+    for last in itertools.islice(walker, first):
+        taken += 1
+    exhausted = taken < first
+    d = {} if last is None else s.expand(last)
+    budget -= taken
+    while len(d) <= nterms and not exhausted and budget > 0:
         budget -= 1
-        try:
-            cand = next(walker)
-        except StopIteration:
+        cand = next(walker, None)
+        if cand is None:
             exhausted = True
-            break
-        d = s.expand(cand)
-        if len(d) > nterms:
-            break
+        else:
+            d = s.expand(cand)
     order = sort_monomials(d)
-    terms = [(d[m], m) for m in order[:nterms]]
-    body = format_term_sum(terms) if terms else ""
+    terms = [Term(d[m], m) for m in order[:nterms]]
     omark = None
     if len(order) > nterms:
         omark = order[nterms]
     elif not exhausted:
-        try:
-            omark = next(walker)
-        except StopIteration:
-            omark = None
+        omark = next(walker, None)
+    return terms, omark
+
+
+def format_shown(terms: list, omark: Optional[Monomial]) -> str:
+    """`c1*m1 + ... + O(omark)`, the text of a `shown_terms` result."""
+    body = format_term_sum(terms) if terms else ""
     if omark is None:
         return body or "0"
     tail = f"O({omark.render()})"
     return f"{body} + {tail}" if body else tail
+
+
+def render_series(s: TransSeries, nterms: int = 8,
+                  fuel: Optional[int] = None) -> str:
+    """`c1*m1 + ... + O(mK)` with up to nterms nonzero terms."""
+    return format_shown(*shown_terms(s, nterms, fuel))

@@ -14,6 +14,8 @@ of the corresponding theorems to a stated positional depth, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 from typing import Optional
 
 from .calculus import (CompositionHandle, compose, dagger,
@@ -25,8 +27,8 @@ from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
                        mono_inv, mono_mul)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
                           lift_coefficientwise, ps_eval)
-from .series import (TransSeries, add, compare_to_depth, from_terms,
-                     mono_series, mul, scale)
+from .series import (TransSeries, add, compare_to_depth, depth_cutoff,
+                     from_terms, mono_series, mul, scale)
 
 X_INV = mono_inv(X)
 X_SERIES = mono_series(X)
@@ -169,7 +171,7 @@ def locus_contains(spec: LocusSpec, f: TransSeries,
 
     # look for a sharpness witness in the actual support
     try:
-        cutoff, _ = _support_prefix_cutoff(f, prefix)
+        cutoff, _ = depth_cutoff(f, prefix)
         supp = [m for m in f.expand(cutoff)] if cutoff is not None else []
     except BudgetExceededError:
         supp = []
@@ -189,11 +191,6 @@ def locus_contains(spec: LocusSpec, f: TransSeries,
                 "transformed dagger")
     return ConvReport("inconclusive", tuple(witnesses), prefix,
                       "generator check failed but no support witness was found")
-
-
-def _support_prefix_cutoff(f: TransSeries, prefix: int):
-    from .series import depth_cutoff
-    return depth_cutoff(f, prefix)
 
 
 def taylor_series(f: TransSeries, spec: Optional[LocusSpec] = None, *,
@@ -220,17 +217,11 @@ def taylor_series(f: TransSeries, spec: Optional[LocusSpec] = None, *,
     def cf(k):
         while len(derivs) <= k:
             derivs.append(derive(derivs[-1]))
-        return scale(derivs[k], _inv_factorial(k))
+        return scale(derivs[k], Fraction(1, factorial(k)))
 
     # no dagger factors means f is a constant: the series stops at X^0
     fin = 0 if not factors else None
     return PowerSeries(cf, joint=joint, finite_degree=fin)
-
-
-def _inv_factorial(k: int):
-    from fractions import Fraction
-    from math import factorial
-    return Fraction(1, factorial(k))
 
 
 def taylor_deform(f: TransSeries, spec: LocusSpec, *,

@@ -204,6 +204,53 @@ def test_json_schema():
     assert out2 == out
 
 
+def test_json_terms_are_the_shown_terms():
+    argv = ["eval", "1/(1-1/x) - 1/(1-1/x^2)", "--terms", "4"]
+    _, text = run_cli(argv)
+    assert text == "x^-1 + x^-3 + x^-5 + x^-7 + O(x^-9)\n"
+    code, out = run_cli(argv + ["--json"])
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"coeff": "1", "monomial": f"x^-{k}"} for k in (1, 3, 5, 7)]
+
+
+def test_bound_flags_refuse_for_one_call():
+    from transseries.limits import LIMITS
+    before = (LIMITS.height_bound, LIMITS.log_depth_bound)
+    # a fresh monomial of height 2, and then one an earlier call interned
+    assert run_cli(["eval", "exp(exp(x^3))", "--height-bound", "1"]) == (
+        3, "error: ResourceError: monomial height 2 exceeds bound 1 "
+           "[at offset 0]\n")
+    assert run_cli(["eval", "exp(exp(x))"]) == (0, "exp(exp(x))\n")
+    assert run_cli(["eval", "exp(exp(x))", "--height-bound", "1"])[0] == 3
+    assert run_cli(["eval", "log(log(x))", "--depth-bound", "1"]) == (
+        3, "error: ResourceError: log depth 2 exceeds bound 1 [at offset 0]\n")
+    # the next call without a flag runs under the previous bounds
+    assert run_cli(["eval", "exp(exp(x))"]) == (0, "exp(exp(x))\n")
+    assert run_cli(["eval", "log(log(x))"]) == (0, "log(log(x))\n")
+    assert (LIMITS.height_bound, LIMITS.log_depth_bound) == before
+
+
+def test_order_flag_is_gone():
+    with pytest.raises(SystemExit):
+        run_cli(["eval", "x", "--order", "8"])
+
+
+def test_deep_nesting_is_a_parse_error():
+    from transseries.parser import MAX_NESTING
+    deep = "(" * 400 + "x" + ")" * 400
+    code, out = run_cli(["eval", deep])
+    assert code == 3
+    assert out == f"error: nesting deeper than {MAX_NESTING} levels at offset {MAX_NESTING}\n"
+    for src in ("(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+                "log(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+                " " + "-" * MAX_NESTING + "x"):
+        with pytest.raises(ParseError):
+            parse("(" + src + ")")
+        parse(src)
+    assert run_cli(["eval", " " + "-" * 401 + "x"])[0] == 3
+
+
 def test_stdin_input(monkeypatch):
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO("1/(1 - 1/x)"))

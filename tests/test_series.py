@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from transseries import (ONE, ONE_SERIES, ZERO, DivisionByZeroSeries,
+from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
+                         DivisionByZeroSeries,
                          DomainError, GridCertificate, PreconditionError,
                          SummabilityViolationError, X, atom, check_product_noetherian,
                          dominance, dominant_decompose, equal_below,
@@ -425,6 +426,89 @@ def test_certificate_points_above():
     assert cert.member(xpow(-1), min_factors=2)       # x * x^-1 * x^-1
     assert not cert.member(xpow(-1), min_factors=3)
     assert not cert.member(X2)
+
+
+def _lattice_box(cert, size):
+    """(base, v, base*z^v) for every v in {0..size-1}^n: the brute force
+    the region walk must agree with on regions inside the box."""
+    from itertools import product
+    ratios = sorted(cert.ratios, key=lambda z: z.render())
+    for b in cert.bases:
+        for v in product(range(size), repeat=len(ratios)):
+            m = b
+            for z, k in zip(ratios, v):
+                m = mono_mul(m, mono_pow(z, k))
+            yield b, v, ratios, m
+
+
+# two bases each; the second certificate's ratios are dependent
+# (x^-2 = x^-1 * x^-1), so one monomial sits at several lattice points
+REGION_CERTS = [
+    GridCertificate.of([X, atom(1)], [X_INV, mono_mul(X_INV, atom(1))]),
+    GridCertificate.of([ONE, xpow(Fraction(1, 2))], [X_INV, xpow(-2)]),
+]
+
+
+@pytest.mark.parametrize("cert", REGION_CERTS, ids=["independent", "dependent"])
+def test_region_walk_matches_brute_force(cert):
+    from transseries.series import _infinitesimal_bases
+    box = list(_lattice_box(cert, 8))
+    for cutoff in (X, ONE, xpow(-1), xpow(Fraction(-5, 2)), xpow(-3)):
+        want = {m for _, _, _, m in box if mono_cmp(m, cutoff) >= 0}
+        assert cert.points_above(cutoff) == want, cutoff
+
+    for m in {m for _, _, _, m in box if mono_cmp(m, xpow(-3)) >= 0}:
+        most = max(sum(v) for _, v, _, p in box if p is m)
+        for k in range(most + 2):
+            assert cert.member(m, min_factors=k) == (k <= most), (m, k)
+    assert not cert.member(xpow(Fraction(-1, 3)))
+
+    for dom in (ONE, xpow(-1), xpow(-2)):
+        # bases at or below dom, and the lattice points at or below dom
+        # one ratio step from a point above it
+        want = set()
+        for b, v, ratios, m in box:
+            if mono_cmp(m, dom) > 0:
+                continue
+            if not any(v):
+                want.add(m)
+            for i, z in enumerate(ratios):
+                if v[i] and mono_cmp(mono_mul(m, mono_inv(z)), dom) > 0:
+                    want.add(m)
+        assert _infinitesimal_bases(cert, dom) == want, dom
+
+
+def test_level_cap_counts_levels_up_to_the_fuel(monkeypatch):
+    from transseries.limits import LIMITS
+    from transseries.series import _level_cap
+    assert _level_cap(ONE, X_INV, xpow(-3)) == 4
+    assert _level_cap(X_INV, X_INV, ONE) == 0
+    monkeypatch.setattr(LIMITS, "level_fuel", 5)
+    assert _level_cap(ONE, X_INV, xpow(-4)) == 5
+    with pytest.raises(BudgetExceededError):
+        _level_cap(ONE, X_INV, xpow(-5))
+
+
+def test_level_cap_threshold_in_geometric_substitute(monkeypatch):
+    from transseries.limits import LIMITS
+    monkeypatch.setattr(LIMITS, "level_fuel", 5)
+    eps = mono_series(X_INV)
+    # powers eps^1 .. eps^5 reach x^-5: five levels, exactly the fuel
+    got = geometric_substitute(lambda k: 1, eps).expand(xpow(-5))
+    assert got == {xpow(-k): 1 for k in range(6)}
+    with pytest.raises(BudgetExceededError):
+        geometric_substitute(lambda k: 1, eps).expand(xpow(-6))
+
+
+def test_level_cap_threshold_in_compose(monkeypatch):
+    from transseries.calculus import compose
+    from transseries.limits import LIMITS
+    monkeypatch.setattr(LIMITS, "level_fuel", 5)
+    # the ratio x^-1 maps to x^-1: levels x^0 .. x^-4 lie above x^-4
+    got = compose(geom(), mono_series(X)).expand(xpow(-4))
+    assert got == {xpow(-k): 1 for k in range(5)}
+    with pytest.raises(BudgetExceededError):
+        compose(geom(), mono_series(X)).expand(xpow(-5))
 
 
 # -- rendering ---------------------------------------------------------------------
