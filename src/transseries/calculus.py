@@ -31,7 +31,7 @@ def dagger(m: Monomial) -> TransSeries:
     return from_terms(dagger_terms(m))
 
 
-def dagger_support_closure(gens, fuel: int = 10_000) -> frozenset:
+def dagger_support_closure(gens) -> frozenset:
     """Smallest monomial set containing every dagger support of `gens`
     and closed under taking dagger supports.
 
@@ -41,6 +41,7 @@ def dagger_support_closure(gens, fuel: int = 10_000) -> frozenset:
     """
     out: set = set()
     work = list(gens)
+    fuel = 10_000
     while work:
         fuel -= 1
         if fuel < 0:

@@ -135,13 +135,9 @@ def cmd_locus(args) -> int:
     op = _parse_op(args.op, backend)
     delta = elaborate(parse(_read_arg(args.delta)), backend)
     report = locus_contains(LocusSpec(op, delta), f)
-    wit = []
-    for item in report.witnesses:
-        try:
-            g, check = item[0], item[1]
-            wit.append(f"{g.render()} -> {check.render()}")
-        except Exception:
-            wit.append(str(item))
+    # every locus witness starts with a pair of monomials
+    wit = [f"{item[0].render()} -> {item[1].render()}"
+           for item in report.witnesses]
     lines = [f"locus: {report.verdict}", f"detail: {report.detail}"]
     lines += [f"witness: {w}" for w in wit[:4]]
     _emit(args, {"command": "locus", "verdict": report.verdict,
@@ -162,17 +158,13 @@ def cmd_cutcheck(args) -> int:
     p = monomial_geometric(lt.mono)
     cut = _parse_cut(args.cut, backend)
     verdict = cut_member(p, cut)
-    wit = []
-    for pair in verdict.witnesses[:2]:
-        try:
-            (m1, k1), (m2, k2) = pair
-            wit.append(f"({m1.render()}, X^{k1}) vs ({m2.render()}, X^{k2})")
-        except Exception:
-            try:
-                k, m = pair
-                wit.append(f"degree {k}: {m.render()}")
-            except Exception:
-                wit.append(str(pair))
+    # a non-member is witnessed by pairs ((m, k), (m', k')) of incomparable
+    # dominant terms, a member by (degree, grid maximum) pairs
+    if verdict.kind == "non_member":
+        wit = [f"({m1.render()}, X^{k1}) vs ({m2.render()}, X^{k2})"
+               for (m1, k1), (m2, k2) in verdict.witnesses[:2]]
+    else:
+        wit = [f"degree {k}: {m.render()}" for k, m in verdict.witnesses[:2]]
     lines = [f"series: sum ({lt.mono.render()})^k * X^k",
              f"cut: {cut.describe()}", f"verdict: {verdict.kind}"]
     lines += [f"witness: {w}" for w in wit]
@@ -249,16 +241,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which is a verdict code here
+        if e.code == 2:
+            return EXIT_INPUT
+        raise
     bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound}
     previous = configure(**{k: v for k, v in bounds.items() if v is not None})
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"error: {e}")
-        return EXIT_INPUT
     except KernelError as e:
-        print(f"error: {type(e).__name__}: {e}")
+        if args.json:
+            offset = e.position if isinstance(e, ParseError) else None
+            print(json.dumps({"error": {"type": type(e).__name__, "message": str(e),
+                                        "offset": offset}}, sort_keys=True))
+        elif isinstance(e, ParseError):
+            print(f"error: {e}")
+        else:
+            print(f"error: {type(e).__name__}: {e}")
         return EXIT_INPUT
     finally:
         configure(**previous)

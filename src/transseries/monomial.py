@@ -174,7 +174,7 @@ def _coeff_str(c) -> str:
 # -- construction ----------------------------------------------------------
 
 
-def make_monomial(log_powers: Mapping[int, Rat] | Iterable,
+def make_monomial(log_powers: Mapping[int, Rat],
                   exp_terms: Iterable = ()) -> Monomial:
     """Build the canonical, interned monomial with the given data.
 
@@ -183,8 +183,7 @@ def make_monomial(log_powers: Mapping[int, Rat] | Iterable,
     exp components are absorbed, zero entries dropped, terms merged.
     """
     powers: dict = {}
-    items = log_powers.items() if isinstance(log_powers, Mapping) else log_powers
-    for k, r in items:
+    for k, r in log_powers.items():
         r = Fraction(r)
         if r:
             powers[k] = powers.get(k, Fraction(0)) + r
@@ -309,10 +308,6 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
 
 def mono_max(monos: Iterable[Monomial]) -> Monomial:
     return max(monos, key=cmp_to_key(mono_cmp))
-
-
-def mono_min(monos: Iterable[Monomial]) -> Monomial:
-    return min(monos, key=cmp_to_key(mono_cmp))
 
 
 def sort_monomials(monos: Iterable[Monomial], reverse: bool = True) -> list:

@@ -248,14 +248,6 @@ class CutSpec:
         rel = ">" if self.variant == "above" else ">="
         return f"monomials {rel} {self.boundary.render()}"
 
-    def contains_mono(self, m: Monomial) -> bool:
-        if self.variant == "all":
-            return True
-        if self.variant == "empty":
-            return False
-        c = mono_cmp(m, self.boundary)
-        return c > 0 if self.variant == "above" else c >= 0
-
 
 def _in_negative_cone(w: Monomial, j: int, s: CutSpec) -> bool:
     # w*X^j < 1 in the cut ordering: j = 0 needs w infinitesimal; j > 0
@@ -299,15 +291,14 @@ class CutVerdict:
         return self.kind == "member"
 
 
-def cut_member(p: PowerSeries, s: CutSpec,
-               prefix: Optional[int] = None) -> CutVerdict:
+def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
     """Certificate-level membership of P in the cut algebra of s.
 
     Member: every cross-degree pair of per-degree grid maxima descends in
     the cut ordering.  Non-member: verified dominant terms are pairwise
     incomparable across all scanned degrees.  Otherwise inconclusive.
     """
-    prefix = LIMITS.cut_prefix if prefix is None else prefix
+    prefix = LIMITS.cut_prefix
     if s.variant == "all":
         return CutVerdict("member", (), prefix)
     if s.variant == "empty":
@@ -316,7 +307,7 @@ def cut_member(p: PowerSeries, s: CutSpec,
         wits = _verified_dominants(p, prefix)
         if len(wits) >= 2:
             (k1, d1), (k2, d2) = wits[0], wits[1]
-            return CutVerdict("non_member", ((d1, k1), (d2, k2)), prefix)
+            return CutVerdict("non_member", (((d1, k1), (d2, k2)),), prefix)
         return CutVerdict("inconclusive", (), prefix)
 
     maxima = []
@@ -390,15 +381,14 @@ class ConvReport:
         return self.verdict == "certified_divergent"
 
 
-def conv_contains(p: PowerSeries, delta: TransSeries,
-                  prefix: Optional[int] = None) -> ConvReport:
+def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:
     """Does the coefficient family (P_k delta^k) stay summable?
 
     Convergence is certified through cut duality: membership of P in the
     algebra of the cut above the dominant monomial of delta.  Divergence
     needs a verified window of non-shrinking dominant terms.
     """
-    prefix = LIMITS.cut_prefix if prefix is None else prefix
+    prefix = LIMITS.cut_prefix
     try:
         lt = delta.leading_term()
     except BudgetExceededError:
@@ -410,7 +400,7 @@ def conv_contains(p: PowerSeries, delta: TransSeries,
     if p.is_finite:
         return ConvReport("certified_convergent", (), p.finite_degree,
                           "polynomial: converges everywhere")
-    verdict = cut_member(p, CutSpec.above(dd), prefix)
+    verdict = cut_member(p, CutSpec.above(dd))
     if verdict.is_member:
         return ConvReport("certified_convergent", verdict.witnesses, prefix,
                           f"member of the cut algebra above {dd.render()}")
@@ -445,11 +435,10 @@ def _unit_ratios(s: TransSeries, dom: Monomial) -> set:
 
 
 def ps_eval(p: PowerSeries, delta: TransSeries,
-            prefix: Optional[int] = None,
             report: Optional[ConvReport] = None) -> TransSeries:
     """sum_k P_k delta^k via the lazy leveled sum; refuses without a
     certified-convergent report."""
-    report = conv_contains(p, delta, prefix) if report is None else report
+    report = conv_contains(p, delta) if report is None else report
     if not report.convergent:
         raise EvaluationRefusedError(
             f"evaluation refused: {report.verdict} ({report.detail})",
@@ -494,8 +483,7 @@ def ps_eval(p: PowerSeries, delta: TransSeries,
     return sum_lazy(producer(), joint.bases, ratios)
 
 
-def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec,
-             prefix: Optional[int] = None) -> TransSeries:
+def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec) -> TransSeries:
     """Evaluation inside a cut algebra: requires verified membership and
     delta strictly below the segment.
 
@@ -504,9 +492,9 @@ def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec,
     evaluation is still certified (the same summability argument applies
     to the slightly larger segment).
     """
-    verdict = cut_member(p, s, prefix)
+    verdict = cut_member(p, s)
     if not verdict.is_member and s.variant == "above":
-        wider = cut_member(p, CutSpec.above_eq(s.boundary), prefix)
+        wider = cut_member(p, CutSpec.above_eq(s.boundary))
         lt0 = delta.leading_term()
         if wider.is_member and (lt0 is None or
                                 mono_cmp(lt0.mono, s.boundary) < 0):
@@ -524,37 +512,35 @@ def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec,
         elif s.variant == "above_eq":
             if mono_cmp(lt.mono, s.boundary) >= 0:
                 raise PreconditionError("delta is not below the final segment")
-    report = ConvReport("certified_convergent", (), prefix or 0,
+    report = ConvReport("certified_convergent", (), 0,
                         f"cut membership: {s.describe()}")
-    return ps_eval(p, delta, prefix, report=report)
+    return ps_eval(p, delta, report=report)
 
 
-def ps_translate(p: PowerSeries, eps: TransSeries,
-                 prefix: Optional[int] = None) -> PowerSeries:
+def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
     """P shifted by eps: coefficient k is sum_i C(k+i,k) P_{k+i} eps^i.
 
     Requires certified convergence at eps; satisfies the group law
     P_{+(d+e)} = (P_{+d})_{+e} on certified arguments.
     """
-    report = conv_contains(p, eps, prefix)
+    report = conv_contains(p, eps)
     if not report.convergent:
         raise PreconditionError(
             f"translation requires certified convergence at eps: {report.verdict}")
+    inherited = ConvReport("certified_convergent", (), 0,
+                           "inherited from the translated series")
+
+    def cf(k):
+        # a finite P shifts to a finite degree; an infinite one to the
+        # shifted joint certificate defined below
+        shifted = PowerSeries(
+            lambda i: scale(p.coeff(k + i), comb(k + i, k)),
+            finite_degree=p.finite_degree - k if p.is_finite else None,
+            joint=None if p.is_finite else shifted_joint(k))
+        return ps_eval(shifted, eps, report=inherited)
 
     if p.is_finite:
-        def cf(k):
-            out = ZERO
-            power = None
-            for i in range(p.finite_degree - k + 1):
-                if i == 0:
-                    term = p.coeff(k)
-                else:
-                    power = eps if power is None else mul(power, eps)
-                    term = mul(p.coeff(k + i), power)
-                out = add(out, scale(term, comb(k + i, k)))
-            return out
         return PowerSeries(cf, finite_degree=p.finite_degree)
-
     if p.joint is None:
         raise PreconditionError(
             "translating an infinite power series needs a joint certificate")
@@ -578,14 +564,6 @@ def ps_translate(p: PowerSeries, eps: TransSeries,
                 shift = mono_mul(shift, d)
             bases |= {mono_mul(b, shift) for b in joint.bases}
         return PSJointCert(frozenset(bases), joint.ratios, joint.factors)
-
-    def cf(k):
-        shifted = PowerSeries(
-            lambda i: scale(p.coeff(k + i), comb(k + i, k)),
-            joint=shifted_joint(k))
-        rep = ConvReport("certified_convergent", (), prefix or 0,
-                         "inherited from the translated series")
-        return ps_eval(shifted, eps, prefix, report=rep)
 
     lt = eps.leading_term()
     new_ratios = set(joint.ratios)
@@ -616,8 +594,7 @@ def pullback_cut(op, target: CutSpec) -> CutSpec:
 
 def lift_coefficientwise(op, p: PowerSeries,
                          s_source: Optional[CutSpec] = None,
-                         s_target: Optional[CutSpec] = None,
-                         prefix: Optional[int] = None) -> PowerSeries:
+                         s_target: Optional[CutSpec] = None) -> PowerSeries:
     """Apply a strongly linear operator to every coefficient.
 
     `op` is a morphism handle (kind 'morphism': apply / apply_monomial /
@@ -673,7 +650,7 @@ def lift_coefficientwise(op, p: PowerSeries,
                           finite_degree=p.finite_degree, joint=joint)
 
     if s_target is not None:
-        verdict = cut_member(out, s_target, prefix)
+        verdict = cut_member(out, s_target)
         if verdict.kind == "non_member":
             raise SummabilityViolationError(
                 "coefficientwise lift left the target cut algebra",

@@ -153,34 +153,32 @@ class GridCertificate:
             return None
         return mono_max(self.bases)
 
-    def points_above(self, cutoff: Monomial, fuel: Optional[int] = None) -> set:
+    def points_above(self, cutoff: Monomial) -> set:
         """All grid monomials >= cutoff (finite, or BudgetExceededError)."""
-        fuel = LIMITS.expand_fuel if fuel is None else fuel
         ratios = sort_monomials(self.ratios)
         return {m for b in self.bases
-                for _, m, inside in _walk_region(b, ratios, cutoff, False, fuel)
+                for _, m, inside in _walk_region(b, ratios, cutoff, False)
                 if inside}
 
-    def member(self, m: Monomial, min_factors: int = 0,
-               fuel: Optional[int] = None) -> bool:
+    def member(self, m: Monomial, min_factors: int = 0) -> bool:
         """Is m a grid point (with at least min_factors ratio factors)?"""
         if not self.ratios:
             return m in self.bases and min_factors <= 0
-        fuel = LIMITS.expand_fuel if fuel is None else fuel
         ratios = sort_monomials(self.ratios)
         return any(inside and p is m and sum(v) >= min_factors
                    for b in self.bases
-                   for v, p, inside in _walk_region(b, ratios, m, False, fuel))
+                   for v, p, inside in _walk_region(b, ratios, m, False))
 
 
-def _walk_region(base: Monomial, ratios: list, bound: Monomial, strict: bool,
-                 fuel: int) -> Iterator[tuple]:
+def _walk_region(base: Monomial, ratios: list, bound: Monomial,
+                 strict: bool) -> Iterator[tuple]:
     """Breadth-first walk of the downward-closed lattice region
     {v : base*z^v >= bound} (> bound when strict).
 
     Yields (v, base*z^v, inside).  A region point is yielded when it is
-    expanded, which costs one unit of fuel; a point outside the region is
-    yielded when it is first reached from a region point and never expanded.
+    expanded, which costs one unit of LIMITS.expand_fuel; a point outside
+    the region is yielded when it is first reached from a region point and
+    never expanded.
     """
     c = mono_cmp(base, bound)
     start = (0,) * len(ratios)
@@ -189,7 +187,7 @@ def _walk_region(base: Monomial, ratios: list, bound: Monomial, strict: bool,
         return
     seen = {start}
     queue = deque([(start, base)])
-    budget = fuel
+    fuel = budget = LIMITS.expand_fuel
     while queue:
         v, m = queue.popleft()
         budget -= 1
@@ -233,13 +231,14 @@ class TransSeries:
     unsynchronized: a series is for use by one thread at a time.
     """
 
-    __slots__ = ("cert", "_expander", "_cutoff", "_cache")
+    __slots__ = ("cert", "_expander", "_cutoff", "_cache", "_summands")
 
     def __init__(self, cert: GridCertificate, expander: Callable[[Monomial], dict]):
         self.cert = cert
         self._expander = expander
         self._cutoff = None
         self._cache = None
+        self._summands = None     # the children of a flat sum node
 
     # -- exact expansion ---------------------------------------------------
 
@@ -350,8 +349,8 @@ class TransSeries:
         return scale(self, Fraction(1) / Fraction(other)
                      if not isinstance(other, float) else 1.0 / other)
 
-    def render(self, nterms: int = 8, fuel: Optional[int] = None) -> str:
-        return render_series(self, nterms, fuel=fuel)
+    def render(self, nterms: int = 8) -> str:
+        return render_series(self, nterms)
 
     def __repr__(self):
         try:
@@ -417,23 +416,11 @@ def scale(s: TransSeries, c) -> TransSeries:
 
 
 def add(s: TransSeries, t: TransSeries) -> TransSeries:
-    cert = s.cert.union(t.cert)
-
-    def expander(cutoff):
-        acc = dict(s.expand(cutoff))
-        for m, c in t.expand(cutoff).items():
-            acc[m] = acc.get(m, 0) + c
-        return acc
-
-    return TransSeries(cert, expander)
+    return _flat_sum((s, t), s.cert.union(t.cert))
 
 
 def sum_family(fam: Sequence[TransSeries]) -> TransSeries:
-    """Sum of a finite family (regrouping-invariant).
-
-    A single flat node: expansion loops over the children, so wide sums
-    (combinatorial coefficient formulas) cost no recursion depth.
-    """
+    """Sum of a finite family (regrouping-invariant)."""
     fam = list(fam)
     if not fam:
         return ZERO
@@ -442,15 +429,25 @@ def sum_family(fam: Sequence[TransSeries]) -> TransSeries:
     cert = fam[0].cert
     for s in fam[1:]:
         cert = cert.union(s.cert)
+    return _flat_sum(fam, cert)
+
+
+def _flat_sum(fam: Iterable[TransSeries], cert: GridCertificate) -> TransSeries:
+    """A single flat sum node whose cert is given: a summand that is itself
+    a sum node contributes its own summands, so neither wide sums nor long
+    chains of `add` cost recursion depth in expansion."""
+    summands = [u for s in fam for u in (s._summands or (s,))]
 
     def expander(cutoff):
         acc: dict = {}
-        for s in fam:
+        for s in summands:
             for m, c in s.expand(cutoff).items():
                 acc[m] = acc.get(m, 0) + c
         return acc
 
-    return TransSeries(cert, expander)
+    out = TransSeries(cert, expander)
+    out._summands = summands
+    return out
 
 
 def mul(s: TransSeries, t: TransSeries) -> TransSeries:
@@ -496,16 +493,11 @@ class DominanceVerdict:
     def preceq(self) -> bool:
         return self.relation in ("prec", "asymp", "sim")
 
-    @property
-    def succeq(self) -> bool:
-        return self.relation in ("succ", "asymp", "sim")
 
-
-def dominance(s: TransSeries, t: TransSeries,
-              fuel: Optional[int] = None) -> DominanceVerdict:
+def dominance(s: TransSeries, t: TransSeries) -> DominanceVerdict:
     """Compare dominant monomials; zero operands get dedicated verdicts."""
-    ls = s.leading_term(fuel)
-    lt = t.leading_term(fuel)
+    ls = s.leading_term()
+    lt = t.leading_term()
     if ls is None and lt is None:
         return DominanceVerdict("incomparable-zero", None, None)
     if ls is None:
@@ -522,9 +514,9 @@ def dominance(s: TransSeries, t: TransSeries,
     return DominanceVerdict("asymp", ls, lt)
 
 
-def dominant_decompose(s: TransSeries, fuel: Optional[int] = None) -> tuple:
+def dominant_decompose(s: TransSeries) -> tuple:
     """Unique (c, d, eps) with s = c*d*(1+eps) and eps infinitesimal."""
-    lt = s.leading_term(fuel)
+    lt = s.leading_term()
     if lt is None:
         raise DomainError("the zero series has no dominant decomposition")
     c, d = lt.coeff, lt.mono
@@ -543,17 +535,15 @@ def truncate_initial(s: TransSeries, cutoff: Monomial) -> TransSeries:
 # -- geometric and lazy summation machinery -----------------------------------
 
 
-def _infinitesimal_bases(cert: GridCertificate, dom: Monomial,
-                         fuel: Optional[int] = None) -> frozenset:
+def _infinitesimal_bases(cert: GridCertificate, dom: Monomial) -> frozenset:
     """Rewrite the part of the grid at or below `dom` with bases <= dom.
 
     Walks each base's region strictly above dom and collects the boundary
     points; sound because the region is downward closed.
     """
-    fuel = LIMITS.expand_fuel if fuel is None else fuel
     ratios = sort_monomials(cert.ratios)
     return frozenset(m for b in cert.bases
-                     for _, m, inside in _walk_region(b, ratios, dom, True, fuel)
+                     for _, m, inside in _walk_region(b, ratios, dom, True)
                      if not inside)
 
 
@@ -572,8 +562,42 @@ def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
     return count
 
 
-def geometric_substitute(coeffs, eps: TransSeries,
-                         fuel: Optional[int] = None) -> TransSeries:
+def _coefficients(coeffs) -> tuple:
+    """(cf, max_k) for a callable k -> constant (max_k None) or a finite
+    sequence (missing entries are zero, max_k its last index)."""
+    if callable(coeffs):
+        return coeffs, None
+    seq = list(coeffs)
+    return (lambda k: seq[k] if k < len(seq) else 0), len(seq) - 1
+
+
+def _iterate_sum(cf, max_k, cert: GridCertificate, first: TransSeries,
+                 step: Callable[[TransSeries], TransSeries],
+                 top: Callable[[Monomial], int]) -> TransSeries:
+    """Sum_k cf(k) t_k with t_0 = first and t_{k+1} = step(t_k), where an
+    expansion at a cutoff takes k up to top(cutoff) (and max_k); the
+    iterates are built once and kept."""
+    iterates = [first]
+
+    def expander(cutoff):
+        last = top(cutoff)
+        if max_k is not None:
+            last = min(last, max_k)
+        acc: dict = {}
+        for k in range(last + 1):
+            while len(iterates) <= k:
+                iterates.append(step(iterates[-1]))
+            ck = cf(k)
+            if not ck:
+                continue
+            for m, v in iterates[k].expand(cutoff).items():
+                acc[m] = acc.get(m, 0) + ck * v
+        return acc
+
+    return TransSeries(cert, expander)
+
+
+def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
     """Sum_k c_k eps^k for infinitesimal eps.
 
     `coeffs` is a callable k -> constant or a finite sequence (missing
@@ -581,15 +605,8 @@ def geometric_substitute(coeffs, eps: TransSeries,
     constructive: the refined certificate of eps has infinitesimal bases,
     so each cutoff admits a finite power bound.
     """
-    if callable(coeffs):
-        cf = coeffs
-        max_k = None
-    else:
-        seq = list(coeffs)
-        cf = lambda k: seq[k] if k < len(seq) else 0
-        max_k = len(seq) - 1
-
-    lt = eps.leading_term(fuel)
+    cf, max_k = _coefficients(coeffs)
+    lt = eps.leading_term()
     if lt is None:
         return const(cf(0))
     if not lt.mono.is_small():
@@ -601,37 +618,17 @@ def geometric_substitute(coeffs, eps: TransSeries,
     rho = mono_max(tight_bases) if tight_bases else None
     cert = GridCertificate(frozenset([ONE]),
                            frozenset(eps.cert.ratios) | tight_bases)
-    powers = [ONE_SERIES]
-
-    def expander(cutoff):
-        acc: dict = {}
-        if mono_cmp(ONE, cutoff) >= 0:
-            c0 = cf(0)
-            if c0:
-                acc[ONE] = c0
-        if rho is None:
-            return acc
-        level = _level_cap(rho, rho, cutoff)
-        top = level if max_k is None else min(level, max_k)
-        for k in range(1, top + 1):
-            while len(powers) <= k:
-                powers.append(mul(powers[-1], tight))
-            ck = cf(k)
-            if not ck:
-                continue
-            for m, v in powers[k].expand(cutoff).items():
-                acc[m] = acc.get(m, 0) + ck * v
-        return acc
-
-    return TransSeries(cert, expander)
+    return _iterate_sum(
+        cf, max_k, cert, ONE_SERIES, lambda t: mul(t, tight),
+        lambda cutoff: 0 if rho is None else _level_cap(rho, rho, cutoff))
 
 
-def invert(s: TransSeries, fuel: Optional[int] = None) -> TransSeries:
+def invert(s: TransSeries) -> TransSeries:
     """Multiplicative inverse via dominant decomposition and Neumann series."""
-    lt = s.leading_term(fuel)
+    lt = s.leading_term()
     if lt is None:
         raise DivisionByZeroSeries("cannot invert the zero series")
-    c, d, eps = dominant_decompose(s, fuel)
+    c, d, eps = dominant_decompose(s)
     geo = geometric_substitute(lambda k: Fraction(-1) ** k
                                if not isinstance(c, float) else (-1.0) ** k, eps)
     cinv = Fraction(1) / c if not isinstance(c, float) else 1.0 / c
@@ -763,8 +760,8 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
 
 
 def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
-                        s: TransSeries, *, gamma: Iterable[Monomial],
-                        fuel: Optional[int] = None) -> TransSeries:
+                        s: TransSeries, *,
+                        gamma: Iterable[Monomial]) -> TransSeries:
     """Sum_k c_k phi^[k](s) for a contracting strongly linear endomap.
 
     `gamma` is the finite set of infinitesimal contraction generators:
@@ -772,14 +769,7 @@ def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
     Contraction is spot-checked on the certificate generators of s; a
     violation names the offending monomial.
     """
-    if callable(coeffs):
-        cf = coeffs
-        max_k = None
-    else:
-        seq = list(coeffs)
-        cf = lambda k: seq[k] if k < len(seq) else 0
-        max_k = len(seq) - 1
-
+    cf, max_k = _coefficients(coeffs)
     gamma = frozenset(gamma)
     for z in gamma:
         if not z.is_small():
@@ -787,7 +777,7 @@ def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
                 f"contraction generator {z.render()} is not infinitesimal")
     for g in set(s.cert.bases) | set(s.cert.ratios):
         img = phi(mono_series(g))
-        lt = img.leading_term(fuel)
+        lt = img.leading_term()
         if lt is not None and mono_cmp(lt.mono, g) >= 0:
             raise SummabilityViolationError(
                 f"operator is not contracting at {g.render()}: image has "
@@ -797,26 +787,11 @@ def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
         return scale(s, cf(0))
     rho = mono_max(gamma)
     gmax = s.cert.grid_max()
+    # cert has the bases of s, and expand never calls the expander of a
+    # trivial cert, so gmax is set whenever top is called
     cert = GridCertificate(s.cert.bases, s.cert.ratios | gamma)
-    iterates = [s]
-
-    def expander(cutoff):
-        if gmax is None:
-            return {}
-        cap = _level_cap(gmax, rho, cutoff) - 1
-        top = cap if max_k is None else min(cap, max_k)
-        acc: dict = {}
-        for k in range(top + 1):
-            while len(iterates) <= k:
-                iterates.append(phi(iterates[-1]))
-            ck = cf(k)
-            if not ck:
-                continue
-            for m, v in iterates[k].expand(cutoff).items():
-                acc[m] = acc.get(m, 0) + ck * v
-        return acc
-
-    return TransSeries(cert, expander)
+    return _iterate_sum(cf, max_k, cert, s, phi,
+                        lambda cutoff: _level_cap(gmax, rho, cutoff) - 1)
 
 
 # -- equality helpers and rendering -------------------------------------------
@@ -857,8 +832,7 @@ def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):
     return not bad, cutoff, bad
 
 
-def shown_terms(s: TransSeries, nterms: int = 8,
-                fuel: Optional[int] = None) -> tuple:
+def shown_terms(s: TransSeries, nterms: int = 8) -> tuple:
     """(terms, omark): up to nterms nonzero Terms, largest first, and the
     O-monomial, or None when no term is left out.
 
@@ -869,7 +843,7 @@ def shown_terms(s: TransSeries, nterms: int = 8,
         return [], None
     nterms = max(nterms, 0)
     walker = s._candidates()
-    budget = (2 * nterms + 6) if fuel is None else fuel
+    budget = 2 * nterms + 6
     # k grid positions hold at most k terms, so no expansion before
     # position nterms+1 can end the walk: the first one is made there
     first = min(nterms + 1, budget)
@@ -905,7 +879,6 @@ def format_shown(terms: list, omark: Optional[Monomial]) -> str:
     return f"{body} + {tail}" if body else tail
 
 
-def render_series(s: TransSeries, nterms: int = 8,
-                  fuel: Optional[int] = None) -> str:
+def render_series(s: TransSeries, nterms: int = 8) -> str:
     """`c1*m1 + ... + O(mK)` with up to nterms nonzero terms."""
-    return format_shown(*shown_terms(s, nterms, fuel))
+    return format_shown(*shown_terms(s, nterms))

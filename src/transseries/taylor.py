@@ -24,7 +24,7 @@ from .errors import (BudgetExceededError, DomainError, PartialConstantError,
                      PreconditionError)
 from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
-                       mono_inv, mono_mul)
+                       mono_inv, mono_mul, sort_monomials)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
                           lift_coefficientwise, ps_eval)
 from .series import (TransSeries, add, compare_to_depth, depth_cutoff,
@@ -110,7 +110,8 @@ def spec_condition_check(m: Monomial, prefix: Optional[int] = None) -> dict:
     dlt = dagger(m).leading_term()
     flat = dlt is None or mono_cmp(dlt.mono, X_INV) <= 0
     mprime = from_terms(deriv_terms(m))
-    supp = [t.mono for t in mprime.terms_above(_grid_floor(mprime))][:prefix]
+    # a finite series' certificate bases are exactly its nonzero support
+    supp = sort_monomials(mprime.cert.bases)[:prefix]
     for n in supp:
         nlt = dagger(n).leading_term()
         if flat:
@@ -123,16 +124,7 @@ def spec_condition_check(m: Monomial, prefix: Optional[int] = None) -> dict:
     return {"ok": True, "flat": flat, "witness": None, "checked": len(supp)}
 
 
-def _grid_floor(s: TransSeries) -> Monomial:
-    # finite series: a cutoff at (below) the smallest support monomial
-    d = s.expand(min(s.cert.bases)) if s.cert.bases else {}
-    if not d:
-        return ONE
-    return min(d)
-
-
-def locus_contains(spec: LocusSpec, f: TransSeries,
-                   prefix: Optional[int] = None) -> ConvReport:
+def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
     """Decide membership of f in the deformation domain.
 
     Convergent: delta below the operator image of x and every certificate
@@ -140,7 +132,7 @@ def locus_contains(spec: LocusSpec, f: TransSeries,
     delta.  Divergent: a verified non-flat support monomial violating the
     bound.  Inconclusive otherwise.
     """
-    prefix = LIMITS.support_prefix if prefix is None else prefix
+    prefix = LIMITS.support_prefix
     op, delta = spec.op, spec.delta
     lt_d = delta.leading_term()
     if lt_d is None:
@@ -224,10 +216,10 @@ def taylor_series(f: TransSeries, spec: Optional[LocusSpec] = None, *,
     return PowerSeries(cf, joint=joint, finite_degree=fin)
 
 
-def taylor_deform(f: TransSeries, spec: LocusSpec, *,
-                  verify_descent: bool = True) -> TransSeries:
+def taylor_deform(f: TransSeries, spec: LocusSpec) -> TransSeries:
     """T_delta of the operator applied to f, as the three-step pipeline:
-    Taylor morphism, coefficientwise operator image, evaluation at delta."""
+    Taylor morphism, coefficientwise operator image, evaluation at delta;
+    the descent of the first three terms is checked."""
     rep = locus_contains(spec, f)
     if not rep.convergent:
         raise PreconditionError(
@@ -239,8 +231,7 @@ def taylor_deform(f: TransSeries, spec: LocusSpec, *,
     ev_report = ConvReport("certified_convergent", rep.witnesses,
                            rep.checked_prefix, "locus-certified")
     out = ps_eval(lifted, spec.delta, report=ev_report)
-    if verify_descent:
-        _check_descent(lifted, spec.delta, orders=3)
+    _check_descent(lifted, spec.delta, orders=3)
     return out
 
 
@@ -277,6 +268,19 @@ class IdentityReport:
         return self.status == "EQUAL"
 
 
+def _compare(lhs: TransSeries, rhs: TransSeries, depth: int,
+             conv_report: Optional[ConvReport] = None) -> IdentityReport:
+    """The EQUAL or UNEQUAL report of comparing lhs and rhs to depth."""
+    equal, _, bad = compare_to_depth(lhs, rhs, depth)
+    if equal:
+        return IdentityReport("EQUAL", f"agrees through depth {depth}",
+                              lhs, rhs, conv_report=conv_report)
+    t = bad[0]
+    return IdentityReport("UNEQUAL",
+                          f"first discrepancy {t.coeff} * {t.mono.render()}",
+                          lhs, rhs, tuple(bad), conv_report)
+
+
 def taylor_identity_check(f: TransSeries, g: TransSeries, delta: TransSeries,
                           depth: int = 8) -> IdentityReport:
     """Does composing at g + delta equal the deformation of composition
@@ -290,15 +294,7 @@ def taylor_identity_check(f: TransSeries, g: TransSeries, delta: TransSeries,
                               conv_report=rep)
     lhs = compose(f, add(g, delta))
     rhs = taylor_deform(f, spec)
-    equal, cutoff, bad = compare_to_depth(lhs, rhs, depth)
-    if equal:
-        return IdentityReport("EQUAL", f"agrees through depth {depth}",
-                              lhs, rhs, conv_report=rep)
-    t = bad[0]
-    return IdentityReport(
-        "UNEQUAL",
-        f"first discrepancy {t.coeff} * {t.mono.render()}",
-        lhs, rhs, tuple(bad), rep)
+    return _compare(lhs, rhs, depth, rep)
 
 
 def analytic_commutation_check(f: TransSeries, spec: LocusSpec,
@@ -313,13 +309,7 @@ def analytic_commutation_check(f: TransSeries, spec: LocusSpec,
         rhs = log_series(taylor_deform(f, spec))
     except (PartialConstantError, PreconditionError) as e:
         return IdentityReport("SKIPPED", str(e))
-    equal, cutoff, bad = compare_to_depth(lhs, rhs, depth)
-    if equal:
-        return IdentityReport("EQUAL", f"agrees through depth {depth}", lhs, rhs)
-    t = bad[0]
-    return IdentityReport("UNEQUAL",
-                          f"first discrepancy {t.coeff} * {t.mono.render()}",
-                          lhs, rhs, tuple(bad))
+    return _compare(lhs, rhs, depth)
 
 
 def chain_rule_transport_check(f: TransSeries, spec: LocusSpec,
@@ -331,10 +321,4 @@ def chain_rule_transport_check(f: TransSeries, spec: LocusSpec,
                   taylor_deform(derive(f), spec))
     except (PartialConstantError, PreconditionError) as e:
         return IdentityReport("SKIPPED", str(e))
-    equal, cutoff, bad = compare_to_depth(lhs, rhs, depth)
-    if equal:
-        return IdentityReport("EQUAL", f"agrees through depth {depth}", lhs, rhs)
-    t = bad[0]
-    return IdentityReport("UNEQUAL",
-                          f"first discrepancy {t.coeff} * {t.mono.render()}",
-                          lhs, rhs, tuple(bad))
+    return _compare(lhs, rhs, depth)

@@ -232,8 +232,46 @@ def test_bound_flags_refuse_for_one_call():
 
 
 def test_order_flag_is_gone():
-    with pytest.raises(SystemExit):
-        run_cli(["eval", "x", "--order", "8"])
+    assert run_cli(["eval", "x", "--order", "8"]) == (3, "")
+
+
+@pytest.mark.parametrize("argv", [["eval", "x", "--terms", "abc"],
+                                  ["cutcheck", "1/x"],
+                                  ["eval", "-x"]],
+                         ids=["bad-int", "missing-option", "dash-operand"])
+def test_usage_errors_exit_3(argv, capsys):
+    assert run_cli(argv) == (3, "")
+    assert "usage: transseries" in capsys.readouterr().err
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as e:
+        run_cli(["--help"])
+    assert e.value.code == 0
+
+
+def test_json_errors():
+    code, out = run_cli(["eval", "x^^2", "--json"])
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "type": "ParseError", "offset": 2,
+        "message": "expected a rational exponent at offset 2"}}
+    code, out = run_cli(["eval", "exp(exp(x^3))", "--height-bound", "1", "--json"])
+    assert code == 3
+    assert json.loads(out) == {"error": {
+        "type": "ResourceError", "offset": None,
+        "message": "monomial height 2 exceeds bound 1 [at offset 0]"}}
+    # text mode is unchanged
+    assert run_cli(["eval", "x^^2"]) == (
+        3, "error: expected a rational exponent at offset 2\n")
+
+
+def test_cutcheck_empty_cut_witness():
+    assert run_cli(["cutcheck", "1/x", "--cut", "empty"]) == (2, (
+        "series: sum (x^-1)^k * X^k\n"
+        "cut: empty segment\n"
+        "verdict: non_member\n"
+        "witness: (1, X^0) vs (x^-1, X^1)\n"))
 
 
 def test_deep_nesting_is_a_parse_error():

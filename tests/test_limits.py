@@ -1,0 +1,87 @@
+"""Budgets: every search bound is read from `transseries.limits`, and no
+public function takes a per-call override of its own besides the few that
+callers set."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+import transseries
+from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError, CutSpec,
+                         GridCertificate, LocusSpec, OperatorHandle,
+                         PowerSeries, PSJointCert, TransSeries, X,
+                         conv_contains, cut_member, locus_contains, mono_inv,
+                         mono_pow, mono_series)
+from transseries.series import _infinitesimal_bases
+
+X_INV = mono_inv(X)
+
+# the per-call budgets that callers pass: term fuel 64 in the kernel and 16
+# in a test, and a support prefix of 20 in the tests
+OVERRIDES = {"first_terms": {"fuel"}, "leading_term": {"fuel"},
+             "spec_condition_check": {"prefix"}}
+BUDGET_PARAMS = {"fuel", "prefix", "verify_descent"}
+
+
+def xpow(k):
+    return mono_pow(X, Fraction(k))
+
+
+def _public_functions():
+    for name in transseries.__all__:
+        obj = getattr(transseries, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+    for cls in (TransSeries, GridCertificate):
+        for name, fn in vars(cls).items():
+            if inspect.isfunction(fn):
+                yield name, fn
+
+
+def test_budgets_are_not_per_call_parameters():
+    seen = set()
+    for name, fn in _public_functions():
+        params = BUDGET_PARAMS & set(inspect.signature(fn).parameters)
+        assert params <= OVERRIDES.get(name, set()), (name, params)
+        if params:
+            seen.add(name)
+    assert seen == set(OVERRIDES)
+
+
+def test_expand_fuel_bounds_the_region_walks(monkeypatch):
+    cert = GridCertificate.of([X], [X_INV])
+    # x, 1, x^-1 and x^-2 lie at or above x^-2; the first three strictly
+    monkeypatch.setattr(LIMITS, "expand_fuel", 4)
+    assert cert.points_above(xpow(-2)) == {X, ONE, X_INV, xpow(-2)}
+    assert cert.member(xpow(-2))
+    monkeypatch.setattr(LIMITS, "expand_fuel", 3)
+    assert _infinitesimal_bases(cert, xpow(-2)) == {xpow(-2)}
+    with pytest.raises(BudgetExceededError):
+        cert.points_above(xpow(-2))
+    with pytest.raises(BudgetExceededError):
+        cert.member(xpow(-2))
+    monkeypatch.setattr(LIMITS, "expand_fuel", 2)
+    with pytest.raises(BudgetExceededError):
+        _infinitesimal_bases(cert, xpow(-2))
+
+
+def test_cut_prefix_sets_the_scanned_degrees(monkeypatch):
+    ones = PowerSeries(lambda k: ONE_SERIES, joint=PSJointCert.of([ONE], [], [ONE]))
+    delta = mono_series(X_INV)
+    assert cut_member(ones, CutSpec.above(X_INV)).checked_prefix == 12
+    monkeypatch.setattr(LIMITS, "cut_prefix", 7)
+    verdict = cut_member(ones, CutSpec.above(X_INV))
+    assert verdict.is_member and verdict.checked_prefix == 7
+    assert len(verdict.witnesses) == 8        # grid maxima of degrees 0..7
+    report = conv_contains(ones, delta)
+    assert report.convergent and report.checked_prefix == 7
+
+
+def test_support_prefix_sets_the_locus_prefix(monkeypatch):
+    spec = LocusSpec(OperatorHandle.identity(), mono_series(X_INV))
+    f = mono_series(X)
+    assert locus_contains(spec, f).checked_prefix == 20
+    monkeypatch.setattr(LIMITS, "support_prefix", 5)
+    report = locus_contains(spec, f)
+    assert report.convergent and report.checked_prefix == 5

@@ -255,12 +255,14 @@ def test_translate_polynomial():
 
 
 def test_translate_group_law():
-    p = const_family()
+    cubic = PowerSeries.from_coeffs(
+        [ONE_SERIES, xs(-1), ONE_SERIES + xs(1), scale(xs(-2), 3)])
     d, e = xs(-1), xs(-2)
-    both = ps_translate(p, add(d, e))
-    stepped = ps_translate(ps_translate(p, d), e)
-    for k in range(7):
-        assert_depth_equal(both.coeff(k), stepped.coeff(k), 6, f"order {k}")
+    for p in (const_family(), cubic):
+        both = ps_translate(p, add(d, e))
+        stepped = ps_translate(ps_translate(p, d), e)
+        for k in range(7):
+            assert_depth_equal(both.coeff(k), stepped.coeff(k), 6, f"order {k}")
 
 
 def test_translate_then_eval_is_shifted_eval():

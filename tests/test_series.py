@@ -67,6 +67,14 @@ def test_add_interleaves_infinite_streams():
         (Fraction(1), xpow(-5)), (Fraction(1), xpow(-7))]
 
 
+def test_long_add_chain_expands_without_deep_recursion():
+    s = ZERO
+    for k in range(1500):
+        s = s + mono_series(xpow(-k))
+    assert s.expand(xpow(-1499)) == {xpow(-k): 1 for k in range(1500)}
+    assert render_series(s, 2) == "1 + x^-1 + O(x^-2)"
+
+
 def test_add_zero_identity():
     s = rand_grid_series(rng(3))
     assert_depth_equal(s + ZERO, s, 8)
@@ -411,6 +419,16 @@ def test_iterate_zero_map():
     out = iterate_contracting(lambda t: ZERO, [Fraction(5), 7, 9],
                               geom(), gamma=[])
     assert_depth_equal(out, scale(geom(), 5), 8)
+
+
+def test_finite_coefficient_sequences():
+    # missing entries are zero: the sums stop at the last listed power
+    want = {ONE: 1, X_INV: 2, xpow(-2): 3}
+    got = geometric_substitute([1, 2, 3], mono_series(X_INV))
+    assert got.expand(xpow(-6)) == want
+    phi = lambda t: mul(t, mono_series(X_INV))
+    got = iterate_contracting(phi, [1, 2, 3], ONE_SERIES, gamma=[X_INV])
+    assert got.expand(xpow(-6)) == want
 
 
 def test_iterate_rejects_non_contracting():
