@@ -14,14 +14,15 @@ from math import factorial
 from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceError
-from .limits import LIMITS
+from .limits import LIMITS, configure
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms,
                        make_monomial, mono_cmp, mono_max, mono_mul, mono_pow,
                        pre_log)
-from .series import (EXACT, ONE_SERIES, ZERO, GridCertificate, TransSeries,
-                     add, const, dominant_decompose, extend_strongly_linear,
-                     from_terms, geometric_substitute, invert, mono_series,
-                     mul, scale, sum_family, _infinitesimal_bases, _level_cap)
+from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
+                     active_backend, add, const, dominant_decompose,
+                     extend_strongly_linear, from_terms, geometric_substitute,
+                     invert, mono_series, mul, scale, sum_family,
+                     _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -54,19 +55,45 @@ def dagger_support_closure(gens) -> frozenset:
     return frozenset(out)
 
 
+def _derivation_grid(bases, gens) -> tuple:
+    """The dagger monomials d of `gens`, and the bases b*d (b in `bases`)
+    that cover the derivatives of series on a grid with those bases."""
+    dag = {d for g in gens for _, d in dagger_terms(g)}
+    return dag, frozenset(mono_mul(b, d) for b in bases for d in dag)
+
+
+def _image_grid(image, bases, ratios) -> tuple:
+    """(bases, ratios, rho) of a grid covering the images of the grid
+    (bases, ratios) under `image`: each ratio image is refined at its
+    dominant monomial, and rho is the largest refined base (or None)."""
+    out_bases: set = set()
+    out_ratios: set = set()
+    for b in bases:
+        img = image(b)
+        out_bases |= img.cert.bases
+        out_ratios |= img.cert.ratios
+    tops = []
+    for z in ratios:
+        img = image(z)
+        lt = img.leading_term()
+        if not lt.mono.is_small():
+            raise PreconditionError(
+                f"image of ratio {z.render()} failed to stay infinitesimal")
+        tight = _infinitesimal_bases(img.cert, lt.mono)
+        out_ratios |= tight | img.cert.ratios
+        tops.append(mono_max(tight))
+    return out_bases, out_ratios, mono_max(tops) if tops else None
+
+
 def derive(s: TransSeries) -> TransSeries:
     """Strongly linear derivation; Leibniz holds to any depth."""
-    gens = set(s.cert.bases) | set(s.cert.ratios)
-    dag: set = set()
-    for g in gens:
-        dag |= {d for _, d in dagger_terms(g)}
+    dag, image_bases = _derivation_grid(s.cert.bases, s.cert.bases | s.cert.ratios)
     if not dag or s.cert.is_trivial:
         return ZERO
-    growth = mono_max(dag)
-    image_bases = {mono_mul(b, d) for b in s.cert.bases for d in dag}
     return extend_strongly_linear(
         lambda m: from_terms(deriv_terms(m)), s,
-        image_bases=image_bases, image_ratios=s.cert.ratios, growth=growth)
+        image_bases=image_bases, image_ratios=s.cert.ratios,
+        growth=mono_max(dag))
 
 
 def derive_n(s: TransSeries, n: int) -> TransSeries:
@@ -75,12 +102,12 @@ def derive_n(s: TransSeries, n: int) -> TransSeries:
     return s
 
 
-def log_series(s: TransSeries, backend=EXACT) -> TransSeries:
+def log_series(s: TransSeries) -> TransSeries:
     """log s = ell(d) + log_K(c) + sum_{k>0} (-1)^{k-1}/k * eps^k."""
     c, d, eps = dominant_decompose(s)
     if not c > 0:
         raise DomainError("log of a series with non-positive leading coefficient")
-    logc = backend.log(c)
+    logc = active_backend().log(c)
     tail = geometric_substitute(
         lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k - 1), k), eps)
     out = add(pre_log(d), tail)
@@ -89,7 +116,7 @@ def log_series(s: TransSeries, backend=EXACT) -> TransSeries:
     return out
 
 
-def exp_series(s: TransSeries, backend=EXACT) -> TransSeries:
+def exp_series(s: TransSeries) -> TransSeries:
     """exp of s = L + c + eps: the monomial exp(L) times exp_K(c) times
     the factorial series in eps.
 
@@ -100,7 +127,7 @@ def exp_series(s: TransSeries, backend=EXACT) -> TransSeries:
     large = [(m, c) for m, c in parts.items() if m.is_large()]
     c0 = parts.get(ONE, 0)
     head = make_monomial({}, [(Fraction(c), m) for m, c in large])
-    ec = backend.exp(backend.coerce(c0)) if c0 else 1
+    ec = active_backend().exp(c0) if c0 else 1
     eps = s - from_terms([(c, m) for m, c in large] + ([(c0, ONE)] if c0 else []))
     tail = geometric_substitute(lambda k: Fraction(1, factorial(k)), eps)
     out = mul(mono_series(head), tail)
@@ -109,7 +136,7 @@ def exp_series(s: TransSeries, backend=EXACT) -> TransSeries:
     return out
 
 
-def pow_series(s: TransSeries, r, backend=EXACT) -> TransSeries:
+def pow_series(s: TransSeries, r) -> TransSeries:
     """s^r for rational r; integer powers are exact products, fractional
     powers use c^r * d^r * binomial series in eps (requires c^r exact)."""
     r = Fraction(r)
@@ -123,7 +150,7 @@ def pow_series(s: TransSeries, r, backend=EXACT) -> TransSeries:
             out = mul(out, base)
         return out
     c, d, eps = dominant_decompose(s)
-    cr = backend.pow(c, r)
+    cr = active_backend().pow(c, r)
 
     def binom(k: int):
         out = Fraction(1)
@@ -142,22 +169,23 @@ class CompositionHandle:
     """Right composition by a fixed positive infinite series g.
 
     Memoizes atom and monomial images; composition of a series is the
-    strongly linear extension over its term expansion.
+    strongly linear extension over its term expansion.  Images are built
+    lazily, in the constant field that was active when the handle was built.
     """
 
-    def __init__(self, g: TransSeries, backend=EXACT):
+    def __init__(self, g: TransSeries):
         lt = g.leading_term()
         if lt is None or not lt.mono.is_large() or not lt.coeff > 0:
             raise PreconditionError(
                 "composition requires a positive infinite right argument")
         self.g = g
-        self.backend = backend
+        self.backend = LIMITS.backend
         self._atoms = [g]            # atom_image(k) = l_k o g
         self._monos: dict = {ONE: ONE_SERIES}
 
     def atom_image(self, k: int) -> TransSeries:
         while len(self._atoms) <= k:
-            self._atoms.append(log_series(self._atoms[-1], self.backend))
+            self._atoms.append(self._in_field(log_series, self._atoms[-1]))
         return self._atoms[k]
 
     def mono_image(self, m: Monomial) -> TransSeries:
@@ -166,14 +194,21 @@ class CompositionHandle:
             return got
         out = ONE_SERIES
         for k, r in m.log_powers:
-            out = mul(out, pow_series(self.atom_image(k), r, self.backend))
+            out = mul(out, self._in_field(pow_series, self.atom_image(k), r))
         if m.exp_terms:
             arg = ZERO
             for c, u in m.exp_terms:
                 arg = add(arg, scale(self.mono_image(u), c))
-            out = mul(out, exp_series(arg, self.backend))
+            out = mul(out, self._in_field(exp_series, arg))
         self._monos[m] = out
         return out
+
+    def _in_field(self, fn, *args) -> TransSeries:
+        previous = configure(backend=self.backend)
+        try:
+            return fn(*args)
+        finally:
+            configure(**previous)
 
     def image_dominant(self, m: Monomial) -> Monomial:
         return self.mono_image(m).leading_term().mono
@@ -186,25 +221,9 @@ def compose(f: TransSeries, h) -> TransSeries:
     if f.cert.is_trivial:
         return ZERO
 
-    base_img = {b: h.mono_image(b) for b in f.cert.bases}
-    bases: set = set()
-    ratios: set = set()
-    for img in base_img.values():
-        bases |= set(img.cert.bases)
-        ratios |= set(img.cert.ratios)
-    rho = None
-    for z in f.cert.ratios:
-        img = h.mono_image(z)
-        lt = img.leading_term()
-        if not lt.mono.is_small():
-            raise PreconditionError(
-                f"composed ratio {z.render()} failed to stay infinitesimal")
-        tight = _infinitesimal_bases(img.cert, lt.mono)
-        ratios |= tight | set(img.cert.ratios)
-        top = mono_max(tight)
-        if rho is None or mono_cmp(top, rho) > 0:
-            rho = top
+    bases, ratios, rho = _image_grid(h.mono_image, f.cert.bases, f.cert.ratios)
     cert = GridCertificate(frozenset(bases), frozenset(ratios))
+    base_img = {b: h.mono_image(b) for b in f.cert.bases}
     zmin = min(f.cert.ratios) if f.cert.ratios else None
 
     def expander(cutoff):

@@ -12,12 +12,11 @@ import argparse
 import json
 import sys
 
-from .errors import KernelError, ParseError
+from .errors import KernelError, ParseError, ResourceError
 from .limits import configure
 from .parser import parse, elaborate
 from .powerseries import CutSpec, cut_member, monomial_geometric
-from .series import (EXACT, FLOAT, TransSeries, format_shown, render_series,
-                     shown_terms)
+from .series import TransSeries, format_shown, render_series, shown_terms
 from .taylor import LocusSpec, OperatorHandle, locus_contains, taylor_identity_check
 from .calculus import derive, compose
 
@@ -27,14 +26,11 @@ EXIT_INPUT = 3
 EXIT_SKIPPED = 4
 
 
-def _backend(name: str):
-    return FLOAT if name == "float" else EXACT
-
-
-def _read_arg(text: str) -> str:
+def _series_arg(text: str) -> TransSeries:
+    """The series an argument denotes; "-" reads it from stdin."""
     if text == "-":
-        return sys.stdin.read().strip()
-    return text
+        text = sys.stdin.read().strip()
+    return elaborate(parse(text))
 
 
 def _json_terms(terms: list) -> list:
@@ -49,24 +45,24 @@ def _emit(args, payload: dict, text_lines: list) -> None:
             print(line)
 
 
-def _parse_op(text: str, backend) -> OperatorHandle:
+def _parse_op(text: str) -> OperatorHandle:
     if text in (None, "identity", "id"):
         return OperatorHandle.identity()
     if text.startswith("compose:"):
-        g = elaborate(parse(text.split(":", 1)[1]), backend)
+        g = elaborate(parse(text.split(":", 1)[1]))
         return OperatorHandle.right_compose(g)
     raise ParseError(f"unknown operator spec {text!r} "
                      "(use 'identity' or 'compose:EXPR')", 0)
 
 
-def _parse_cut(text: str, backend) -> CutSpec:
+def _parse_cut(text: str) -> CutSpec:
     if text == "all":
         return CutSpec.all()
     if text == "empty":
         return CutSpec.empty()
     for prefix, ctor in (("above:", CutSpec.above), ("aboveeq:", CutSpec.above_eq)):
         if text.startswith(prefix):
-            s = elaborate(parse(text[len(prefix):]), backend)
+            s = elaborate(parse(text[len(prefix):]))
             lt = s.leading_term()
             if lt is None:
                 raise ParseError("cut boundary must be a nonzero series", 0)
@@ -84,29 +80,20 @@ def _emit_series(args, command: str, s: TransSeries) -> int:
 
 
 def cmd_eval(args) -> int:
-    backend = _backend(args.backend)
-    s = elaborate(parse(_read_arg(args.expr)), backend)
-    return _emit_series(args, "eval", s)
+    return _emit_series(args, "eval", _series_arg(args.expr))
 
 
 def cmd_derive(args) -> int:
-    backend = _backend(args.backend)
-    s = derive(elaborate(parse(_read_arg(args.expr)), backend))
-    return _emit_series(args, "derive", s)
+    return _emit_series(args, "derive", derive(_series_arg(args.expr)))
 
 
 def cmd_compose(args) -> int:
-    backend = _backend(args.backend)
-    f = elaborate(parse(_read_arg(args.f)), backend)
-    g = elaborate(parse(_read_arg(args.g)), backend)
+    f, g = _series_arg(args.f), _series_arg(args.g)
     return _emit_series(args, "compose", compose(f, g))
 
 
 def cmd_taylor(args) -> int:
-    backend = _backend(args.backend)
-    f = elaborate(parse(_read_arg(args.f)), backend)
-    g = elaborate(parse(_read_arg(args.g)), backend)
-    d = elaborate(parse(_read_arg(args.delta)), backend)
+    f, g, d = _series_arg(args.f), _series_arg(args.g), _series_arg(args.delta)
     report = taylor_identity_check(f, g, d, depth=args.terms)
     lines = []
     witnesses = []
@@ -130,10 +117,9 @@ def cmd_taylor(args) -> int:
 
 
 def cmd_locus(args) -> int:
-    backend = _backend(args.backend)
-    f = elaborate(parse(_read_arg(args.expr)), backend)
-    op = _parse_op(args.op, backend)
-    delta = elaborate(parse(_read_arg(args.delta)), backend)
+    f = _series_arg(args.expr)
+    op = _parse_op(args.op)
+    delta = _series_arg(args.delta)
     report = locus_contains(LocusSpec(op, delta), f)
     # every locus witness starts with a pair of monomials
     wit = [f"{item[0].render()} -> {item[1].render()}"
@@ -150,13 +136,12 @@ def cmd_locus(args) -> int:
 
 
 def cmd_cutcheck(args) -> int:
-    backend = _backend(args.backend)
-    r = elaborate(parse(_read_arg(args.ratio)), backend)
+    r = _series_arg(args.ratio)
     lt = r.leading_term()
     if lt is None:
         raise ParseError("cutcheck ratio must be a nonzero series", 0)
     p = monomial_geometric(lt.mono)
-    cut = _parse_cut(args.cut, backend)
+    cut = _parse_cut(args.cut)
     verdict = cut_member(p, cut)
     # a non-member is witnessed by pairs ((m, k), (m', k')) of incomparable
     # dominant terms, a member by (degree, grid maximum) pairs
@@ -248,11 +233,16 @@ def main(argv=None) -> int:
         if e.code == 2:
             return EXIT_INPUT
         raise
-    bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound}
+    bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound,
+              "backend": args.backend}
     previous = configure(**{k: v for k, v in bounds.items() if v is not None})
     try:
         return args.fn(args)
-    except KernelError as e:
+    except (KernelError, RecursionError) as e:
+        if isinstance(e, RecursionError):
+            # the parser caps nesting, but a deep series DAG can still
+            # exhaust Python's stack while it is elaborated or expanded
+            e = ResourceError("expression nests too deeply for the recursion limit")
         if args.json:
             offset = e.position if isinstance(e, ParseError) else None
             print(json.dumps({"error": {"type": type(e).__name__, "message": str(e),

@@ -1,13 +1,14 @@
-"""Tunable structural bounds and fuel budgets.
+"""Tunable structural bounds, fuel budgets and the constant field.
 
-The kernel is exact; these bounds never change a computed value. They only
-decide how far semi-decidable searches are pushed before the engine raises
-an honest resource error, and where structural recursion is cut off.
+The bounds and budgets never change a computed value. They only decide how
+far semi-decidable searches are pushed before the engine raises an honest
+resource error, and where structural recursion is cut off. `backend` does
+change values: it names the field the constants live in.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,6 +28,9 @@ class Limits:
     term_fuel: int = 512           # candidate monomials walked per term search
     level_fuel: int = 4_096        # level-bound iterations in lazy sums
 
+    # constant field: "exact" rationals, or binary "float"s for demos
+    backend: str = "exact"
+
 
 LIMITS = Limits()
 
@@ -35,7 +39,7 @@ def configure(**kwargs) -> dict:
     """Set fields of the active limits in place, so that every module that
     imported LIMITS sees them; returns the previous values of all fields,
     which `configure(**previous)` restores."""
-    previous = asdict(LIMITS)
+    previous = dict(vars(LIMITS))
     for name, value in kwargs.items():
         if name not in previous:
             raise TypeError(f"unknown limit {name!r}")

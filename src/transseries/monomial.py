@@ -310,8 +310,8 @@ def mono_max(monos: Iterable[Monomial]) -> Monomial:
     return max(monos, key=cmp_to_key(mono_cmp))
 
 
-def sort_monomials(monos: Iterable[Monomial], reverse: bool = True) -> list:
-    return sorted(monos, key=cmp_to_key(mono_cmp), reverse=reverse)
+def sort_monomials(monos: Iterable[Monomial]) -> list:
+    return sorted(monos, key=cmp_to_key(mono_cmp), reverse=True)
 
 
 # -- pre-logarithm and logarithmic derivative ------------------------------

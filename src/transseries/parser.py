@@ -15,7 +15,8 @@ from typing import Optional, Union
 
 from .errors import KernelError, ParseError
 from .monomial import X
-from .series import EXACT, TransSeries, add, const, invert, mono_series, mul, scale
+from .series import (TransSeries, active_backend, add, const, invert,
+                     mono_series, mul, scale)
 from .calculus import exp_series, log_series, pow_series
 
 
@@ -240,24 +241,24 @@ def parse(src: str) -> Expr:
 X_SERIES = mono_series(X)
 
 
-def elaborate(e: Expr, backend=EXACT) -> TransSeries:
+def elaborate(e: Expr) -> TransSeries:
     """Evaluate an expression tree into the kernel; kernel errors are
     re-raised with the source offset appended."""
     try:
         if isinstance(e, Num):
-            return const(backend.coerce(e.value))
+            return const(active_backend().coerce(e.value))
         if isinstance(e, Var):
             return X_SERIES
         if isinstance(e, Unary):
-            arg = elaborate(e.arg, backend)
+            arg = elaborate(e.arg)
             if e.op == "neg":
                 return scale(arg, -1)
             if e.op == "log":
-                return log_series(arg, backend)
-            return exp_series(arg, backend)
+                return log_series(arg)
+            return exp_series(arg)
         if isinstance(e, Binary):
-            left = elaborate(e.left, backend)
-            right = elaborate(e.right, backend)
+            left = elaborate(e.left)
+            right = elaborate(e.right)
             if e.op == "+":
                 return add(left, right)
             if e.op == "-":
@@ -266,7 +267,7 @@ def elaborate(e: Expr, backend=EXACT) -> TransSeries:
                 return mul(left, right)
             return mul(left, invert(right))
         if isinstance(e, Power):
-            return pow_series(elaborate(e.base, backend), e.exponent, backend)
+            return pow_series(elaborate(e.base), e.exponent)
     except ParseError:
         raise
     except KernelError as err:
@@ -276,5 +277,5 @@ def elaborate(e: Expr, backend=EXACT) -> TransSeries:
     raise ParseError(f"unhandled expression node {e!r}", getattr(e, "pos", 0))
 
 
-def parse_series(src: str, backend=EXACT) -> TransSeries:
-    return elaborate(parse(src), backend)
+def parse_series(src: str) -> TransSeries:
+    return elaborate(parse(src))

@@ -25,7 +25,7 @@ from .errors import (BudgetExceededError, EvaluationRefusedError,
 from .limits import LIMITS
 from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
-from .calculus import _compositions
+from .calculus import _compositions, _derivation_grid, _image_grid
 from .series import (ZERO, TransSeries, add, mono_series, mul, render_series,
                      scale, sum_family, sum_lazy, _infinitesimal_bases)
 
@@ -434,6 +434,14 @@ def _unit_ratios(s: TransSeries, dom: Monomial) -> set:
             | set(s.cert.ratios))
 
 
+def _eval_ratios(ratios, factors, s: TransSeries, dom: Monomial) -> set:
+    """The infinitesimal ratios of a grid that covers sum_k P_k s^k, for
+    dom the dominant monomial of s: those among `ratios`, the unit ratios
+    of s, and the products d*dom of the joint factors d."""
+    out = set(ratios) | _unit_ratios(s, dom) | {mono_mul(d, dom) for d in factors}
+    return {z for z in out if z.is_small()}
+
+
 def ps_eval(p: PowerSeries, delta: TransSeries,
             report: Optional[ConvReport] = None) -> TransSeries:
     """sum_k P_k delta^k via the lazy leveled sum; refuses without a
@@ -460,14 +468,8 @@ def ps_eval(p: PowerSeries, delta: TransSeries,
         # a product of k>0 factors from an empty alphabet is empty: the
         # joint contract forces every higher coefficient to vanish
         return p.coeff(0)
-    dd = lt.mono
     joint = p.joint
-    ratios = set(joint.coefficient_ratios()) | _unit_ratios(delta, dd)
-    for d in joint.factors:
-        pair = mono_mul(d, dd)
-        if pair.is_small():
-            ratios.add(pair)
-    ratios = {z for z in ratios if z.is_small()}
+    ratios = _eval_ratios(joint.coefficient_ratios(), joint.factors, delta, lt.mono)
 
     def producer():
         power = None
@@ -566,15 +568,10 @@ def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
         return PSJointCert(frozenset(bases), joint.ratios, joint.factors)
 
     lt = eps.leading_term()
-    new_ratios = set(joint.ratios)
-    if lt is not None:
-        de = lt.mono
-        new_ratios |= _unit_ratios(eps, de)
-        for d in joint.factors:
-            pair = mono_mul(d, de)
-            if pair.is_small():
-                new_ratios.add(pair)
-    new_ratios = {z for z in new_ratios if z.is_small()}
+    if lt is None:
+        new_ratios = {z for z in joint.ratios if z.is_small()}
+    else:
+        new_ratios = _eval_ratios(joint.ratios, joint.factors, eps, lt.mono)
     return PowerSeries(cf, joint=PSJointCert(joint.bases,
                                              frozenset(new_ratios),
                                              joint.factors))
@@ -605,15 +602,10 @@ def lift_coefficientwise(op, p: PowerSeries,
     kind = getattr(op, "kind", "morphism")
 
     if kind == "derivation":
-        from .monomial import dagger_terms
         joint = None
         if p.joint is not None:
-            gens = set(p.joint.bases) | set(p.joint.ratios) | set(p.joint.factors)
-            dag = set()
-            for g in gens:
-                dag |= {d for _, d in dagger_terms(g)}
-            bases = frozenset(mono_mul(b, d)
-                              for b in p.joint.bases for d in dag)
+            _, bases = _derivation_grid(
+                p.joint.bases, p.joint.bases | p.joint.ratios | p.joint.factors)
             joint = PSJointCert(bases, p.joint.ratios, p.joint.factors)
         out = PowerSeries(lambda k: op.apply(p.coeff(k)),
                           finite_degree=p.finite_degree, joint=joint)
@@ -626,17 +618,8 @@ def lift_coefficientwise(op, p: PowerSeries,
                     f"({expected.describe()})")
         joint = None
         if p.joint is not None:
-            bases: set = set()
-            ratios: set = set()
-            for b in p.joint.bases:
-                img = op.apply_monomial(b)
-                bases |= set(img.cert.bases)
-                ratios |= set(img.cert.ratios)
-            for z in p.joint.ratios | p.joint.small_factors:
-                img = op.apply_monomial(z)
-                dom = img.leading_term().mono
-                tight = _infinitesimal_bases(img.cert, dom)
-                ratios |= set(tight) | set(img.cert.ratios)
+            bases, ratios, _ = _image_grid(op.apply_monomial, p.joint.bases,
+                                           p.joint.coefficient_ratios())
             factors = set()
             for d in p.joint.factors:
                 img = op.apply_monomial(d)

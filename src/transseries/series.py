@@ -96,6 +96,12 @@ class FloatBackend:
 
 EXACT = ExactBackend()
 FLOAT = FloatBackend()
+_BACKENDS = {b.name: b for b in (EXACT, FLOAT)}
+
+
+def active_backend():
+    """The constant field that `LIMITS.backend` names, read at each call."""
+    return _BACKENDS[LIMITS.backend]
 
 
 def _exact_root(n: int, q: int) -> Optional[int]:
@@ -346,8 +352,7 @@ class TransSeries:
     def __truediv__(self, other):
         if isinstance(other, TransSeries):
             return mul(self, invert(other))
-        return scale(self, Fraction(1) / Fraction(other)
-                     if not isinstance(other, float) else 1.0 / other)
+        return scale(self, Fraction(1) / other)
 
     def render(self, nterms: int = 8) -> str:
         return render_series(self, nterms)
@@ -521,8 +526,7 @@ def dominant_decompose(s: TransSeries) -> tuple:
         raise DomainError("the zero series has no dominant decomposition")
     c, d = lt.coeff, lt.mono
     unit = mul(s, mono_series(d.inv()))
-    eps = add(scale(unit, Fraction(1) / c if not isinstance(c, float) else 1.0 / c),
-              scale(ONE_SERIES, -1))
+    eps = add(scale(unit, Fraction(1) / c), scale(ONE_SERIES, -1))
     return c, d, eps
 
 
@@ -629,10 +633,8 @@ def invert(s: TransSeries) -> TransSeries:
     if lt is None:
         raise DivisionByZeroSeries("cannot invert the zero series")
     c, d, eps = dominant_decompose(s)
-    geo = geometric_substitute(lambda k: Fraction(-1) ** k
-                               if not isinstance(c, float) else (-1.0) ** k, eps)
-    cinv = Fraction(1) / c if not isinstance(c, float) else 1.0 / c
-    return scale(mul(geo, mono_series(d.inv())), cinv)
+    geo = geometric_substitute(lambda k: Fraction(-1) ** k, eps)
+    return scale(mul(geo, mono_series(d.inv())), Fraction(1) / c)
 
 
 def sum_lazy(producer: Iterable, bases: Iterable[Monomial],

@@ -303,6 +303,31 @@ def test_float_backend():
     assert out.startswith("2.71828182846")
 
 
+def test_float_backend_reaches_composition():
+    code, out = run_cli(["compose", "exp(x)", "x+1", "--backend", "float"])
+    assert (code, out) == (0, "2.71828182846*exp(x)\n")
+    code, out = run_cli(["taylor", "exp(x)", "x+1", "1/x", "--backend", "float",
+                         "--terms", "3"])
+    assert code == 0 and out.splitlines()[-1] == "EQUAL"
+    code, out = run_cli(["compose", "exp(x)", "x+1"])
+    assert (code, out) == (3, "error: PartialConstantError: exp(1) is irrational; "
+                              "exact backend only knows exp(0)\n")
+
+
+def test_deep_quotients_are_a_resource_error():
+    # 60 nested quotients stay inside the parser's nesting cap but exhaust
+    # Python's stack while the series is built or expanded
+    deep = "x"
+    for _ in range(60):
+        deep = f"1/(1+{deep})"
+    code, out = run_cli(["eval", deep, "--terms", "3"])
+    assert code == 3 and out.startswith("error: ResourceError: ")
+    code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ResourceError"
+    assert json.loads(out)["error"]["offset"] is None
+
+
 def test_exit_codes_match_verdicts():
     assert run_cli(["taylor", "1/x", "x", "1"])[0] == 0
     assert run_cli(["taylor", "exp(x)", "x", "1"])[0] == 4

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 import transseries
-from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError, CutSpec,
-                         GridCertificate, LocusSpec, OperatorHandle,
-                         PowerSeries, PSJointCert, TransSeries, X,
-                         conv_contains, cut_member, locus_contains, mono_inv,
-                         mono_pow, mono_series)
+from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
+                         CompositionHandle, CutSpec, GridCertificate,
+                         LocusSpec, OperatorHandle, PartialConstantError,
+                         PowerSeries, PSJointCert, TransSeries, X, compose,
+                         configure, conv_contains, cut_member, locus_contains,
+                         mono_inv, mono_pow, mono_series)
+from transseries.parser import parse_series
 from transseries.series import _infinitesimal_bases
 
 X_INV = mono_inv(X)
@@ -21,7 +23,7 @@ X_INV = mono_inv(X)
 # in a test, and a support prefix of 20 in the tests
 OVERRIDES = {"first_terms": {"fuel"}, "leading_term": {"fuel"},
              "spec_condition_check": {"prefix"}}
-BUDGET_PARAMS = {"fuel", "prefix", "verify_descent"}
+BUDGET_PARAMS = {"fuel", "prefix", "verify_descent", "backend"}
 
 
 def xpow(k):
@@ -33,7 +35,7 @@ def _public_functions():
         obj = getattr(transseries, name)
         if inspect.isfunction(obj):
             yield name, obj
-    for cls in (TransSeries, GridCertificate):
+    for cls in (TransSeries, GridCertificate, CompositionHandle):
         for name, fn in vars(cls).items():
             if inspect.isfunction(fn):
                 yield name, fn
@@ -85,3 +87,32 @@ def test_support_prefix_sets_the_locus_prefix(monkeypatch):
     monkeypatch.setattr(LIMITS, "support_prefix", 5)
     report = locus_contains(spec, f)
     assert report.convergent and report.checked_prefix == 5
+
+
+def test_backend_setting_is_restored():
+    with pytest.raises(PartialConstantError):
+        parse_series("exp(1)")
+    previous = configure(backend="float")
+    try:
+        e = parse_series("exp(1)").leading_term().coeff
+    finally:
+        configure(**previous)
+    assert isinstance(e, float) and abs(e - 2.718281828459045) < 1e-12
+    assert LIMITS.backend == "exact"
+    with pytest.raises(PartialConstantError):
+        parse_series("exp(1)")
+
+
+def test_composition_handle_keeps_its_field():
+    # the image of exp(x) under x -> x+1 is e*exp(x); it is built lazily,
+    # after the float setting that the handle was built under is restored
+    previous = configure(backend="float")
+    try:
+        h = CompositionHandle(parse_series("x+1"))
+        f = parse_series("exp(x)")
+    finally:
+        configure(**previous)
+    (term,) = compose(f, h).first_terms(2)
+    assert isinstance(term.coeff, float)
+    with pytest.raises(PartialConstantError):
+        compose(f, CompositionHandle(parse_series("x+1"))).first_terms(1)
