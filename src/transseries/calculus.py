@@ -15,9 +15,9 @@ from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceError
 from .limits import LIMITS, configure
-from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms,
-                       make_monomial, mono_cmp, mono_max, mono_mul, mono_pow,
-                       pre_log)
+from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
+                       make_monomial, mono_cmp, mono_inv, mono_max, mono_mul,
+                       mono_pow, pre_log)
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      active_backend, add, const, dominant_decompose,
                      extend_strongly_linear, from_terms, geometric_substitute,
@@ -137,18 +137,23 @@ def exp_series(s: TransSeries) -> TransSeries:
 
 
 def pow_series(s: TransSeries, r) -> TransSeries:
-    """s^r for rational r; integer powers are exact products, fractional
+    """s^r for rational r; integer powers are exact products built by
+    repeated squaring, so |r| = n takes O(log n) nested products; fractional
     powers use c^r * d^r * binomial series in eps (requires c^r exact)."""
     r = Fraction(r)
     if r == 0:
         return ONE_SERIES
     if r.denominator == 1:
-        n = r.numerator
-        base = s if n > 0 else invert(s)
-        out = base
-        for _ in range(abs(n) - 1):
-            out = mul(out, base)
-        return out
+        n = abs(r.numerator)
+        base = s if r > 0 else invert(s)
+        out = None
+        while True:
+            if n & 1:
+                out = base if out is None else mul(out, base)
+            n >>= 1
+            if not n:
+                return out
+            base = mul(base, base)
     c, d, eps = dominant_decompose(s)
     cr = active_backend().pow(c, r)
 
@@ -192,6 +197,16 @@ class CompositionHandle:
         got = self._monos.get(m)
         if got is not None:
             return got
+        # composition is a ring morphism: with the image of m / l_k^{+-1}
+        # known, one product with the image of l_k^{+-1} gives that of m
+        for k, r in m.log_powers:
+            if r.denominator == 1:
+                step = atom(k) if r > 0 else mono_inv(atom(k))
+                prev = None if step is m else self._monos.get(mono_mul(m, mono_inv(step)))
+                if prev is not None:
+                    out = mul(prev, self.mono_image(step))
+                    self._monos[m] = out
+                    return out
         out = ONE_SERIES
         for k, r in m.log_powers:
             out = mul(out, self._in_field(pow_series, self.atom_image(k), r))

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import KernelError, ParseError, ResourceError
-from .limits import configure
+from .limits import BACKENDS, configure
 from .parser import parse, elaborate
 from .powerseries import CutSpec, cut_member, monomial_geometric
 from .series import TransSeries, format_shown, render_series, shown_terms
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=int, default=8,
                         help="terms / comparison depth (default 8)")
-    common.add_argument("--backend", choices=["exact", "float"],
+    common.add_argument("--backend", choices=BACKENDS,
                         default="exact")
     common.add_argument("--depth-bound", type=int, default=None,
                         help="iterated-log depth bound, for this call only")

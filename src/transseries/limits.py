@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidInputError
+
+BACKENDS = ("exact", "float")
+
 
 @dataclass
 class Limits:
@@ -40,8 +44,12 @@ def configure(**kwargs) -> dict:
     imported LIMITS sees them; returns the previous values of all fields,
     which `configure(**previous)` restores."""
     previous = dict(vars(LIMITS))
-    for name, value in kwargs.items():
+    for name in kwargs:
         if name not in previous:
             raise TypeError(f"unknown limit {name!r}")
+    if "backend" in kwargs and kwargs["backend"] not in BACKENDS:
+        raise InvalidInputError(
+            f"unknown backend {kwargs['backend']!r}; expected one of {BACKENDS}")
+    for name, value in kwargs.items():
         setattr(LIMITS, name, value)
     return previous

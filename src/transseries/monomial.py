@@ -35,7 +35,8 @@ class Monomial:
     exp_terms: tuple   # ((Fraction coeff, Monomial), ...) decreasing, all > 1
 
     def __init__(self, log_powers, exp_terms):
-        # not for direct use: go through make_monomial for canonical instances
+        # not for direct use: canonical instances come from make_monomial
+        # and the group operations
         self.log_powers = log_powers
         self.exp_terms = exp_terms
         self._height = None
@@ -207,7 +208,11 @@ def make_monomial(log_powers: Mapping[int, Rat],
     powers = {k: r for k, r in powers.items() if r}
     lp = tuple(sorted(powers.items()))
     et = tuple(sorted(cleaned, key=lambda t: _SORT_KEY(t[1]), reverse=True))
+    return _intern(lp, et)
 
+
+def _intern(lp: tuple, et: tuple) -> Monomial:
+    """The interned monomial with canonical data (lp, et), made if new."""
     key = (lp, et)
     hit = _INTERN.get(key)
     if hit is not None:
@@ -249,23 +254,59 @@ def atom(k: int) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    # Products of canonical monomials are merged directly; make_monomial
+    # canonicalises untrusted data.  The merged exp terms keep their
+    # monomials, so none needs absorbing and none stops being large.
     powers = dict(a.log_powers)
     for k, r in b.log_powers:
-        powers[k] = powers.get(k, Fraction(0)) + r
-    return make_monomial(powers, list(a.exp_terms) + list(b.exp_terms))
+        r = powers.get(k, 0) + r
+        if r:
+            powers[k] = r
+        else:
+            del powers[k]
+    return _intern(tuple(sorted(powers.items())),
+                   _merge_terms(a.exp_terms, b.exp_terms))
+
+
+def _merge_terms(p: tuple, q: tuple) -> tuple:
+    """The sum of two decreasing exp-term tuples, decreasing, without the
+    terms that cancel."""
+    if not p or not q:
+        return p or q
+    out = []
+    i = j = 0
+    while i < len(p) and j < len(q):
+        (c, u), (e, v) = p[i], q[j]
+        if u is v:
+            s = c + e
+            if s:
+                out.append((s, u))
+            i += 1
+            j += 1
+        elif mono_cmp(u, v) > 0:
+            out.append(p[i])
+            i += 1
+        else:
+            out.append(q[j])
+            j += 1
+    out.extend(p[i:])
+    out.extend(q[j:])
+    return tuple(out)
 
 
 def mono_inv(a: Monomial) -> Monomial:
-    return make_monomial({k: -r for k, r in a.log_powers},
-                         [(-c, u) for c, u in a.exp_terms])
+    # negation keeps the order and canonicity of both tuples
+    return _intern(tuple((k, -r) for k, r in a.log_powers),
+                   tuple((-c, u) for c, u in a.exp_terms))
 
 
 def mono_pow(a: Monomial, r) -> Monomial:
     r = Fraction(r)
     if not r:
         return ONE
-    return make_monomial({k: p * r for k, p in a.log_powers},
-                         [(c * r, u) for c, u in a.exp_terms])
+    # so does scaling by r != 0
+    return _intern(tuple((k, p * r) for k, p in a.log_powers),
+                   tuple((c * r, u) for c, u in a.exp_terms))
 
 
 # -- the group order -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Derivation, logarithm, exponential, composition, Faà di Bruno."""
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,10 @@ from transseries import (ONE, ONE_SERIES, CompositionHandle, DomainError,
                          exp_series, faa_di_bruno_coeff, from_terms, invert,
                          log_series, make_monomial, mono_inv, mono_mul,
                          mono_pow, mono_series, mul, pow_series)
-from transseries.series import add, equal_below, scale
+from transseries.calculus import _image_grid
+from transseries.cli import main
+from transseries.parser import parse_series
+from transseries.series import GridCertificate, add, equal_below, scale
 from transseries.taylor import is_flat, spec_condition_check
 
 from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
@@ -274,6 +279,48 @@ def test_compose_is_ring_morphism():
     lhs2 = compose(f1 + f2, g)
     rhs2 = compose(f1, g) + compose(f2, g)
     assert_depth_equal(lhs2, rhs2, 6, "additivity of composition")
+
+
+def _chain_image(h, m):
+    """The image of a monomial with integer log powers, as the chain of
+    one product per unit of each power."""
+    out = ONE_SERIES
+    for k, r in m.log_powers:
+        base = h.atom_image(k) if r > 0 else invert(h.atom_image(k))
+        for _ in range(abs(r.numerator)):
+            out = mul(out, base)
+    return out
+
+
+@pytest.mark.parametrize("g", ["x + 5", "x*log(x)"])
+def test_images_by_morphism_keep_the_chain_certificates(g):
+    h = CompositionHandle(parse_series(g))
+    # images of x^-k follow x^-(k-1); that of log(x)^3/x^2 follows
+    # log(x)^3/x, whose image is built first
+    for text in ("1/(1-5/x)", "log(x)^3/x", "log(x)^3/x^2"):
+        f = parse_series(text)
+        composite = compose(f, h)
+        composite.expand(xpow(-8))
+        bases, ratios, _ = _image_grid(lambda m: _chain_image(h, m),
+                                       f.cert.bases, f.cert.ratios)
+        assert composite.cert == GridCertificate.of(bases, ratios)
+        for m in f.expand(xpow(-6)):
+            assert h.mono_image(m).cert == _chain_image(h, m).cert
+            assert_depth_equal(h.mono_image(m), _chain_image(h, m), 4, m.render())
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["eval", "(1+1/x)^600", "--terms", "3"],
+     "1 + 600*x^-1 + 179700*x^-2 + O(x^-3)\n"),
+    (["compose", "x^-600", "x+1", "--terms", "3"],
+     "x^-600 - 600*x^-601 + 180300*x^-602 + O(x^-603)\n"),
+], ids=["eval", "compose"])
+def test_high_integer_powers_stay_shallow(argv, want):
+    # a chain of 600 products would exhaust Python's stack on expansion
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert (code, buf.getvalue()) == (0, want)
 
 
 # -- Faà di Bruno -----------------------------------------------------------------

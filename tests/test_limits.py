@@ -10,10 +10,11 @@ import pytest
 import transseries
 from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          CompositionHandle, CutSpec, GridCertificate,
-                         LocusSpec, OperatorHandle, PartialConstantError,
-                         PowerSeries, PSJointCert, TransSeries, X, compose,
-                         configure, conv_contains, cut_member, locus_contains,
-                         mono_inv, mono_pow, mono_series)
+                         InvalidInputError, LocusSpec, OperatorHandle,
+                         PartialConstantError, PowerSeries, PSJointCert,
+                         TransSeries, X, compose, configure, conv_contains,
+                         cut_member, locus_contains, mono_inv, mono_pow,
+                         mono_series)
 from transseries.parser import parse_series
 from transseries.series import _infinitesimal_bases
 
@@ -101,6 +102,14 @@ def test_backend_setting_is_restored():
     assert LIMITS.backend == "exact"
     with pytest.raises(PartialConstantError):
         parse_series("exp(1)")
+
+
+def test_unknown_backend_is_refused_at_once():
+    before = dict(vars(LIMITS))
+    with pytest.raises(InvalidInputError):
+        configure(height_bound=2, backend="floaty")
+    assert vars(LIMITS) == before
+    assert parse_series("2").leading_term().coeff == 2
 
 
 def test_composition_handle_keeps_its_field():

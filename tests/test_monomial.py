@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from transseries import (ONE, ResourceError, X, atom, height_depth,
-                         make_monomial, mono_cmp, mono_inv, mono_mul,
-                         mono_pow, pre_log)
+from transseries import (ONE, ResourceError, X, atom, configure,
+                         height_depth, make_monomial, mono_cmp, mono_inv,
+                         mono_mul, mono_pow, pre_log)
 from transseries.monomial import dagger_terms, pre_log_terms
 from transseries.series import from_terms, equal_below
 
@@ -111,6 +111,72 @@ def test_mul_commutative_associative():
         assert mono_mul(a, b) is mono_mul(b, a)
         assert mono_mul(a, mono_mul(b, c)) is mono_mul(mono_mul(a, b), c)
         assert mono_mul(a, ONE) is a
+
+
+# exp-argument monomials, all > 1, of heights 0 and 1
+EXP_ARGS = [X, X2, mono_pow(X, Fraction(1, 2)), mono_mul(X, mono_inv(L1)),
+            mono_pow(L1, 2), E_X, mono_mul(make_monomial({}, [(1, X2)]), X_INV),
+            make_monomial({1: 1}, [(Fraction(1, 2), X)])]
+
+
+def _merged(a, b):
+    """a * b through make_monomial, from the raw data of both."""
+    powers = dict(a.log_powers)
+    for k, r in b.log_powers:
+        powers[k] = powers.get(k, 0) + r
+    return make_monomial(powers, a.exp_terms + b.exp_terms)
+
+
+def _inverted(a):
+    """a^-1 through make_monomial, from the raw data of a."""
+    return make_monomial({k: -r for k, r in a.log_powers},
+                         [(-c, u) for c, u in a.exp_terms])
+
+
+def test_group_operations_match_make_monomial():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rats = st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)])
+    monos = st.builds(
+        make_monomial,
+        st.dictionaries(st.integers(0, 2), rats, max_size=3),
+        st.lists(st.tuples(st.sampled_from([-2, -1, Fraction(-1, 2), Fraction(1, 2), 1, 2]),
+                           st.sampled_from(EXP_ARGS)), max_size=3))
+
+    @st.composite
+    def triples(draw):
+        a, b, c = draw(monos), draw(monos), draw(monos)
+        cancels = draw(st.booleans())
+        if cancels:
+            # b cancels every log power and exp term of a, so a * b = c
+            b = _merged(c, _inverted(a))
+        return a, b, c, cancels
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hyp.given(triples(), rats)
+    def check(abc, r):
+        a, b, c, cancels = abc
+        assert max(m.height for m in (a, b, c)) <= 2
+        ab = mono_mul(a, b)
+        assert ab is _merged(a, b)
+        assert ab is c or not cancels
+        assert mono_inv(a) is _inverted(a)
+        assert mono_pow(a, r) is make_monomial(
+            {k: p * r for k, p in a.log_powers}, [(e * r, u) for e, u in a.exp_terms])
+        assert ab is mono_mul(b, a)
+        assert mono_mul(ab, c) is mono_mul(a, mono_mul(b, c))
+        assert mono_mul(a, mono_inv(a)) is ONE
+        # both results are interned now; a lowered bound still refuses them
+        for m, again in ((ab, lambda: mono_mul(a, b)), (mono_inv(a), lambda: mono_inv(a))):
+            if m.height:
+                previous = configure(height_bound=m.height - 1)
+                try:
+                    with pytest.raises(ResourceError):
+                        again()
+                finally:
+                    configure(**previous)
+
+    check()
 
 
 def test_height_depth_examples():
