@@ -304,7 +304,7 @@ def mono_pow(a: Monomial, r) -> Monomial:
     r = Fraction(r)
     if not r:
         return ONE
-    # so does scaling by r != 0
+    # scaling by r != 0 keeps them too
     return _intern(tuple((k, p * r) for k, p in a.log_powers),
                    tuple((c * r, u) for c, u in a.exp_terms))
 
