@@ -32,9 +32,6 @@ from .taylor import (IdentityReport, LocusSpec, OperatorHandle,
                      analytic_commutation_check, chain_rule_transport_check,
                      is_flat, locus_contains, spec_condition_check,
                      taylor_deform, taylor_identity_check, taylor_series)
-from .noetherian import (FinitePoset, ProductReport, SequenceWitness,
-                         StarReport, check_product_noetherian,
-                         check_star_closure, find_bad_sequence)
 from .parser import Expr, elaborate, parse
 
 __all__ = [n for n in dir() if not n.startswith("_")]

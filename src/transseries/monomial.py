@@ -129,7 +129,12 @@ class Monomial:
         for k, r in self.log_powers:
             parts.append(_atom_name(k) + _power_suffix(r))
         if self.exp_terms:
-            parts.append("exp(" + format_term_sum(self.exp_terms) + ")")
+            terms = self.exp_terms
+            if LIMITS.backend == "float":
+                # a float constant enters an exp term as the exact Fraction
+                # of its binary value: print it as the float it was
+                terms = [(float(c), u) for c, u in terms]
+            parts.append("exp(" + format_term_sum(terms) + ")")
         return "*".join(parts)
 
 

@@ -302,24 +302,21 @@ class TransSeries:
     def first_terms(self, n: int, fuel: Optional[int] = None) -> list:
         """The n largest terms (fewer if the support is smaller), exact.
 
-        Raises BudgetExceededError if the candidate walk cannot decide
-        within fuel (supports with long zero-coefficient grid prefixes).
+        k grid positions hold at most k terms, so the first expansion is
+        made at grid position n; after that, one per position, through at
+        most `fuel` positions (LIMITS.term_fuel by default).  Raises
+        BudgetExceededError if those positions hold fewer than n terms and
+        the grid goes on (supports with long zero-coefficient grid
+        prefixes).
         """
         if n <= 0 or self.cert.is_trivial:
             return []
         fuel = LIMITS.term_fuel if fuel is None else fuel
-        steps = 0
-        last = {}
-        for cand in self._candidates():
-            steps += 1
-            if steps > fuel:
-                raise BudgetExceededError(
-                    f"could not locate {n} terms within {fuel} candidate monomials")
-            last = self.expand(cand)
-            if len(last) >= n:
-                tops = sort_monomials(last)[:n]
-                return [Term(last[m], m) for m in tops]
-        return [Term(last[m], m) for m in sort_monomials(last)]
+        d, walker = _term_search(self, n, fuel)
+        if len(d) < n and next(walker, None) is not None:
+            raise BudgetExceededError(
+                f"could not locate {n} terms within {fuel} candidate monomials")
+        return [Term(d[m], m) for m in sort_monomials(d)[:n]]
 
     def leading_term(self, fuel: Optional[int] = None) -> Optional[Term]:
         """Dominant term, or None if the series is provably zero."""
@@ -834,42 +831,43 @@ def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):
     return not bad, cutoff, bad
 
 
+def _term_search(s: TransSeries, want: int, budget: int) -> tuple:
+    """(d, walker): the expansion of s at the first of its grid positions
+    whose expansion holds `want` terms, searching at most `budget`
+    positions, or at the last position searched; and the candidate walker,
+    positioned after that position (a finished walker once the grid ends).
+
+    k grid positions hold at most k terms, so no expansion before position
+    `want` can end the search: the first one is made there."""
+    walker = s._candidates()
+    first = min(want, budget)
+    d, pos = {}, 0
+    for pos, cand in enumerate(itertools.islice(walker, budget), 1):
+        if pos >= first:
+            d = s.expand(cand)
+            if len(d) >= want:
+                break
+    if 0 < pos < first:  # the grid ended before position `first`
+        d = s.expand(cand)
+    return d, walker
+
+
 def shown_terms(s: TransSeries, nterms: int = 8) -> tuple:
     """(terms, omark): up to nterms nonzero Terms, largest first, and the
     O-monomial, or None when no term is left out.
 
-    Walks at most 2*nterms+6 grid positions looking for nonzero
+    Searches at most 2*nterms+6 grid positions for nterms+1 nonzero
     coefficients; the O-monomial marks where knowledge ends (the next
     unexplored grid position, or the first unshown term)."""
     if s.cert.is_trivial:
         return [], None
     nterms = max(nterms, 0)
-    walker = s._candidates()
-    budget = 2 * nterms + 6
-    # k grid positions hold at most k terms, so no expansion before
-    # position nterms+1 can end the walk: the first one is made there
-    first = min(nterms + 1, budget)
-    taken, last = 0, None
-    for last in itertools.islice(walker, first):
-        taken += 1
-    exhausted = taken < first
-    d = {} if last is None else s.expand(last)
-    budget -= taken
-    while len(d) <= nterms and not exhausted and budget > 0:
-        budget -= 1
-        cand = next(walker, None)
-        if cand is None:
-            exhausted = True
-        else:
-            d = s.expand(cand)
+    d, walker = _term_search(s, nterms + 1, 2 * nterms + 6)
     order = sort_monomials(d)
     terms = [Term(d[m], m) for m in order[:nterms]]
-    omark = None
     if len(order) > nterms:
-        omark = order[nterms]
-    elif not exhausted:
-        omark = next(walker, None)
-    return terms, omark
+        return terms, order[nterms]
+    return terms, next(walker, None)
 
 
 def format_shown(terms: list, omark: Optional[Monomial]) -> str:

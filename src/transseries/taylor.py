@@ -98,13 +98,14 @@ def is_flat(m: Monomial) -> bool:
     return lt is None or mono_cmp(lt.mono, X_INV) <= 0
 
 
-def spec_condition_check(m: Monomial, prefix: Optional[int] = None) -> dict:
+def spec_condition_check(m: Monomial) -> dict:
     """The derivative-support dichotomy at a single monomial.
 
     Flat monomials must have every derivative-support dagger at or below
-    x^{-1}; non-flat ones must keep the dagger's archimedean class.
+    x^{-1}; non-flat ones must keep the dagger's archimedean class.  The
+    first LIMITS.support_prefix support monomials are checked.
     """
-    prefix = LIMITS.support_prefix if prefix is None else prefix
+    prefix = LIMITS.support_prefix
     if m is ONE:
         raise PreconditionError("the dichotomy concerns monomials != 1")
     dlt = dagger(m).leading_term()

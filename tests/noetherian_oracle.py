@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import InvalidInputError, PreconditionError
+from transseries.errors import InvalidInputError, PreconditionError
 
 DEFAULT_MAX_LEN = 6
 DEFAULT_DEPTH = 5
@@ -114,7 +114,7 @@ def check_product_noetherian(s, t, comparator: Callable,
                              max_len: int = DEFAULT_MAX_LEN) -> ProductReport:
     """Pairwise products of two finite monomial sets: bad-sequence scan plus
     the full factorization fiber of every product."""
-    from .monomial import mono_mul
+    from transseries.monomial import mono_mul
     prod = product or mono_mul
     s, t = list(s), list(t)
     fibers: dict = {}
@@ -159,7 +159,7 @@ def check_star_closure(s, comparator: Callable, depth: int = DEFAULT_DEPTH,
                        max_len: int = DEFAULT_MAX_LEN) -> StarReport:
     """Enumerate S^0 u ... u S^depth for infinitesimal S and scan for bad
     sequences; reports which depths realize each enumerated product."""
-    from .monomial import ONE, mono_mul
+    from transseries.monomial import ONE, mono_mul
     prod = product or mono_mul
     one = identity if identity is not None else ONE
     s = list(s)

@@ -366,7 +366,7 @@ def test_spec_condition_corpus():
               make_monomial({}, [(1, mono_mul(X, L1))]),
               mono_inv(make_monomial({}, [(1, X2)])), atom(2)]
     for m in corpus:
-        result = spec_condition_check(m, prefix=20)
+        result = spec_condition_check(m)
         assert result["ok"], f"derivative-support dichotomy failed at {m.render()}"
 
 

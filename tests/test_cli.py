@@ -314,6 +314,20 @@ def test_float_backend_reaches_composition():
                               "exact backend only knows exp(0)\n")
 
 
+def test_float_backend_prints_floats_in_exponents():
+    # a float in the large part of an exp argument is printed as a float,
+    # not as the 53-bit binary fraction of its value
+    for argv, want in [(["eval", "exp(exp(1)*exp(x))"], "exp(2.71828182846*exp(x))\n"),
+                       (["compose", "exp(exp(x))", "x+1"], "exp(2.71828182846*exp(x))\n"),
+                       (["eval", "exp(0.1*x)"], "exp(0.1*x)\n"),
+                       (["eval", "exp(0.5*x)"], "exp(0.5*x)\n"),
+                       (["eval", "exp(0.1*x)*exp(-0.1*x)"], "1\n")]:
+        assert run_cli(argv + ["--backend", "float"]) == (0, want)
+    # the exact backend, later in the same process, still prints rationals
+    assert run_cli(["eval", "exp(0.1*x)"]) == (0, "exp(1/10*x)\n")
+    assert run_cli(["eval", "exp(x/2)"]) == (0, "exp(1/2*x)\n")
+
+
 def test_deep_quotients_are_a_resource_error():
     # 60 nested quotients stay inside the parser's nesting cap but exhaust
     # Python's stack while the series is built or expanded

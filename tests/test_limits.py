@@ -21,9 +21,8 @@ from transseries.series import _infinitesimal_bases
 X_INV = mono_inv(X)
 
 # the per-call budgets that callers pass: term fuel 64 in the kernel and 16
-# in a test, and a support prefix of 20 in the tests
-OVERRIDES = {"first_terms": {"fuel"}, "leading_term": {"fuel"},
-             "spec_condition_check": {"prefix"}}
+# in a test
+OVERRIDES = {"first_terms": {"fuel"}, "leading_term": {"fuel"}}
 BUDGET_PARAMS = {"fuel", "prefix", "verify_descent", "backend"}
 
 

@@ -7,16 +7,19 @@ import pytest
 from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          DivisionByZeroSeries,
                          DomainError, GridCertificate, PreconditionError,
-                         SummabilityViolationError, X, atom, check_product_noetherian,
+                         SummabilityViolationError, TransSeries, X, atom,
                          dominance, dominant_decompose, equal_below,
                          extend_strongly_linear, from_terms,
                          geometric_substitute, invert, iterate_contracting,
                          make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
                          mono_series, mul, sum_family, sum_lazy,
                          truncate_initial)
-from transseries.series import add, compare_to_depth, render_series, scale
+from transseries.parser import parse_series
+from transseries.series import (add, compare_to_depth, depth_cutoff,
+                                render_series, scale)
 
 from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
+from noetherian_oracle import check_product_noetherian
 
 X_INV = mono_inv(X)
 E_X = make_monomial({}, [(1, X)])
@@ -527,6 +530,49 @@ def test_level_cap_threshold_in_compose(monkeypatch):
     assert got == {xpow(-k): 1 for k in range(5)}
     with pytest.raises(BudgetExceededError):
         compose(geom(), mono_series(X)).expand(xpow(-5))
+
+
+# -- the term search -------------------------------------------------------------
+
+
+def test_first_terms_expands_once_at_position_n(monkeypatch):
+    s = parse_series("1/(1 - 1/x)")
+    expand = TransSeries.expand
+    cutoffs = []
+
+    def counting(self, cutoff):
+        if self is s:
+            cutoffs.append(cutoff)
+        return expand(self, cutoff)
+
+    monkeypatch.setattr(TransSeries, "expand", counting)
+    got = s.first_terms(16)
+    # 16 grid positions hold at most 16 terms: nothing above x^-15 can end
+    # the search, so the top node is expanded once, at x^-15
+    assert cutoffs == [xpow(-15)]
+    assert got == [(1, xpow(-k)) for k in range(16)]
+
+
+def test_first_terms_match_a_deeper_expansion():
+    for seed in range(30):
+        for n in range(1, 13):
+            s = rand_grid_series(rng(700 + seed))
+            got = s.first_terms(n)
+            cutoff, exhausted = depth_cutoff(s, 2 * n + 5)
+            ref = s.terms_above(cutoff)
+            assert len(ref) >= n or exhausted, (seed, n)
+            assert got == ref[:n], (seed, n)
+
+
+def test_first_terms_fuel_below_n():
+    with pytest.raises(BudgetExceededError):
+        geom().first_terms(5, fuel=3)
+    s = from_terms([(1, X), (2, ONE), (3, X_INV)])
+    want = [(1, X), (2, ONE), (3, X_INV)]
+    assert s.first_terms(5, fuel=4) == want
+    assert s.first_terms(5, fuel=3) == want
+    with pytest.raises(BudgetExceededError):
+        from_terms([(1, X), (2, ONE), (3, X_INV)]).first_terms(5, fuel=2)
 
 
 # -- rendering ---------------------------------------------------------------------

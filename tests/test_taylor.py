@@ -358,13 +358,13 @@ def test_taylor_coefficients_match_faa_di_bruno():
 
 
 def test_spec_condition_examples():
-    r = spec_condition_check(X2, prefix=20)
+    r = spec_condition_check(X2)
     assert r["ok"] and r["flat"]
-    r = spec_condition_check(make_monomial({}, [(1, X2)]), prefix=20)
+    r = spec_condition_check(make_monomial({}, [(1, X2)]))
     assert r["ok"] and not r["flat"]
     # e^{1/x} is not a canonical monomial (exp of an infinitesimal is a
     # series); the properly-flat branch is exercised by iterated logs
-    r = spec_condition_check(L1, prefix=20)
+    r = spec_condition_check(L1)
     assert r["ok"] and r["flat"]
 
 
