@@ -20,7 +20,7 @@ from .series import (EXACT, FLOAT, ONE_SERIES, ZERO, DominanceVerdict,
                      invert, iterate_contracting, mono_series, mul,
                      render_series, scale, sum_family, sum_lazy,
                      truncate_initial)
-from .calculus import (DERIVATION, CompositionHandle, compose, dagger,
+from .calculus import (DERIVATION, IDENTITY, CompositionHandle, compose, dagger,
                        dagger_support_closure, derive, derive_n, exp_series,
                        faa_di_bruno_coeff, log_series, pow_series)
 from .powerseries import (ConvReport, CutSpec, CutVerdict, PowerSeries,
@@ -28,7 +28,7 @@ from .powerseries import (ConvReport, CutSpec, CutVerdict, PowerSeries,
                           cut_member, lift_coefficientwise,
                           monomial_geometric, ps_add, ps_compose, ps_derive,
                           ps_eval, ps_mul, ps_translate, pullback_cut)
-from .taylor import (IdentityReport, LocusSpec, OperatorHandle,
+from .taylor import (IdentityReport, LocusSpec,
                      analytic_commutation_check, chain_rule_transport_check,
                      is_flat, locus_contains, spec_condition_check,
                      taylor_deform, taylor_identity_check, taylor_series)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceError
@@ -228,6 +229,14 @@ class CompositionHandle:
     def image_dominant(self, m: Monomial) -> Monomial:
         return self.mono_image(m).leading_term().mono
 
+    def apply(self, s: TransSeries) -> TransSeries:
+        return compose(s, self)
+
+
+# the identity operator, with the interface of a CompositionHandle
+IDENTITY = SimpleNamespace(g=X_SERIES, apply=lambda s: s, mono_image=mono_series,
+                           image_dominant=lambda m: m)
+
 
 def compose(f: TransSeries, h) -> TransSeries:
     """f o g, extended strongly linearly from monomial images."""
@@ -299,8 +308,6 @@ def faa_di_bruno_coeff(composed_derivs: Sequence[TransSeries],
 
 class DerivationOperator:
     """The ambient derivation packaged for coefficientwise lifting."""
-
-    kind = "derivation"
 
     def apply(self, s: TransSeries) -> TransSeries:
         return derive(s)

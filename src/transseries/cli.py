@@ -17,13 +17,17 @@ from .limits import BACKENDS, configure
 from .parser import parse, elaborate
 from .powerseries import CutSpec, cut_member, monomial_geometric
 from .series import TransSeries, format_shown, render_series, shown_terms
-from .taylor import LocusSpec, OperatorHandle, locus_contains, taylor_identity_check
-from .calculus import derive, compose
+from .taylor import LocusSpec, locus_contains, taylor_identity_check
+from .calculus import IDENTITY, CompositionHandle, derive, compose
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 EXIT_SKIPPED = 4
+# exit code of each verdict; any other verdict is EXIT_SKIPPED
+VERDICT_EXIT = {"EQUAL": EXIT_OK, "certified_convergent": EXIT_OK, "member": EXIT_OK,
+                "UNEQUAL": EXIT_NEGATIVE, "certified_divergent": EXIT_NEGATIVE,
+                "non_member": EXIT_NEGATIVE}
 
 
 def _series_arg(text: str) -> TransSeries:
@@ -45,12 +49,11 @@ def _emit(args, payload: dict, text_lines: list) -> None:
             print(line)
 
 
-def _parse_op(text: str) -> OperatorHandle:
+def _parse_op(text: str):
     if text in (None, "identity", "id"):
-        return OperatorHandle.identity()
+        return IDENTITY
     if text.startswith("compose:"):
-        g = elaborate(parse(text.split(":", 1)[1]))
-        return OperatorHandle.right_compose(g)
+        return CompositionHandle(elaborate(parse(text.split(":", 1)[1])))
     raise ParseError(f"unknown operator spec {text!r} "
                      "(use 'identity' or 'compose:EXPR')", 0)
 
@@ -99,8 +102,7 @@ def cmd_taylor(args) -> int:
     witnesses = []
     if report.conv_report is not None:
         lines.append(f"locus: {report.conv_report.verdict}")
-        witnesses = [item[0].render() for item in report.conv_report.witnesses[:3]
-                     if hasattr(item[0], "render")]
+        witnesses = [item[0].render() for item in report.conv_report.witnesses[:3]]
     if report.status == "SKIPPED":
         lines.append(f"SKIPPED: {report.detail}")
         _emit(args, {"command": "taylor", "verdict": "SKIPPED",
@@ -113,7 +115,7 @@ def cmd_taylor(args) -> int:
     _emit(args, {"command": "taylor", "verdict": report.status,
                  "terms": _json_terms(rhs_terms),
                  "witnesses": witnesses}, lines)
-    return EXIT_OK if report.status == "EQUAL" else EXIT_NEGATIVE
+    return VERDICT_EXIT.get(report.status, EXIT_SKIPPED)
 
 
 def cmd_locus(args) -> int:
@@ -128,11 +130,7 @@ def cmd_locus(args) -> int:
     lines += [f"witness: {w}" for w in wit[:4]]
     _emit(args, {"command": "locus", "verdict": report.verdict,
                  "terms": [], "witnesses": wit[:4]}, lines)
-    if report.verdict == "certified_convergent":
-        return EXIT_OK
-    if report.verdict == "certified_divergent":
-        return EXIT_NEGATIVE
-    return EXIT_SKIPPED
+    return VERDICT_EXIT.get(report.verdict, EXIT_SKIPPED)
 
 
 def cmd_cutcheck(args) -> int:
@@ -155,11 +153,7 @@ def cmd_cutcheck(args) -> int:
     lines += [f"witness: {w}" for w in wit]
     _emit(args, {"command": "cutcheck", "verdict": verdict.kind,
                  "terms": [], "witnesses": wit}, lines)
-    if verdict.kind == "member":
-        return EXIT_OK
-    if verdict.kind == "non_member":
-        return EXIT_NEGATIVE
-    return EXIT_SKIPPED
+    return VERDICT_EXIT.get(verdict.kind, EXIT_SKIPPED)
 
 
 def build_parser() -> argparse.ArgumentParser:

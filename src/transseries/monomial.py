@@ -28,19 +28,22 @@ _INTERN: dict = {}
 
 
 class Monomial:
-    __slots__ = ("log_powers", "exp_terms", "_height", "_log_depth",
+    __slots__ = ("log_powers", "exp_terms", "height", "log_depth",
                  "_dagger", "_hash")
 
     log_powers: tuple  # ((atom_index, Fraction exponent), ...) ascending index
     exp_terms: tuple   # ((Fraction coeff, Monomial), ...) decreasing, all > 1
+    height: int        # exponential height
+    log_depth: int     # largest iterated-log index, exp arguments included
 
     def __init__(self, log_powers, exp_terms):
         # not for direct use: canonical instances come from make_monomial
         # and the group operations
         self.log_powers = log_powers
         self.exp_terms = exp_terms
-        self._height = None
-        self._log_depth = None
+        self.height = max((u.height + 1 for _, u in exp_terms), default=0)
+        self.log_depth = max([k for k, _ in log_powers]
+                             + [u.log_depth for _, u in exp_terms], default=0)
         self._dagger = None
         self._hash = hash((log_powers, exp_terms))
 
@@ -93,24 +96,6 @@ class Monomial:
             if r == 1:
                 return k
         return None
-
-    @property
-    def height(self) -> int:
-        if self._height is None:
-            if not self.exp_terms:
-                self._height = 0
-            else:
-                self._height = 1 + max(u.height for _, u in self.exp_terms)
-        return self._height
-
-    @property
-    def log_depth(self) -> int:
-        if self._log_depth is None:
-            d = max((k for k, _ in self.log_powers), default=0)
-            for _, u in self.exp_terms:
-                d = max(d, u.log_depth)
-            self._log_depth = d
-        return self._log_depth
 
     def is_large(self) -> bool:
         """m > 1 in the group order."""
@@ -212,7 +197,7 @@ def make_monomial(log_powers: Mapping[int, Rat],
 
     powers = {k: r for k, r in powers.items() if r}
     lp = tuple(sorted(powers.items()))
-    et = tuple(sorted(cleaned, key=lambda t: _SORT_KEY(t[1]), reverse=True))
+    et = tuple(sorted(cleaned, key=lambda t: _MONO_KEY(t[1]), reverse=True))
     return _intern(lp, et)
 
 
@@ -240,10 +225,6 @@ def _check_bounds(m: Monomial) -> None:
     if m.log_depth > LIMITS.log_depth_bound:
         raise ResourceError(
             f"log depth {m.log_depth} exceeds bound {LIMITS.log_depth_bound}")
-
-
-def _SORT_KEY(m: Monomial):
-    return cmp_to_key(mono_cmp)(m)
 
 
 ONE = make_monomial({})
@@ -335,29 +316,25 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
                 return 1 if ra > rb else -1
         return 0
     diff: dict = {}
-    for k, r in a.log_powers:
-        key = atom(k + 1)
-        diff[key] = diff.get(key, Fraction(0)) + r
-    for k, r in b.log_powers:
-        key = atom(k + 1)
-        diff[key] = diff.get(key, Fraction(0)) - r
-    for c, u in a.exp_terms:
-        diff[u] = diff.get(u, Fraction(0)) + c
-    for c, u in b.exp_terms:
-        diff[u] = diff.get(u, Fraction(0)) - c
+    for c, u in pre_log_terms(a):
+        diff[u] = diff.get(u, 0) + c
+    for c, u in pre_log_terms(b):
+        diff[u] = diff.get(u, 0) - c
     diff = {m: c for m, c in diff.items() if c}
     if not diff:
         return 0
-    dom = max(diff, key=cmp_to_key(mono_cmp))
-    return 1 if diff[dom] > 0 else -1
+    return 1 if diff[mono_max(diff)] > 0 else -1
+
+
+_MONO_KEY = cmp_to_key(mono_cmp)
 
 
 def mono_max(monos: Iterable[Monomial]) -> Monomial:
-    return max(monos, key=cmp_to_key(mono_cmp))
+    return max(monos, key=_MONO_KEY)
 
 
 def sort_monomials(monos: Iterable[Monomial]) -> list:
-    return sorted(monos, key=cmp_to_key(mono_cmp), reverse=True)
+    return sorted(monos, key=_MONO_KEY, reverse=True)
 
 
 # -- pre-logarithm and logarithmic derivative ------------------------------

@@ -25,7 +25,7 @@ from .errors import (BudgetExceededError, EvaluationRefusedError,
 from .limits import LIMITS
 from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
-from .calculus import _compositions, _derivation_grid, _image_grid
+from .calculus import DERIVATION, _compositions, _derivation_grid, _image_grid
 from .series import (ZERO, TransSeries, add, mono_series, mul, render_series,
                      scale, sum_family, sum_lazy, _infinitesimal_bases)
 
@@ -594,21 +594,17 @@ def lift_coefficientwise(op, p: PowerSeries,
                          s_target: Optional[CutSpec] = None) -> PowerSeries:
     """Apply a strongly linear operator to every coefficient.
 
-    `op` is a morphism handle (kind 'morphism': apply / apply_monomial /
-    image_dominant) or the ambient derivation (kind 'derivation').  When a
+    `op` is the ambient DERIVATION or a ring morphism (IDENTITY or a
+    CompositionHandle: g, apply, mono_image, image_dominant).  When a
     target cut is supplied the result's membership is checked on a prefix
     and a violation raises with its witness.
     """
-    kind = getattr(op, "kind", "morphism")
-
-    if kind == "derivation":
-        joint = None
+    joint = None
+    if op is DERIVATION:
         if p.joint is not None:
             _, bases = _derivation_grid(
                 p.joint.bases, p.joint.bases | p.joint.ratios | p.joint.factors)
             joint = PSJointCert(bases, p.joint.ratios, p.joint.factors)
-        out = PowerSeries(lambda k: op.apply(p.coeff(k)),
-                          finite_degree=p.finite_degree, joint=joint)
     else:
         if s_source is not None and s_target is not None:
             expected = pullback_cut(op, s_target)
@@ -616,22 +612,20 @@ def lift_coefficientwise(op, p: PowerSeries,
                 raise PreconditionError(
                     "source cut must be the pullback of the target cut "
                     f"({expected.describe()})")
-        joint = None
         if p.joint is not None:
-            bases, ratios, _ = _image_grid(op.apply_monomial, p.joint.bases,
+            bases, ratios, _ = _image_grid(op.mono_image, p.joint.bases,
                                            p.joint.coefficient_ratios())
             factors = set()
             for d in p.joint.factors:
-                img = op.apply_monomial(d)
+                img = op.mono_image(d)
                 dom = img.leading_term().mono
                 factors.add(dom)
                 ratios |= _unit_ratios(img, dom)
             ratios = {z for z in ratios if z.is_small()}
             joint = PSJointCert(frozenset(bases), frozenset(ratios),
                                 frozenset(factors))
-        out = PowerSeries(lambda k: op.apply(p.coeff(k)),
-                          finite_degree=p.finite_degree, joint=joint)
-
+    out = PowerSeries(lambda k: op.apply(p.coeff(k)),
+                      finite_degree=p.finite_degree, joint=joint)
     if s_target is not None:
         verdict = cut_member(out, s_target)
         if verdict.kind == "non_member":

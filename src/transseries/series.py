@@ -19,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (BudgetExceededError, DivisionByZeroSeries, DomainError,
@@ -218,14 +219,7 @@ def _walk_region(base: Monomial, ratios: list, bound: Monomial,
 # -- the series type ----------------------------------------------------------
 
 
-class _HeapKey:
-    __slots__ = ("m",)
-
-    def __init__(self, m):
-        self.m = m
-
-    def __lt__(self, other):
-        return mono_cmp(self.m, other.m) > 0  # max-heap on monomials
+_HEAP_KEY = cmp_to_key(lambda a, b: mono_cmp(b, a))  # max-heap on monomials
 
 
 class TransSeries:
@@ -265,9 +259,6 @@ class TransSeries:
         d = self.expand(cutoff)
         return [Term(d[m], m) for m in sort_monomials(d)]
 
-    def with_cert(self, cert: GridCertificate) -> "TransSeries":
-        return TransSeries(cert, self.expand)
-
     # -- decreasing-term facade ---------------------------------------------
 
     def _candidates(self) -> Iterator[Monomial]:
@@ -283,11 +274,11 @@ class TransSeries:
         for bi, b in enumerate(sort_monomials(self.cert.bases)):
             start = (0,) * n
             seen.add((bi, start))
-            heapq.heappush(heap, (_HeapKey(b), bi, start, b))
+            heapq.heappush(heap, (_HEAP_KEY(b), bi, start, b))
         while heap:
-            top = heap[0][0].m
+            top = heap[0][0].obj
             group = []
-            while heap and heap[0][0].m is top:
+            while heap and heap[0][0].obj is top:
                 group.append(heapq.heappop(heap))
             for _, bi, v, m in group:
                 for i in range(n):
@@ -296,7 +287,7 @@ class TransSeries:
                         continue
                     seen.add((bi, w))
                     m2 = mono_mul(m, ratios[i])
-                    heapq.heappush(heap, (_HeapKey(m2), bi, w, m2))
+                    heapq.heappush(heap, (_HEAP_KEY(m2), bi, w, m2))
             yield top
 
     def first_terms(self, n: int, fuel: Optional[int] = None) -> list:
@@ -615,7 +606,7 @@ def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
             f"geometric substitution requires an infinitesimal series; "
             f"dominant monomial is {lt.mono.render()}")
     tight_bases = _infinitesimal_bases(eps.cert, lt.mono)
-    tight = eps.with_cert(GridCertificate(tight_bases, eps.cert.ratios))
+    tight = TransSeries(GridCertificate(tight_bases, eps.cert.ratios), eps.expand)
     rho = mono_max(tight_bases) if tight_bases else None
     cert = GridCertificate(frozenset([ONE]),
                            frozenset(eps.cert.ratios) | tight_bases)

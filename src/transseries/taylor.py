@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .calculus import (CompositionHandle, compose, dagger,
+from .calculus import (X_SERIES, CompositionHandle, compose, dagger,
                        dagger_support_closure, derive, log_series)
 from .errors import (BudgetExceededError, DomainError, PartialConstantError,
                      PreconditionError)
@@ -28,67 +28,17 @@ from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
                           lift_coefficientwise, ps_eval)
 from .series import (TransSeries, add, compare_to_depth, depth_cutoff,
-                     from_terms, mono_series, mul, scale)
+                     from_terms, mul, scale)
 
 X_INV = mono_inv(X)
-X_SERIES = mono_series(X)
-
-
-class OperatorHandle:
-    """A strongly linear ordered-ring morphism: the identity or right
-    composition with a fixed positive infinite series."""
-
-    kind = "morphism"
-
-    def __init__(self, variant: str, handle: Optional[CompositionHandle] = None):
-        if variant not in ("identity", "right_compose"):
-            raise PreconditionError(f"unknown operator variant {variant!r}")
-        self.variant = variant
-        self.handle = handle
-
-    @staticmethod
-    def identity() -> "OperatorHandle":
-        return OperatorHandle("identity")
-
-    @staticmethod
-    def right_compose(g) -> "OperatorHandle":
-        if not isinstance(g, CompositionHandle):
-            g = CompositionHandle(g)
-        return OperatorHandle("right_compose", g)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.variant == "identity"
-
-    def apply(self, s: TransSeries) -> TransSeries:
-        if self.is_identity:
-            return s
-        return compose(s, self.handle)
-
-    def apply_monomial(self, m: Monomial) -> TransSeries:
-        if self.is_identity:
-            return mono_series(m)
-        return self.handle.mono_image(m)
-
-    def image_dominant(self, m: Monomial) -> Monomial:
-        if self.is_identity:
-            return m
-        return self.handle.image_dominant(m)
-
-    def image_of_x(self) -> TransSeries:
-        return X_SERIES if self.is_identity else self.handle.g
-
-    def describe(self) -> str:
-        if self.is_identity:
-            return "identity"
-        return f"composition with {self.handle.g.render(3)}"
 
 
 @dataclass
 class LocusSpec:
-    """An operator together with the displacement to deform by."""
+    """An operator (IDENTITY or a CompositionHandle) together with the
+    displacement to deform by."""
 
-    op: OperatorHandle
+    op: object
     delta: TransSeries
 
 
@@ -140,7 +90,7 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
         return ConvReport("certified_convergent", (), 0,
                           "delta = 0: the deformation degenerates to the operator")
     dd = lt_d.mono
-    dom_x = op.image_of_x().leading_term().mono
+    dom_x = op.g.leading_term().mono
     delta_below_x = mono_cmp(dd, dom_x) < 0
 
     gens = set(f.cert.bases) | set(f.cert.ratios)
@@ -286,8 +236,7 @@ def taylor_identity_check(f: TransSeries, g: TransSeries, delta: TransSeries,
                           depth: int = 8) -> IdentityReport:
     """Does composing at g + delta equal the deformation of composition
     at g?  Skips (never fails) when the locus is not certified."""
-    handle = CompositionHandle(g)
-    spec = LocusSpec(OperatorHandle.right_compose(handle), delta)
+    spec = LocusSpec(CompositionHandle(g), delta)
     rep = locus_contains(spec, f)
     if not rep.convergent:
         return IdentityReport("SKIPPED",

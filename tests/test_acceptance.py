@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, CutSpec,
-                         LocusSpec, OperatorHandle, PowerSeries, PSJointCert,
+                         LocusSpec, IDENTITY, PowerSeries, PSJointCert,
                          X, analytic_commutation_check, atom,
                          chain_rule_transport_check, compose, conv_contains,
                          cut_member, dagger, derive, exp_series,
@@ -86,7 +86,7 @@ def test_acceptance_sharpness():
     ]
     assert len(cases) >= 5
     for f, g, d in cases:
-        rep = locus_contains(LocusSpec(OperatorHandle.right_compose(g), d), f)
+        rep = locus_contains(LocusSpec(CompositionHandle(g), d), f)
         assert rep.divergent, f"wanted divergence for {f.render(2)}"
         check = taylor_identity_check(f, g, d, 6)
         assert check.status == "SKIPPED"
@@ -241,7 +241,7 @@ def test_acceptance_cut_algebra():
 def test_acceptance_faa_di_bruno():
     """Taylor coefficients of composites match the combinatorial formula
     through order 5 on 10 pairs, exactly."""
-    spec = LocusSpec(OperatorHandle.identity(), ONE_SERIES)
+    spec = LocusSpec(IDENTITY, ONE_SERIES)
     g1 = from_terms([(1, X2), (1, X)])
     g2 = from_terms([(1, X), (1, ONE), (1, X_INV)])
     fs = [mono_series(X_INV), from_terms([(1, X), (2, ONE)]),
@@ -296,8 +296,8 @@ def test_acceptance_spec_condition():
 
 def test_acceptance_log_commutation():
     """Deformation commutes with log to 6 terms on 10 certified cases."""
-    id1 = LocusSpec(OperatorHandle.identity(), ONE_SERIES)
-    sq = LocusSpec(OperatorHandle.right_compose(mono_series(X2)),
+    id1 = LocusSpec(IDENTITY, ONE_SERIES)
+    sq = LocusSpec(CompositionHandle(mono_series(X2)),
                    mono_series(X_INV))
     cases = [
         (X_SERIES, id1), (mono_series(X2), id1),
@@ -316,8 +316,8 @@ def test_acceptance_log_commutation():
 
 def test_acceptance_chain_rule_transport():
     """d(T(f)) = d(T(x)) T(f') to 6 terms on 10 certified cases."""
-    id1 = LocusSpec(OperatorHandle.identity(), ONE_SERIES)
-    sq = LocusSpec(OperatorHandle.right_compose(mono_series(X2)),
+    id1 = LocusSpec(IDENTITY, ONE_SERIES)
+    sq = LocusSpec(CompositionHandle(mono_series(X2)),
                    mono_series(X_INV))
     cases = [
         (mono_series(X2), sq), (X_SERIES, sq), (mono_series(X_INV), sq),
@@ -367,7 +367,7 @@ def test_acceptance_noetherian_oracles():
 
     # generator-level locus reduction vs 50-monomial brute force
     from transseries.series import depth_cutoff
-    spec = LocusSpec(OperatorHandle.identity(), ONE_SERIES)
+    spec = LocusSpec(IDENTITY, ONE_SERIES)
     disagreements = 0
     checked = 0
     for _ in range(20):

@@ -10,7 +10,7 @@ import pytest
 import transseries
 from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          CompositionHandle, CutSpec, GridCertificate,
-                         InvalidInputError, LocusSpec, OperatorHandle,
+                         InvalidInputError, LocusSpec, IDENTITY,
                          PartialConstantError, PowerSeries, PSJointCert,
                          TransSeries, X, compose, configure, conv_contains,
                          cut_member, locus_contains, mono_inv, mono_pow,
@@ -81,7 +81,7 @@ def test_cut_prefix_sets_the_scanned_degrees(monkeypatch):
 
 
 def test_support_prefix_sets_the_locus_prefix(monkeypatch):
-    spec = LocusSpec(OperatorHandle.identity(), mono_series(X_INV))
+    spec = LocusSpec(IDENTITY, mono_series(X_INV))
     f = mono_series(X)
     assert locus_contains(spec, f).checked_prefix == 20
     monkeypatch.setattr(LIMITS, "support_prefix", 5)

@@ -12,9 +12,8 @@ from transseries import (ONE, ONE_SERIES, ZERO, ConvReport, CutSpec,
                          mono_pow, mono_series, monomial_geometric, mul,
                          ps_add, ps_compose, ps_derive, ps_eval, ps_mul,
                          ps_translate)
-from transseries.calculus import DERIVATION
+from transseries.calculus import DERIVATION, IDENTITY, CompositionHandle
 from transseries.series import add, scale
-from transseries.taylor import OperatorHandle
 
 from helpers import assert_depth_equal, rng
 
@@ -384,7 +383,7 @@ def test_cut_eval_rejects_delta_inside_segment():
 
 def test_lift_identity():
     p = const_family()
-    q = lift_coefficientwise(OperatorHandle.identity(), p)
+    q = lift_coefficientwise(IDENTITY, p)
     for k in range(4):
         assert_depth_equal(q.coeff(k), p.coeff(k), 6)
 
@@ -401,7 +400,7 @@ def test_lift_derivation():
 
 def test_lift_composition_substitutes_monomials():
     p = PowerSeries(lambda k: xs(-k), joint=PSJointCert.of([ONE], [], [X_INV]))
-    op = OperatorHandle.right_compose(mono_series(X2))
+    op = CompositionHandle(mono_series(X2))
     q = lift_coefficientwise(op, p)
     for k in range(4):
         assert q.coeff(k).expand(xpow(-2 * k)) == {xpow(-2 * k): Fraction(1)}
@@ -411,13 +410,13 @@ def test_lift_checks_target_membership():
     from transseries import SummabilityViolationError
     p = monomial_geometric(X)  # coefficients x^-k... wait: u^-k with u = x
     with pytest.raises(SummabilityViolationError):
-        lift_coefficientwise(OperatorHandle.identity(), p,
+        lift_coefficientwise(IDENTITY, p,
                              s_target=CutSpec.above(X2))
 
 
 def test_pullback_cut_via_dominant_images():
     from transseries import pullback_cut
-    op = OperatorHandle.right_compose(mono_series(X2))
+    op = CompositionHandle(mono_series(X2))
     got = pullback_cut(op, CutSpec.above(xpow(-1)))
     assert got.variant == "above" and got.boundary is xpow(-2)
 

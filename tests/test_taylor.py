@@ -7,13 +7,13 @@ from math import comb
 import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, LocusSpec,
-                         OperatorHandle, PreconditionError, X,
+                         IDENTITY, PreconditionError, X,
                          analytic_commutation_check, atom,
                          chain_rule_transport_check, compose, dagger, derive,
                          exp_series, faa_di_bruno_coeff, from_terms, invert,
-                         locus_contains, make_monomial, mono_inv, mono_mul,
-                         mono_pow, mono_series, mul, taylor_deform,
-                         taylor_identity_check, taylor_series)
+                         lift_coefficientwise, locus_contains, make_monomial,
+                         mono_inv, mono_mul, mono_pow, mono_series, mul,
+                         taylor_deform, taylor_identity_check, taylor_series)
 from transseries.calculus import derive_n
 from transseries.series import add, scale
 from transseries.taylor import is_flat, spec_condition_check
@@ -25,7 +25,7 @@ L1 = atom(1)
 E_X = make_monomial({}, [(1, X)])
 X2 = make_monomial({0: 2})
 X_SERIES = mono_series(X)
-ID_AT_1 = LocusSpec(OperatorHandle.identity(), ONE_SERIES)
+ID_AT_1 = LocusSpec(IDENTITY, ONE_SERIES)
 
 
 def xpow(k):
@@ -34,6 +34,23 @@ def xpow(k):
 
 def geom():
     return invert(from_terms([(1, ONE), (-1, X_INV)]))
+
+
+# -- the operator interface ------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [IDENTITY, CompositionHandle(mono_series(X2))],
+                         ids=["identity", "compose_x2"])
+def test_operators_share_one_interface(op):
+    for m in (X, X_INV, L1, E_X, mono_mul(xpow(Fraction(3, 2)), mono_inv(E_X))):
+        img = op.mono_image(m)
+        assert_depth_equal(op.apply(mono_series(m)), img, 6)
+        assert op.image_dominant(m) is img.leading_term().mono
+    assert_depth_equal(op.g, op.mono_image(X), 6)
+    p = taylor_series(geom(), ID_AT_1)
+    lifted = lift_coefficientwise(op, p)
+    for k in range(4):
+        assert_depth_equal(lifted.coeff(k), op.apply(p.coeff(k)), 6)
 
 
 # -- locus -----------------------------------------------------------------------
@@ -51,17 +68,17 @@ def test_locus_exponential_diverges_at_one():
 
 
 def test_locus_exponential_after_composition():
-    spec = LocusSpec(OperatorHandle.right_compose(mono_series(X2)),
+    spec = LocusSpec(CompositionHandle(mono_series(X2)),
                      mono_series(X_INV))
     assert locus_contains(spec, mono_series(E_X)).convergent
 
 
 def test_locus_zero_delta_short_circuits():
-    rep = locus_contains(LocusSpec(OperatorHandle.identity(), ZERO),
+    rep = locus_contains(LocusSpec(IDENTITY, ZERO),
                          mono_series(E_X))
     assert rep.convergent
     out = taylor_deform(mono_series(E_X),
-                        LocusSpec(OperatorHandle.identity(), ZERO))
+                        LocusSpec(IDENTITY, ZERO))
     assert_depth_equal(out, mono_series(E_X), 4)
 
 
@@ -200,7 +217,7 @@ def test_deform_x_gives_shift():
 
 
 def test_deform_exp_through_composition():
-    spec = LocusSpec(OperatorHandle.right_compose(mono_series(X2)),
+    spec = LocusSpec(CompositionHandle(mono_series(X2)),
                      mono_series(X_INV))
     got = taylor_deform(mono_series(E_X), spec)
     want = exp_series(from_terms([(1, X2), (1, X_INV)]))
@@ -295,7 +312,7 @@ def test_sharpness_divergent_cases_skip():
         (mono_series(make_monomial({}, [(2, X)])), X_SERIES, ONE_SERIES),
     ]
     for f, g, d in cases:
-        rep = locus_contains(LocusSpec(OperatorHandle.right_compose(g), d), f)
+        rep = locus_contains(LocusSpec(CompositionHandle(g), d), f)
         assert rep.divergent, f"expected divergence for {f.render(2)}"
         r = taylor_identity_check(f, g, d, 6)
         assert r.status == "SKIPPED"
@@ -303,7 +320,7 @@ def test_sharpness_divergent_cases_skip():
 
 def test_commutation_corpus():
     spec1 = ID_AT_1
-    spec2 = LocusSpec(OperatorHandle.right_compose(mono_series(X2)),
+    spec2 = LocusSpec(CompositionHandle(mono_series(X2)),
                       mono_series(X_INV))
     cases = [
         (X_SERIES, spec1),
@@ -323,7 +340,7 @@ def test_commutation_corpus():
 
 
 def test_chain_rule_corpus():
-    spec2 = LocusSpec(OperatorHandle.right_compose(mono_series(X2)),
+    spec2 = LocusSpec(CompositionHandle(mono_series(X2)),
                       mono_series(X_INV))
     spec1 = ID_AT_1
     cases = [
