@@ -2,7 +2,9 @@
 
 A monomial is  prod_k l_k^{r_k} * exp(L)  where l_0 = x, l_{k+1} = log l_k,
 the r_k are exact rationals, and L (the exp argument) is a *finite* purely
-large sum of coefficient/monomial pairs.  Finiteness of L is what makes the
+large sum of coefficient/monomial pairs.  Integral exponents and exp
+coefficients are stored as ints, the others as Fractions: both are exact,
+and ints are cheaper to add and hash.  Finiteness of L is what makes the
 group order decidable: comparison reduces to the sign of the leading term
 of the pre-logarithm difference, a finite computation grounded by falling
 exponential height.
@@ -29,10 +31,10 @@ _INTERN: dict = {}
 
 class Monomial:
     __slots__ = ("log_powers", "exp_terms", "height", "log_depth",
-                 "_dagger", "_hash")
+                 "_dagger", "_pre_log", "_hash")
 
-    log_powers: tuple  # ((atom_index, Fraction exponent), ...) ascending index
-    exp_terms: tuple   # ((Fraction coeff, Monomial), ...) decreasing, all > 1
+    log_powers: tuple  # ((atom_index, exponent), ...) ascending index
+    exp_terms: tuple   # ((coeff, Monomial), ...) decreasing, all > 1
     height: int        # exponential height
     log_depth: int     # largest iterated-log index, exp arguments included
 
@@ -45,6 +47,7 @@ class Monomial:
         self.log_depth = max([k for k, _ in log_powers]
                              + [u.log_depth for _, u in exp_terms], default=0)
         self._dagger = None
+        self._pre_log = None
         self._hash = hash((log_powers, exp_terms))
 
     def __hash__(self):
@@ -175,15 +178,13 @@ def make_monomial(log_powers: Mapping[int, Rat],
     """
     powers: dict = {}
     for k, r in log_powers.items():
-        r = Fraction(r)
         if r:
-            powers[k] = powers.get(k, Fraction(0)) + r
+            powers[k] = powers.get(k, 0) + _canon(Fraction(r))
 
     merged: dict = {}
     for c, u in exp_terms:
-        c = Fraction(c)
         if c:
-            merged[u] = merged.get(u, Fraction(0)) + c
+            merged[u] = merged.get(u, 0) + _canon(Fraction(c))
 
     cleaned = []
     for u, c in merged.items():
@@ -191,30 +192,37 @@ def make_monomial(log_powers: Mapping[int, Rat],
             continue
         j = u.atom_index()
         if j is not None and j >= 1:
-            powers[j - 1] = powers.get(j - 1, Fraction(0)) + c
+            powers[j - 1] = powers.get(j - 1, 0) + c
         else:
             cleaned.append((c, u))
 
-    powers = {k: r for k, r in powers.items() if r}
-    lp = tuple(sorted(powers.items()))
-    et = tuple(sorted(cleaned, key=lambda t: _MONO_KEY(t[1]), reverse=True))
+    lp = tuple(sorted((k, _canon(r)) for k, r in powers.items() if r))
+    et = tuple(sorted(((_canon(c), u) for c, u in cleaned),
+                      key=lambda t: _MONO_KEY(t[1]), reverse=True))
     return _intern(lp, et)
 
 
-def _intern(lp: tuple, et: tuple) -> Monomial:
-    """The interned monomial with canonical data (lp, et), made if new."""
+def _canon(r):
+    """An exact rational as an int when it is integral."""
+    return r.numerator if r.denominator == 1 else r
+
+
+def _intern(lp: tuple, et: tuple, checked: bool = True) -> Monomial:
+    """The interned monomial with canonical data (lp, et), made if new.
+    Unless `checked` is false, a monomial out of bounds is refused."""
     key = (lp, et)
-    hit = _INTERN.get(key)
-    if hit is not None:
+    m = _INTERN.get(key)
+    if m is None:
+        for c, u in et:
+            if not u.is_large():
+                raise ValueError(f"exp argument term {u.render()} is not purely large")
+        m = Monomial(lp, et)
+        if checked:
+            _check_bounds(m)
+        _INTERN[key] = m
+    elif checked:
         # checked on hits too: the bounds may have been lowered since then
-        _check_bounds(hit)
-        return hit
-    for c, u in et:
-        if not u.is_large():
-            raise ValueError(f"exp argument term {u.render()} is not purely large")
-    m = Monomial(lp, et)
-    _check_bounds(m)
-    _INTERN[key] = m
+        _check_bounds(m)
     return m
 
 
@@ -233,7 +241,7 @@ X = make_monomial({0: 1})
 
 def atom(k: int) -> Monomial:
     """The k-th iterated-log atom: atom(0) = x, atom(k) = log^k(x)."""
-    return make_monomial({k: 1})
+    return _intern(((k, 1),), ())
 
 
 # -- group laws ------------------------------------------------------------
@@ -247,7 +255,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for k, r in b.log_powers:
         r = powers.get(k, 0) + r
         if r:
-            powers[k] = r
+            powers[k] = _canon(r)
         else:
             del powers[k]
     return _intern(tuple(sorted(powers.items())),
@@ -266,7 +274,7 @@ def _merge_terms(p: tuple, q: tuple) -> tuple:
         if u is v:
             s = c + e
             if s:
-                out.append((s, u))
+                out.append((_canon(s), u))
             i += 1
             j += 1
         elif mono_cmp(u, v) > 0:
@@ -287,12 +295,12 @@ def mono_inv(a: Monomial) -> Monomial:
 
 
 def mono_pow(a: Monomial, r) -> Monomial:
-    r = Fraction(r)
+    r = _canon(Fraction(r))
     if not r:
         return ONE
     # scaling by r != 0 keeps them too
-    return _intern(tuple((k, p * r) for k, p in a.log_powers),
-                   tuple((c * r, u) for c, u in a.exp_terms))
+    return _intern(tuple((k, _canon(p * r)) for k, p in a.log_powers),
+                   tuple((_canon(c * r), u) for c, u in a.exp_terms))
 
 
 # -- the group order -------------------------------------------------------
@@ -303,27 +311,41 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
     """Total order on monomials: sign of ell(a) - ell(b).
 
     ell is the pre-logarithm; the difference is a finite series whose
-    dominant coefficient decides.  Recursion on strictly smaller
-    exponential height, with a lexicographic fast path at height zero.
+    dominant coefficient decides.  Both pre-logarithms are decreasing, so
+    one lockstep walk finds it.  Recursion on strictly smaller exponential
+    height, grounded by the same walk over the atom indices at height zero.
     """
     if a is b:
         return 0
-    if not a.exp_terms and not b.exp_terms:
-        da, db = dict(a.log_powers), dict(b.log_powers)
-        for k in sorted(set(da) | set(db)):
-            ra, rb = da.get(k, 0), db.get(k, 0)
-            if ra != rb:
-                return 1 if ra > rb else -1
-        return 0
-    diff: dict = {}
-    for c, u in pre_log_terms(a):
-        diff[u] = diff.get(u, 0) + c
-    for c, u in pre_log_terms(b):
-        diff[u] = diff.get(u, 0) - c
-    diff = {m: c for m, c in diff.items() if c}
-    if not diff:
-        return 0
-    return 1 if diff[mono_max(diff)] > 0 else -1
+    if a.exp_terms or b.exp_terms:
+        p, q = pre_log_terms(a), pre_log_terms(b)
+        larger = _larger
+    else:
+        # l_j > l_k iff j < k; the pairs are (index, exponent), so swap
+        p = [(r, k) for k, r in a.log_powers]
+        q = [(r, k) for k, r in b.log_powers]
+        larger = int.__lt__
+    i = j = 0
+    while i < len(p) and j < len(q):
+        (c, u), (e, v) = p[i], q[j]
+        if u == v:  # identity for interned monomials
+            if c != e:
+                return 1 if c > e else -1
+            i += 1
+            j += 1
+        elif larger(u, v):
+            return 1 if c > 0 else -1
+        else:
+            return -1 if e > 0 else 1
+    if i < len(p):
+        return 1 if p[i][0] > 0 else -1
+    if j < len(q):
+        return -1 if q[j][0] > 0 else 1
+    return 0
+
+
+def _larger(u: Monomial, v: Monomial) -> bool:
+    return mono_cmp(u, v) > 0
 
 
 _MONO_KEY = cmp_to_key(mono_cmp)
@@ -340,10 +362,19 @@ def sort_monomials(monos: Iterable[Monomial]) -> list:
 # -- pre-logarithm and logarithmic derivative ------------------------------
 
 
-def pre_log_terms(m: Monomial) -> list:
-    """ell(m) as a finite list of (coeff, monomial) terms."""
-    terms = [(r, atom(k + 1)) for k, r in m.log_powers]
-    terms.extend(m.exp_terms)
+def pre_log_terms(m: Monomial) -> tuple:
+    """ell(m) as a finite tuple of (coeff, monomial) terms, decreasing.
+
+    Its atoms are not bound-checked: comparing monomials within the bounds
+    must not fail.  Cached for monomials with exp terms; at height zero the
+    atoms already decrease, and building the tuple is cheap."""
+    if m._pre_log is not None:
+        return m._pre_log
+    terms = tuple((r, _intern(((k + 1, 1),), (), checked=False)) for k, r in m.log_powers)
+    if m.exp_terms:
+        m._pre_log = tuple(sorted(terms + m.exp_terms, key=lambda t: _MONO_KEY(t[1]),
+                                  reverse=True))
+        return m._pre_log
     return terms
 
 
@@ -377,6 +408,10 @@ def height_depth(m: Monomial) -> tuple:
 
 
 def pre_log(m: Monomial):
-    """ell(m) as a TransSeries (purely large or zero)."""
+    """ell(m) as a TransSeries (purely large or zero); every monomial of it
+    is checked against the bounds."""
     from .series import from_terms
-    return from_terms(pre_log_terms(m))
+    terms = pre_log_terms(m)
+    for _, u in terms:
+        _check_bounds(u)
+    return from_terms(terms)

@@ -348,3 +348,9 @@ def test_exit_codes_match_verdicts():
     assert run_cli(["locus", "exp(x)", "--delta", "1"])[0] == 2
     assert run_cli(["cutcheck", "1/x", "--cut", "above:x"])[0] == 2
     assert run_cli(["eval", "x^^2"])[0] == 3
+
+
+def test_in_bound_monomials_compare_at_the_depth_bound():
+    # ordering exp(x) against log^4(x) goes through log^5(x), past the bound
+    assert run_cli(["eval", "exp(x) + log(log(log(log(x))))"]) == (
+        0, "exp(x) + log(log(log(log(x))))\n")

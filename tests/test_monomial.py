@@ -1,6 +1,7 @@
 """The log-exp monomial group: canonical forms, orders, pre-logarithm."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -251,3 +252,101 @@ def test_render_canonical_forms():
     m = mono_mul(mono_pow(X, Fraction(3, 2)),
                  mono_mul(mono_inv(L1), make_monomial({}, [(1, X2)])))
     assert m.render() == "x^(3/2)*log(x)^-1*exp(x^2)"
+
+
+def _cmp_by_diff(a, b):
+    """The group order as the sign of the dominant term of the pre-log
+    difference, summed in a dict: a reference that shares no code with
+    mono_cmp."""
+    if a is b:
+        return 0
+    if not a.exp_terms and not b.exp_terms:
+        da, db = dict(a.log_powers), dict(b.log_powers)
+        for k in sorted(set(da) | set(db)):
+            ra, rb = da.get(k, 0), db.get(k, 0)
+            if ra != rb:
+                return 1 if ra > rb else -1
+        return 0
+    diff: dict = {}
+    for sign, m in ((1, a), (-1, b)):
+        for c, u in [(r, atom(k + 1)) for k, r in m.log_powers] + list(m.exp_terms):
+            diff[u] = diff.get(u, 0) + sign * c
+    diff = {u: c for u, c in diff.items() if c}
+    if not diff:
+        return 0
+    return 1 if diff[max(diff, key=cmp_to_key(_cmp_by_diff))] > 0 else -1
+
+
+def test_cmp_matches_pre_log_difference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    halves = st.sampled_from([Fraction(n, 2) for n in range(-4, 5)])
+    height0 = st.builds(make_monomial, st.dictionaries(st.integers(0, 3), halves, max_size=3))
+    # exp(x^2) and exp(x^2 - x) share the leading pre-log term x^2
+    args = EXP_ARGS + [atom(3), mono_mul(X, atom(3)), make_monomial({}, [(1, X2), (-1, X)])]
+    exp_part = st.lists(st.tuples(halves.filter(bool), st.sampled_from(args)), max_size=3)
+    monos = st.builds(lambda h, et: mono_mul(h, make_monomial({}, et)), height0, exp_part)
+
+    @st.composite
+    def triples(draw):
+        a = draw(monos)
+        # b and c share all of a's pre-log but for a few terms
+        b = mono_mul(a, draw(monos)) if draw(st.booleans()) else draw(monos)
+        c = mono_mul(b, draw(monos)) if draw(st.booleans()) else draw(monos)
+        return a, b, c
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hyp.given(triples())
+    def check(abc):
+        a, b, c = abc
+        assert max(m.height for m in abc) <= 2
+        # the reference builds pre-log atoms through atom(), which checks
+        # the depth bound; the order itself needs no bound
+        previous = configure(log_depth_bound=8)
+        try:
+            want = {(u, v): _cmp_by_diff(u, v) for u, v in ((a, b), (b, c), (a, c))}
+        finally:
+            configure(**previous)
+        for u, v in ((a, b), (b, c), (a, c)):
+            assert mono_cmp(u, v) == want[u, v]
+            assert mono_cmp(v, u) == -mono_cmp(u, v)
+            assert (mono_cmp(u, v) == 0) == (u is v)
+        ab, bc, ac = mono_cmp(a, b), mono_cmp(b, c), mono_cmp(a, c)
+        if ab >= 0 and bc >= 0:
+            assert ac >= 0
+        if ab <= 0 and bc <= 0:
+            assert ac <= 0
+
+    check()
+
+
+def test_comparison_atoms_are_not_bound_checked():
+    # exp(x) against log^4(x) reads log^5(x), which is past the default bound
+    assert mono_cmp(E_X, atom(4)) > 0
+    # the pre-log of x*exp(x) is now cached; pre_log still checks each monomial
+    x_e_x = mono_mul(X, E_X)
+    assert mono_cmp(L1, E_X) < 0 and mono_cmp(x_e_x, E_X) > 0
+    previous = configure(log_depth_bound=1)
+    try:
+        for m in (L1, mono_mul(L1, E_X)):
+            with pytest.raises(ResourceError):
+                pre_log(m)
+    finally:
+        configure(**previous)
+    assert equal_below(pre_log(x_e_x), from_terms([(1, X), (1, L1)]), ONE)
+
+
+def test_integral_exponents_are_ints():
+    from transseries import compose, derive, render_series
+    from transseries.monomial import _INTERN
+    from transseries.parser import parse_series
+    for text in ["x^(3/2)*x^(1/2)*log(x)^-1", "exp(x/2 + x/2 + log(x)^2)*x^(1/3)",
+                 "exp(3/2*x^(1/2))^2 + 1/(1 - 1/x)", "log(x^2 + x^(1/2))"]:
+        s = parse_series(text)
+        render_series(s, 6)
+        render_series(derive(s), 6)
+        render_series(compose(s, parse_series("x^(3/2) + x")), 4)
+    assert mono_pow(mono_pow(X, Fraction(2, 3)), 3).log_powers == ((0, 2),)
+    for m in list(_INTERN.values()):
+        for r in [r for _, r in m.log_powers] + [c for c, _ in m.exp_terms]:
+            assert type(r) is (int if r.denominator == 1 else Fraction), m.render()
