@@ -111,10 +111,7 @@ def log_series(s: TransSeries) -> TransSeries:
     logc = active_backend().log(c)
     tail = geometric_substitute(
         lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k - 1), k), eps)
-    out = add(pre_log(d), tail)
-    if logc:
-        out = add(out, const(logc))
-    return out
+    return sum_family([pre_log(d), tail] + ([const(logc)] if logc else []))
 
 
 def exp_series(s: TransSeries) -> TransSeries:
@@ -281,6 +278,21 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def _composition_coeff(outer, inner, k: int, top: int) -> TransSeries:
+    """Coefficient k of sum_n outer(n) (sum_j inner(j) X^j)^n for k > 0:
+    the sum over n <= top and over the ordered compositions v of k into
+    n parts of outer(n) * prod_j inner(v_j)."""
+    terms = []
+    for n in range(1, top + 1):
+        outer_n = outer(n)
+        for v in _compositions(k, n):
+            term = outer_n
+            for j in v:
+                term = mul(term, inner(j))
+            terms.append(term)
+    return sum_family(terms)
+
+
 def faa_di_bruno_coeff(composed_derivs: Sequence[TransSeries],
                        inner_derivs: Sequence[TransSeries],
                        k: int) -> TransSeries:
@@ -288,29 +300,18 @@ def faa_di_bruno_coeff(composed_derivs: Sequence[TransSeries],
 
     `composed_derivs[n]` must be f^{(n)} o g and `inner_derivs[j]` must be
     g^{(j)} (index 0 unused), both through order k.  Equals the k-fold
-    derivative of the composite divided by k!.
+    derivative of the composite divided by k!: coefficient k of P o Q for
+    P_n = (f^{(n)} o g)/n!, Q_0 = 0 and Q_j = g^{(j)}/j!.
     """
     if k > LIMITS.faa_order_bound:
         raise ResourceError(
             f"Faà di Bruno order {k} exceeds bound {LIMITS.faa_order_bound}")
     if k == 0:
         return composed_derivs[0]
-    terms = []
-    for n in range(1, k + 1):
-        outer = scale(composed_derivs[n], Fraction(1, factorial(n)))
-        for v in _compositions(k, n):
-            term = outer
-            for j in v:
-                term = mul(term, scale(inner_derivs[j], Fraction(1, factorial(j))))
-            terms.append(term)
-    return sum_family(terms)
+    return _composition_coeff(
+        lambda n: scale(composed_derivs[n], Fraction(1, factorial(n))),
+        lambda j: scale(inner_derivs[j], Fraction(1, factorial(j))), k, k)
 
 
-class DerivationOperator:
-    """The ambient derivation packaged for coefficientwise lifting."""
-
-    def apply(self, s: TransSeries) -> TransSeries:
-        return derive(s)
-
-
-DERIVATION = DerivationOperator()
+# the ambient derivation, packaged for coefficientwise lifting like IDENTITY
+DERIVATION = SimpleNamespace(apply=derive)

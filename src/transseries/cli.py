@@ -14,7 +14,7 @@ import sys
 
 from .errors import KernelError, ParseError, ResourceError
 from .limits import BACKENDS, configure
-from .parser import parse, elaborate
+from .parser import parse_series
 from .powerseries import CutSpec, cut_member, monomial_geometric
 from .series import TransSeries, format_shown, render_series, shown_terms
 from .taylor import LocusSpec, locus_contains, taylor_identity_check
@@ -34,7 +34,7 @@ def _series_arg(text: str) -> TransSeries:
     """The series an argument denotes; "-" reads it from stdin."""
     if text == "-":
         text = sys.stdin.read().strip()
-    return elaborate(parse(text))
+    return parse_series(text)
 
 
 def _json_terms(terms: list) -> list:
@@ -53,7 +53,7 @@ def _parse_op(text: str):
     if text in (None, "identity", "id"):
         return IDENTITY
     if text.startswith("compose:"):
-        return CompositionHandle(elaborate(parse(text.split(":", 1)[1])))
+        return CompositionHandle(parse_series(text.split(":", 1)[1]))
     raise ParseError(f"unknown operator spec {text!r} "
                      "(use 'identity' or 'compose:EXPR')", 0)
 
@@ -65,7 +65,7 @@ def _parse_cut(text: str) -> CutSpec:
         return CutSpec.empty()
     for prefix, ctor in (("above:", CutSpec.above), ("aboveeq:", CutSpec.above_eq)):
         if text.startswith(prefix):
-            s = elaborate(parse(text[len(prefix):]))
+            s = parse_series(text[len(prefix):])
             lt = s.leading_term()
             if lt is None:
                 raise ParseError("cut boundary must be a nonzero series", 0)
@@ -156,6 +156,25 @@ def cmd_cutcheck(args) -> int:
     return VERDICT_EXIT.get(verdict.kind, EXIT_SKIPPED)
 
 
+# (name, handler, help, operands): an operand is a positional name or a
+# (flag, add_argument keywords) pair
+_TAYLOR_HELP = "check F o (G + D) against the Taylor deformation"
+_COMMANDS = (
+    ("eval", cmd_eval, "parse and expand an expression", ("expr",)),
+    ("derive", cmd_derive, "differentiate an expression", ("expr",)),
+    ("compose", cmd_compose, "right-compose F with G", ("f", "g")),
+    ("taylor", cmd_taylor, _TAYLOR_HELP, ("f", "g", "delta")),
+    ("identity-check", cmd_taylor, _TAYLOR_HELP, ("f", "g", "delta")),
+    ("locus", cmd_locus, "convergence locus report",
+     ("expr", ("--op", {"default": "identity", "help": "identity or compose:EXPR"}),
+      ("--delta", {"required": True}))),
+    ("cutcheck", cmd_cutcheck,
+     "cut-algebra membership of the geometric family sum RATIO^k X^k",
+     ("ratio", ("--cut", {"required": True,
+                          "help": "all, empty, above:EXPR, or aboveeq:EXPR"}))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=int, default=8,
@@ -173,48 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="transseries",
         description="exact log-exp transseries kernel")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="parse and expand an expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("derive", parents=[common],
-                       help="differentiate an expression")
-    p.add_argument("expr")
-    p.set_defaults(fn=cmd_derive)
-
-    p = sub.add_parser("compose", parents=[common],
-                       help="right-compose F with G")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(fn=cmd_compose)
-
-    for name in ("taylor", "identity-check"):
-        p = sub.add_parser(name, parents=[common],
-                           help="check F o (G + D) against the Taylor "
-                                "deformation")
-        p.add_argument("f")
-        p.add_argument("g")
-        p.add_argument("delta")
-        p.set_defaults(fn=cmd_taylor)
-
-    p = sub.add_parser("locus", parents=[common],
-                       help="convergence locus report")
-    p.add_argument("expr")
-    p.add_argument("--op", default="identity",
-                   help="identity or compose:EXPR")
-    p.add_argument("--delta", required=True)
-    p.set_defaults(fn=cmd_locus)
-
-    p = sub.add_parser("cutcheck", parents=[common],
-                       help="cut-algebra membership of the geometric family "
-                            "sum RATIO^k X^k")
-    p.add_argument("ratio")
-    p.add_argument("--cut", required=True,
-                   help="all, empty, above:EXPR, or aboveeq:EXPR")
-    p.set_defaults(fn=cmd_cutcheck)
-
+    for name, fn, help_text, operands in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for operand in operands:
+            flag, kwargs = (operand, {}) if isinstance(operand, str) else operand
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 

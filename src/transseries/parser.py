@@ -14,10 +14,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import KernelError, ParseError
-from .monomial import X
-from .series import (TransSeries, active_backend, add, const, invert,
-                     mono_series, mul, scale)
-from .calculus import exp_series, log_series, pow_series
+from .series import (TransSeries, active_backend, const, invert, mul, scale,
+                     sum_family)
+from .calculus import X_SERIES, exp_series, log_series, pow_series
 
 
 # -- abstract syntax -----------------------------------------------------------
@@ -238,9 +237,6 @@ def parse(src: str) -> Expr:
     return node
 
 
-X_SERIES = mono_series(X)
-
-
 def elaborate(e: Expr) -> TransSeries:
     """Evaluate an expression tree into the kernel; kernel errors are
     re-raised with the source offset appended."""
@@ -256,13 +252,21 @@ def elaborate(e: Expr) -> TransSeries:
             if e.op == "log":
                 return log_series(arg)
             return exp_series(arg)
+        if isinstance(e, Binary) and e.op in ("+", "-"):
+            # a +/- chain leans left; walking it without recursion makes a
+            # chain of any length one flat sum
+            node, chain = e, []
+            while isinstance(node, Binary) and node.op in ("+", "-"):
+                chain.append(node)
+                node = node.left
+            terms = [elaborate(node)]
+            for b in reversed(chain):
+                t = elaborate(b.right)
+                terms.append(t if b.op == "+" else scale(t, -1))
+            return sum_family(terms)
         if isinstance(e, Binary):
             left = elaborate(e.left)
             right = elaborate(e.right)
-            if e.op == "+":
-                return add(left, right)
-            if e.op == "-":
-                return add(left, scale(right, -1))
             if e.op == "*":
                 return mul(left, right)
             return mul(left, invert(right))

@@ -25,9 +25,11 @@ from .errors import (BudgetExceededError, EvaluationRefusedError,
 from .limits import LIMITS
 from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
-from .calculus import DERIVATION, _compositions, _derivation_grid, _image_grid
-from .series import (ZERO, TransSeries, add, mono_series, mul, render_series,
-                     scale, sum_family, sum_lazy, _infinitesimal_bases)
+from .calculus import (DERIVATION, _composition_coeff, _derivation_grid,
+                       _image_grid)
+from .series import (PROBE_FUEL, ZERO, TransSeries, add, mono_series, mul,
+                     render_series, scale, sum_family, sum_lazy,
+                     _infinitesimal_bases)
 
 
 # -- joint certificates --------------------------------------------------------
@@ -82,6 +84,10 @@ class PowerSeries:
     def is_finite(self) -> bool:
         return self.finite_degree is not None
 
+    def last_index(self, n: int) -> int:
+        """The last index through n whose coefficient can be nonzero."""
+        return n if self.finite_degree is None else min(n, self.finite_degree)
+
     @staticmethod
     def from_coeffs(coeffs: Sequence[TransSeries]) -> "PowerSeries":
         coeffs = list(coeffs)
@@ -90,15 +96,13 @@ class PowerSeries:
         for c in coeffs:
             bases |= set(c.cert.bases)
             ratios |= set(c.cert.ratios)
-        joint = PSJointCert(frozenset(bases), frozenset(ratios),
-                            frozenset([ONE]))
+        joint = PSJointCert.of(bases, ratios, [ONE])
         return PowerSeries(lambda k: coeffs[k] if k < len(coeffs) else ZERO,
                            finite_degree=max(len(coeffs) - 1, 0), joint=joint)
 
     def render(self, order: int = 6, coeff_terms: int = 4) -> str:
-        stop = order if self.finite_degree is None else min(order, self.finite_degree)
         parts = []
-        for k in range(stop + 1):
+        for k in range(self.last_index(order) + 1):
             body = render_series(self.coeff(k), coeff_terms)
             if body == "0":
                 continue
@@ -148,13 +152,9 @@ def ps_mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
             p.joint.ratios | q.joint.ratios,
             p.joint.factors | q.joint.factors)
 
-    def cf(k):
-        out = ZERO
-        for i in range(k + 1):
-            out = add(out, mul(p.coeff(i), q.coeff(k - i)))
-        return out
-
-    return PowerSeries(cf, finite_degree=fin, joint=joint)
+    return PowerSeries(
+        lambda k: sum_family([mul(p.coeff(i), q.coeff(k - i)) for i in range(k + 1)]),
+        finite_degree=fin, joint=joint)
 
 
 def ps_derive(p: PowerSeries) -> PowerSeries:
@@ -177,7 +177,7 @@ def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     factorizations of k into positive parts."""
     q0 = q.coeff(0)
     try:
-        if q0.leading_term(fuel=64) is not None:
+        if q0.leading_term(fuel=PROBE_FUEL) is not None:
             raise PreconditionError("ps_compose requires Q_0 = 0")
     except BudgetExceededError:
         raise PreconditionError(
@@ -186,16 +186,7 @@ def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     def cf(k):
         if k == 0:
             return p.coeff(0)
-        terms = []
-        top = k if p.finite_degree is None else min(k, p.finite_degree)
-        for n in range(1, top + 1):
-            pn = p.coeff(n)
-            for v in _compositions(k, n):
-                term = pn
-                for j in v:
-                    term = mul(term, q.coeff(j))
-                terms.append(term)
-        return sum_family(terms)
+        return _composition_coeff(p.coeff, q.coeff, k, p.last_index(k))
 
     fin = None
     if p.is_finite and q.is_finite:
@@ -311,11 +302,8 @@ def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
         return CutVerdict("inconclusive", (), prefix)
 
     maxima = []
-    for k in range(prefix + 1):
-        c = p.coeff(k)
-        if p.is_finite and k > p.finite_degree:
-            break
-        gm = c.cert.grid_max()
+    for k in range(p.last_index(prefix) + 1):
+        gm = p.coeff(k).cert.grid_max()
         if gm is not None:
             maxima.append((k, gm))
     # Only pairs at degree gap >= 2 matter (any 3-element bad sequence
@@ -351,10 +339,9 @@ def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
 
 def _verified_dominants(p: PowerSeries, prefix: int) -> list:
     out = []
-    stop = prefix if p.finite_degree is None else min(prefix, p.finite_degree)
-    for k in range(stop + 1):
+    for k in range(p.last_index(prefix) + 1):
         try:
-            lt = p.coeff(k).leading_term(fuel=64)
+            lt = p.coeff(k).leading_term(fuel=PROBE_FUEL)
         except BudgetExceededError:
             continue
         if lt is not None:
@@ -455,12 +442,8 @@ def ps_eval(p: PowerSeries, delta: TransSeries,
     if lt is None:
         return p.coeff(0)
     if p.is_finite:
-        out = p.coeff(0)
-        power = None
-        for k in range(1, p.finite_degree + 1):
-            power = delta if power is None else mul(power, delta)
-            out = add(out, mul(p.coeff(k), power))
-        return out
+        return sum_family(itertools.islice(_scaled_powers(p, delta),
+                                           p.finite_degree + 1))
     if p.joint is None:
         raise PreconditionError(
             "ps_eval on an infinite power series needs a joint grid certificate")
@@ -471,18 +454,17 @@ def ps_eval(p: PowerSeries, delta: TransSeries,
     joint = p.joint
     ratios = _eval_ratios(joint.coefficient_ratios(), joint.factors, delta, lt.mono)
 
-    def producer():
-        power = None
-        k = 0
-        while True:
-            if k == 0:
-                yield 0, p.coeff(0)
-            else:
-                power = delta if power is None else mul(power, delta)
-                yield k, mul(p.coeff(k), power)
-            k += 1
+    return sum_lazy(enumerate(_scaled_powers(p, delta)), joint.bases, ratios)
 
-    return sum_lazy(producer(), joint.bases, ratios)
+
+def _scaled_powers(p: PowerSeries, delta: TransSeries):
+    """P_0, P_1*delta, P_2*delta^2, ..., with delta^k built as
+    delta^(k-1)*delta."""
+    yield p.coeff(0)
+    power = delta
+    for k in itertools.count(1):
+        yield mul(p.coeff(k), power)
+        power = mul(power, delta)
 
 
 def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec) -> TransSeries:
@@ -572,9 +554,8 @@ def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
         new_ratios = {z for z in joint.ratios if z.is_small()}
     else:
         new_ratios = _eval_ratios(joint.ratios, joint.factors, eps, lt.mono)
-    return PowerSeries(cf, joint=PSJointCert(joint.bases,
-                                             frozenset(new_ratios),
-                                             joint.factors))
+    return PowerSeries(cf, joint=PSJointCert.of(joint.bases, new_ratios,
+                                                joint.factors))
 
 
 # -- coefficientwise lifting ----------------------------------------------------
@@ -622,8 +603,7 @@ def lift_coefficientwise(op, p: PowerSeries,
                 factors.add(dom)
                 ratios |= _unit_ratios(img, dom)
             ratios = {z for z in ratios if z.is_small()}
-            joint = PSJointCert(frozenset(bases), frozenset(ratios),
-                                frozenset(factors))
+            joint = PSJointCert.of(bases, ratios, factors)
     out = PowerSeries(lambda k: op.apply(p.coeff(k)),
                       finite_degree=p.finite_degree, joint=joint)
     if s_target is not None:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (BudgetExceededError, DivisionByZeroSeries, DomainError,
                      PartialConstantError, PreconditionError,
@@ -219,6 +219,10 @@ def _walk_region(base: Monomial, ratios: list, bound: Monomial,
 # -- the series type ----------------------------------------------------------
 
 
+# term fuel of the quick probes for one or two leading terms: well below
+# LIMITS.term_fuel, so that a probe that cannot decide fails fast
+PROBE_FUEL = 64
+
 _HEAP_KEY = cmp_to_key(lambda a, b: mono_cmp(b, a))  # max-heap on monomials
 
 
@@ -409,11 +413,13 @@ def scale(s: TransSeries, c) -> TransSeries:
 
 
 def add(s: TransSeries, t: TransSeries) -> TransSeries:
-    return _flat_sum((s, t), s.cert.union(t.cert))
+    return sum_family((s, t))
 
 
-def sum_family(fam: Sequence[TransSeries]) -> TransSeries:
-    """Sum of a finite family (regrouping-invariant)."""
+def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
+    """Sum of a finite family (regrouping-invariant) as one flat sum node: a
+    summand that is a sum node contributes its own summands, so neither wide
+    sums nor long chains of `add` cost recursion depth in expansion."""
     fam = list(fam)
     if not fam:
         return ZERO
@@ -422,13 +428,6 @@ def sum_family(fam: Sequence[TransSeries]) -> TransSeries:
     cert = fam[0].cert
     for s in fam[1:]:
         cert = cert.union(s.cert)
-    return _flat_sum(fam, cert)
-
-
-def _flat_sum(fam: Iterable[TransSeries], cert: GridCertificate) -> TransSeries:
-    """A single flat sum node whose cert is given: a summand that is itself
-    a sum node contributes its own summands, so neither wide sums nor long
-    chains of `add` cost recursion depth in expansion."""
     summands = [u for s in fam for u in (s._summands or (s,))]
 
     def expander(cutoff):
@@ -724,8 +723,8 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
         gens = sort_monomials(set(s.cert.bases) | set(s.cert.ratios))[:3]
         for a in gens:
             for b in gens:
-                lhs = image(mono_mul(a, b)).first_terms(2, fuel=64)
-                rhs = mul(image(a), image(b)).first_terms(2, fuel=64)
+                lhs = image(mono_mul(a, b)).first_terms(2, fuel=PROBE_FUEL)
+                rhs = mul(image(a), image(b)).first_terms(2, fuel=PROBE_FUEL)
                 if lhs != rhs:
                     raise PreconditionError(
                         f"map is not multiplicative on {a.render()}, {b.render()}")

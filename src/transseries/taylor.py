@@ -26,9 +26,9 @@ from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
                        mono_inv, mono_mul, sort_monomials)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
-                          lift_coefficientwise, ps_eval)
-from .series import (TransSeries, add, compare_to_depth, depth_cutoff,
-                     from_terms, mul, scale)
+                          lift_coefficientwise, ps_eval, _scaled_powers)
+from .series import (PROBE_FUEL, TransSeries, add, compare_to_depth,
+                     depth_cutoff, from_terms, mul, scale)
 
 X_INV = mono_inv(X)
 
@@ -64,10 +64,10 @@ def spec_condition_check(m: Monomial) -> dict:
     # a finite series' certificate bases are exactly its nonzero support
     supp = sort_monomials(mprime.cert.bases)[:prefix]
     for n in supp:
-        nlt = dagger(n).leading_term()
         if flat:
-            ok = nlt is None or mono_cmp(nlt.mono, X_INV) <= 0
+            ok = is_flat(n)
         else:
+            nlt = dagger(n).leading_term()
             ok = nlt is not None and nlt.mono is dlt.mono
         if not ok:
             return {"ok": False, "flat": flat, "witness": n,
@@ -93,18 +93,18 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
     dom_x = op.g.leading_term().mono
     delta_below_x = mono_cmp(dd, dom_x) < 0
 
+    def scaled_dagger(m: Monomial) -> Optional[Monomial]:
+        """The dominant monomial of op(dagger(m)) * delta, or None."""
+        lt = op.apply(dagger(m)).leading_term()
+        return None if lt is None else mono_mul(lt.mono, dd)
+
     gens = set(f.cert.bases) | set(f.cert.ratios)
     witnesses = []
     gens_ok = True
     for g in sorted(gens, key=lambda m: m.render()):
-        terms = dagger_terms(g)
-        if not terms:
+        check = scaled_dagger(g) if dagger_terms(g) else None
+        if check is None:
             continue
-        img = op.apply(dagger(g))
-        lt = img.leading_term()
-        if lt is None:
-            continue
-        check = mono_mul(lt.mono, dd)
         ok = check.is_small()
         witnesses.append((g, check, ok))
         gens_ok = gens_ok and ok
@@ -126,10 +126,10 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
                 "certified_divergent", ((m, dd),), prefix,
                 f"delta is not below the operator image of x and {m.render()} "
                 "is not flat")
-        lt = op.apply(dagger(m)).leading_term()
-        if lt is not None and not mono_mul(lt.mono, dd).is_small():
+        check = scaled_dagger(m)
+        if check is not None and not check.is_small():
             return ConvReport(
-                "certified_divergent", ((m, mono_mul(lt.mono, dd)),), prefix,
+                "certified_divergent", ((m, check),), prefix,
                 f"support monomial {m.render()} has a non-shrinking "
                 "transformed dagger")
     return ConvReport("inconclusive", tuple(witnesses), prefix,
@@ -153,8 +153,7 @@ def taylor_series(f: TransSeries, spec: Optional[LocusSpec] = None, *,
                 f"Taylor series refused: locus is {rep.verdict} ({rep.detail})")
     gens = set(f.cert.bases) | set(f.cert.ratios)
     factors = dagger_support_closure(gens)
-    joint = PSJointCert(frozenset(f.cert.bases), frozenset(f.cert.ratios),
-                        factors)
+    joint = PSJointCert.of(f.cert.bases, f.cert.ratios, factors)
     derivs = [f]
 
     def cf(k):
@@ -189,13 +188,8 @@ def taylor_deform(f: TransSeries, spec: LocusSpec) -> TransSeries:
 def _check_descent(lifted: PowerSeries, delta: TransSeries, orders: int):
     # computed terms must satisfy T(f) > T(f') delta > T(f'') delta^2 ...
     prev = None
-    power = None
-    for k in range(orders):
-        term = lifted.coeff(k)
-        if k > 0:
-            power = delta if power is None else mul(power, delta)
-            term = mul(term, power)
-        lt = term.leading_term(fuel=64)
+    for k, term in zip(range(orders), _scaled_powers(lifted, delta)):
+        lt = term.leading_term(fuel=PROBE_FUEL)
         if lt is None:
             return
         if prev is not None and mono_cmp(lt.mono, prev) >= 0:

@@ -3,15 +3,16 @@
 import io
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from transseries import (ONE, ONE_SERIES, CompositionHandle, DomainError,
-                         PartialConstantError, PreconditionError, X, atom,
-                         compose, dagger, derive, derive_n, dominance,
+from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
+                         PartialConstantError, PowerSeries, PreconditionError,
+                         X, atom, compose, dagger, derive, derive_n, dominance,
                          exp_series, faa_di_bruno_coeff, from_terms, invert,
                          log_series, make_monomial, mono_inv, mono_mul,
-                         mono_pow, mono_series, mul, pow_series)
+                         mono_pow, mono_series, mul, pow_series, ps_compose)
 from transseries.calculus import _image_grid
 from transseries.cli import main
 from transseries.parser import parse_series
@@ -347,6 +348,25 @@ def test_faa_order_two_matches_double_derivative():
     got = faa_di_bruno_coeff(composed, inner, 2)
     want = scale(derive_n(compose(f, CompositionHandle(g)), 2), Fraction(1, 2))
     assert_depth_equal(got, want, 6)
+
+
+@pytest.mark.parametrize("f_text, g_text", [("exp(x)", "x + 1/x"),
+                                             ("log(x)", "x^2 + x")])
+def test_faa_orders_three_to_five(f_text, g_text):
+    # two references: the k-th derivative of the composite over k!, and
+    # coefficient k of P o Q with P_n = (f^(n) o g)/n!, Q_j = g^(j)/j!, Q_0 = 0
+    f, g = parse_series(f_text), parse_series(g_text)
+    composed, inner = _derivative_lists(f, g, 5)
+    fg = compose(f, CompositionHandle(g))
+    p = PowerSeries.from_coeffs(
+        [scale(c, Fraction(1, factorial(n))) for n, c in enumerate(composed)])
+    q = PowerSeries.from_coeffs(
+        [ZERO] + [scale(inner[j], Fraction(1, factorial(j))) for j in range(1, 6)])
+    pq = ps_compose(p, q)
+    for k in (3, 4, 5):
+        got = faa_di_bruno_coeff(composed, inner, k)
+        assert_depth_equal(got, scale(derive_n(fg, k), Fraction(1, factorial(k))), 6)
+        assert_depth_equal(got, pq.coeff(k), 6)
 
 
 def test_faa_order_bound():

@@ -342,6 +342,18 @@ def test_deep_quotients_are_a_resource_error():
     assert json.loads(out)["error"]["offset"] is None
 
 
+def test_long_sums_are_one_flat_sum():
+    # a +/- chain parses to a left spine of Binary nodes as long as the
+    # chain, but has no nesting: any length elaborates to one flat sum
+    src = "x^-1" + "".join(f" {'-+'[k % 2]} x^-{k}" for k in range(2, 3001))
+    assert run_cli(["eval", src, "--terms", "4"]) == (
+        0, "x^-1 - x^-2 + x^-3 - x^-4 + O(x^-5)\n")
+    # a kernel error inside the chain still names its operand's offset
+    assert run_cli(["eval", "x + 1/0 - x"]) == (
+        3, "error: DivisionByZeroSeries: cannot invert the zero series "
+           "[at offset 5]\n")
+
+
 def test_exit_codes_match_verdicts():
     assert run_cli(["taylor", "1/x", "x", "1"])[0] == 0
     assert run_cli(["taylor", "exp(x)", "x", "1"])[0] == 4

@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, LocusSpec,
-                         IDENTITY, PreconditionError, X,
+from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
+                         LocusSpec, IDENTITY, PowerSeries, PreconditionError, X,
                          analytic_commutation_check, atom,
                          chain_rule_transport_check, compose, dagger, derive,
                          exp_series, faa_di_bruno_coeff, from_terms, invert,
@@ -16,7 +16,7 @@ from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, LocusSpec,
                          taylor_deform, taylor_identity_check, taylor_series)
 from transseries.calculus import derive_n
 from transseries.series import add, scale
-from transseries.taylor import is_flat, spec_condition_check
+from transseries.taylor import _check_descent, is_flat, spec_condition_check
 
 from helpers import assert_depth_equal, rng
 
@@ -248,6 +248,15 @@ def test_deform_descent_chain():
                 assert lt.mono < prev
             prev = lt.mono
             power = mul(power, spec.delta)
+
+
+def test_descent_check_refuses_rising_terms():
+    # terms P_k delta^k = x^k rise, which a certified locus rules out
+    rising = PowerSeries.from_coeffs([mono_series(xpow(k)) for k in range(3)])
+    with pytest.raises(DomainError, match="descent chain violated"):
+        _check_descent(rising, ONE_SERIES, orders=3)
+    falling = PowerSeries.from_coeffs([mono_series(xpow(-k)) for k in range(3)])
+    assert _check_descent(falling, ONE_SERIES, orders=3) is None
 
 
 def test_deform_refuses_outside_locus():
