@@ -215,11 +215,18 @@ def main(argv=None) -> int:
     previous = configure(**{k: v for k, v in bounds.items() if v is not None})
     try:
         return args.fn(args)
-    except (KernelError, RecursionError) as e:
+    except (KernelError, RecursionError, ValueError) as e:
         if isinstance(e, RecursionError):
             # the parser caps nesting, but a deep series DAG can still
             # exhaust Python's stack while it is elaborated or expanded
             e = ResourceError("expression nests too deeply for the recursion limit")
+        elif isinstance(e, ValueError):
+            # Python refuses to print an int of more digits than its limit,
+            # with a plain ValueError; any other ValueError is a fault
+            if "for integer string conversion" not in str(e):
+                raise
+            e = ResourceError("a number has more than "
+                              f"{sys.get_int_max_str_digits()} digits")
         if args.json:
             offset = e.position if isinstance(e, ParseError) else None
             print(json.dumps({"error": {"type": type(e).__name__, "message": str(e),

@@ -9,13 +9,16 @@ parse(render(s)) round-trips.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import KernelError, ParseError
-from .series import (TransSeries, active_backend, const, invert, mul, scale,
-                     sum_family)
+from .monomial import X, mono_pow
+from .series import (TransSeries, active_backend, const, invert, mono_series,
+                     mul, scale, sum_family)
 from .calculus import X_SERIES, exp_series, log_series, pow_series
 
 
@@ -60,46 +63,24 @@ Expr = Union[Num, Var, Unary, Binary, Power]
 
 # -- tokenizer -----------------------------------------------------------------
 
-_SYMBOLS = set("+-*/^()")
+# A token is an operator, a number (decimal digits, which int() reads, and an
+# optional fraction part), a name, or any other non-space character.
+_TOKEN = re.compile(r"([-+*/^()])|(\d+(?:\.\d*)?)|([A-Za-z][A-Za-z\d]*)|(\S)")
 
 
 def _tokenize(src: str):
     out = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            out.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                if j >= n or not src[j].isdigit():
-                    raise ParseError("malformed decimal literal", i)
-                while j < n and src[j].isdigit():
-                    j += 1
-            out.append(("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalpha() or src[j].isdigit()):
-                j += 1
-            word = src[i:j]
-            if word not in ("x", "log", "exp"):
-                raise ParseError(f"unknown name {word!r}", i)
-            out.append(("name", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(("end", "", n))
+    for m in _TOKEN.finditer(src):
+        op, num, name, bad = m.groups()
+        pos = m.start()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", pos)
+        if num and num.endswith("."):
+            raise ParseError("malformed decimal literal", pos)
+        if name and name not in ("x", "log", "exp"):
+            raise ParseError(f"unknown name {name!r}", pos)
+        out.append((op or ("num" if num else "name"), m[0], pos))
+    out.append(("end", "", len(src)))
     return out
 
 
@@ -107,13 +88,6 @@ def _tokenize(src: str):
 # deep.  Each level costs the recursive-descent parser up to five Python
 # frames; the cap keeps parsing well inside Python's recursion limit.
 MAX_NESTING = 100
-
-
-def _literal(text: str) -> Fraction:
-    if "." in text:
-        whole, frac = text.split(".")
-        return Fraction(int(whole or 0)) + Fraction(int(frac), 10 ** len(frac))
-    return Fraction(int(text))
 
 
 class _Parser:
@@ -172,43 +146,41 @@ class _Parser:
             node = Power(node, self.exponent(), pos)
         return node
 
-    # a rational literal, possibly negative, possibly (p/q)
+    # exponent := ['-'] num | '(' ['-'] num ['/' num] ')'
     def exponent(self) -> Fraction:
-        tok = self.peek()
-        if tok[0] == "(":
+        paren = self.peek()[0] == "("
+        if paren:
             self.take()
-            value = self._signed_ratio()
+        negative = self.peek()[0] == "-"
+        if negative:
+            self.take()
+        if self.peek()[0] != "num":
+            raise ParseError("expected a rational exponent", self.peek()[2])
+        value = self.number()
+        if paren:
+            if self.peek()[0] == "/":
+                self.take()
+                pos = self.peek()[2]
+                den = self.number()
+                if den == 0:
+                    raise ParseError("zero denominator in exponent", pos)
+                value /= den
             self.take(")")
-            return value
-        return self._signed_number()
+        return -value if negative else value
 
-    def _signed_number(self) -> Fraction:
-        sign = Fraction(1)
-        if self.peek()[0] == "-":
-            self.take()
-            sign = Fraction(-1)
-        tok = self.peek()
-        if tok[0] != "num":
-            raise ParseError("expected a rational exponent", tok[2])
-        self.take()
-        return sign * _literal(tok[1])
-
-    def _signed_ratio(self) -> Fraction:
-        value = self._signed_number()
-        if self.peek()[0] == "/":
-            self.take()
-            tok = self.take("num")
-            den = _literal(tok[1])
-            if den == 0:
-                raise ParseError("zero denominator in exponent", tok[2])
-            value = value / den
-        return value
+    def number(self) -> Fraction:
+        _, text, pos = self.take("num")
+        whole, _, frac = text.partition(".")
+        try:
+            return Fraction(int(whole + frac), 10 ** len(frac))
+        except ValueError:  # the pattern admits digits only: too many of them
+            raise ParseError("literal longer than "
+                             f"{sys.get_int_max_str_digits()} digits", pos) from None
 
     def primary(self) -> Expr:
         kind, text, pos = self.peek()
         if kind == "num":
-            self.take()
-            return Num(_literal(text), pos)
+            return Num(self.number(), pos)
         if kind == "name":
             self.take()
             if text == "x":
@@ -271,6 +243,9 @@ def elaborate(e: Expr) -> TransSeries:
                 return mul(left, right)
             return mul(left, invert(right))
         if isinstance(e, Power):
+            # a fractional power keeps the backend's coefficient (1.0 in floats)
+            if isinstance(e.base, Var) and e.exponent.denominator == 1:
+                return mono_series(mono_pow(X, e.exponent))
             return pow_series(elaborate(e.base), e.exponent)
     except ParseError:
         raise

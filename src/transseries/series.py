@@ -74,15 +74,22 @@ class ExactBackend:
 
 
 class FloatBackend:
-    """Binary floats with total exp/log; for CLI demos only."""
+    """Binary floats, for CLI demos only; coerce, exp and pow refuse a
+    constant out of float range."""
 
     name = "float"
 
     def coerce(self, c):
-        return float(c)
+        try:
+            return float(c)
+        except OverflowError:
+            raise PartialConstantError("constant out of float range") from None
 
     def exp(self, c):
-        return math.exp(c)
+        try:
+            return math.exp(c)
+        except OverflowError:
+            raise PartialConstantError(f"exp({c}) is out of float range") from None
 
     def log(self, c):
         if c <= 0:
@@ -92,7 +99,10 @@ class FloatBackend:
     def pow(self, c, r):
         if c < 0 and Fraction(r).denominator != 1:
             raise DomainError(f"negative base {c} with fractional exponent {r}")
-        return float(c) ** float(r)
+        try:
+            return float(c) ** float(r)
+        except OverflowError:
+            raise PartialConstantError(f"{c}^({r}) is out of float range") from None
 
 
 EXACT = ExactBackend()

@@ -3,6 +3,7 @@ positions, round-trips, golden invocations, exit codes."""
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -174,6 +175,13 @@ GOLDENS = [
     (["eval", "exp(1)"], 3,
      "error: PartialConstantError: exp(1) is irrational; exact backend only "
      "knows exp(0) [at offset 0]\n"),
+    (["eval", "log(2*x)", "--backend", "float"], 0, "log(x) + 0.69314718056\n"),
+    (["eval", "(2*x)^(1/2)", "--backend", "float"], 0, "1.41421356237*x^(1/2)\n"),
+    (["eval", "log(2*x)"], 3,
+     "error: PartialConstantError: log(2) is irrational; exact backend only "
+     "knows log(1) [at offset 0]\n"),
+    (["eval", "(2*x)^(1/2)"], 3,
+     "error: PartialConstantError: 2^(1/2) is irrational [at offset 5]\n"),
 ]
 
 
@@ -366,3 +374,76 @@ def test_in_bound_monomials_compare_at_the_depth_bound():
     # ordering exp(x) against log^4(x) goes through log^5(x), past the bound
     assert run_cli(["eval", "exp(x) + log(log(log(log(x))))"]) == (
         0, "exp(x) + log(log(log(log(x))))\n")
+
+
+def test_parse_raises_only_parse_errors():
+    # str.isdigit() holds for superscripts that int() refuses; the grammar's
+    # digits are the ones int() reads, so no input escapes as another error
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @hyp.given(st.text("0123456789.xlogexp+-*/^() \t²⁴٣é½_", max_size=16))
+    def check(src):
+        try:
+            tree = parse(src)
+        except ParseError:
+            return
+        assert isinstance(tree, (Num, Var, Unary, Binary, Power))
+
+    check()
+
+
+def test_integer_powers_of_x_are_monomials():
+    assert parse_series("x^-3").expand(mono_pow(X, -3)) == {mono_pow(X, -3): 1}
+    assert parse_series("x^0").expand(make_monomial({})) == {make_monomial({}): 1}
+    # a fractional power carries the backend's coefficient
+    assert run_cli(["derive", "x^(3/2)", "--backend", "float"]) == (0, "1.5*x^(1/2)\n")
+    huge = "9" * 4000
+    assert run_cli(["eval", f"x^{huge}"]) == (0, f"x^{huge}\n")
+
+
+DIGITS = sys.get_int_max_str_digits()
+TOO_LONG = f"a number has more than {DIGITS} digits"
+BIG = "1" + "0" * 300
+# (argv, error type, offset, message) of inputs that once ended in a traceback
+FORMER_TRACEBACKS = [
+    (["eval", "x^²"], "ParseError", 2, "unexpected character '²' at offset 2"),
+    (["eval", "1" * 5000], "ParseError", 0,
+     f"literal longer than {DIGITS} digits at offset 0"),
+    (["eval", "2^20000"], "ResourceError", None, TOO_LONG),
+    (["eval", "10^5000*x"], "ResourceError", None, TOO_LONG),
+    (["eval", "1/(1-2^20000/x)"], "ResourceError", None, TOO_LONG),
+    # the message of the PartialConstantError is what cannot be printed
+    (["eval", "exp(2^20000)"], "ResourceError", None, TOO_LONG),
+    (["eval", "7" * 400 + "*x", "--backend", "float"], "PartialConstantError", None,
+     "constant out of float range [at offset 0]"),
+    (["compose", "x", "x+exp(1000)", "--backend", "float"], "PartialConstantError",
+     None, "exp(1000.0) is out of float range [at offset 2]"),
+    (["eval", "exp(1000)*x", "--backend", "float"], "PartialConstantError", None,
+     "exp(1000.0) is out of float range [at offset 0]"),
+    (["eval", f"({BIG}*x)^(3/2)", "--backend", "float"], "PartialConstantError", None,
+     f"1e+300^(3/2) is out of float range [at offset {len(BIG) + 4}]"),
+]
+
+
+@pytest.mark.parametrize("argv,kind,offset,message", FORMER_TRACEBACKS,
+                         ids=[f"{a[0]}-{k}-{i}" for i, (a, k, _, _)
+                              in enumerate(FORMER_TRACEBACKS)])
+def test_former_tracebacks_exit_3(argv, kind, offset, message):
+    text = message if kind == "ParseError" else f"{kind}: {message}"
+    assert run_cli(argv) == (3, f"error: {text}\n")
+    code, out = run_cli(argv + ["--json"])
+    assert code == 3
+    assert json.loads(out) == {"error": {"type": kind, "offset": offset,
+                                         "message": message}}
+
+
+def test_other_value_errors_surface(monkeypatch):
+    import transseries.cli as cli
+
+    def fault(text):
+        raise ValueError("a fault in the program")
+    monkeypatch.setattr(cli, "parse_series", fault)
+    with pytest.raises(ValueError, match="a fault in the program"):
+        run_cli(["eval", "x"])

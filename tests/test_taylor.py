@@ -16,7 +16,8 @@ from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
                          taylor_deform, taylor_identity_check, taylor_series)
 from transseries.calculus import derive_n
 from transseries.series import add, scale
-from transseries.taylor import _check_descent, is_flat, spec_condition_check
+from transseries.parser import parse_series
+from transseries.taylor import _check_descent, _compare, is_flat, spec_condition_check
 
 from helpers import assert_depth_equal, rng
 
@@ -397,3 +398,12 @@ def test_spec_condition_examples():
 def test_spec_condition_rejects_unit():
     with pytest.raises(PreconditionError):
         spec_condition_check(ONE)
+
+
+def test_compare_reports_the_first_discrepancy():
+    lhs = parse_series("1/(1-1/x)")
+    rep = _compare(lhs, parse_series("1/(1-1/x) + x^-3"), 6)
+    assert rep.status == "UNEQUAL" and not rep.equal
+    assert rep.detail == "first discrepancy -1 * x^-3"
+    assert [(t.coeff, t.mono) for t in rep.discrepancy] == [(-1, mono_pow(X, -3))]
+    assert _compare(lhs, lhs, 6).status == "EQUAL"
