@@ -28,7 +28,7 @@ class Limits:
     cut_prefix: int = 12           # degrees scanned by cut_member
 
     # fuel budgets
-    expand_fuel: int = 200_000     # lattice points visited per grid expansion
+    expand_fuel: int = 200_000     # lattice points one grid walk moves past
     term_fuel: int = 512           # candidate monomials walked per term search
     level_fuel: int = 4_096        # level-bound iterations in lazy sums
 

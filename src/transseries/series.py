@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -74,8 +73,8 @@ class ExactBackend:
 
 
 class FloatBackend:
-    """Binary floats, for CLI demos only; coerce, exp and pow refuse a
-    constant out of float range."""
+    """Binary floats, for CLI demos only.  Out of float range, coerce, exp
+    and pow refuse a constant, and TransSeries.expand a coefficient."""
 
     name = "float"
 
@@ -172,58 +171,76 @@ class GridCertificate:
 
     def points_above(self, cutoff: Monomial) -> set:
         """All grid monomials >= cutoff (finite, or BudgetExceededError)."""
-        ratios = sort_monomials(self.ratios)
-        return {m for b in self.bases
-                for _, m, inside in _walk_region(b, ratios, cutoff, False)
-                if inside}
+        return set(_region(self, cutoff))
 
     def member(self, m: Monomial, min_factors: int = 0) -> bool:
         """Is m a grid point (with at least min_factors ratio factors)?"""
-        if not self.ratios:
-            return m in self.bases and min_factors <= 0
-        ratios = sort_monomials(self.ratios)
-        return any(inside and p is m and sum(v) >= min_factors
-                   for b in self.bases
-                   for v, p, inside in _walk_region(b, ratios, m, False))
+        return _escape(self, {m: min_factors}) is None
 
 
-def _walk_region(base: Monomial, ratios: list, bound: Monomial,
-                 strict: bool) -> Iterator[tuple]:
-    """Breadth-first walk of the downward-closed lattice region
-    {v : base*z^v >= bound} (> bound when strict).
+# -- the lattice walk -----------------------------------------------------------
 
-    Yields (v, base*z^v, inside).  A region point is yielded when it is
-    expanded, which costs one unit of LIMITS.expand_fuel; a point outside
-    the region is yielded when it is first reached from a region point and
-    never expanded.
+
+_HEAP_KEY = cmp_to_key(lambda a, b: mono_cmp(b, a))  # max-heap on monomials
+
+
+def _walk(bases: Iterable[Monomial], ratios: Iterable[Monomial]) -> Iterator[tuple]:
+    """The grid points {b * z^v : b in bases, v in N^n} in strictly
+    decreasing order, each once, as (m, vs): vs are the lattice points v
+    that give m.
+
+    A frontier heap of lattice points, each pushed once.  The walk moves
+    past a grid point when it is resumed after yielding it: then each of
+    the point's lattice points costs one unit of LIMITS.expand_fuel, shared
+    by all bases, and its successors are pushed.  So a caller that stops at
+    the first point below a bound pays for the points at or above it only.
     """
-    c = mono_cmp(base, bound)
+    ratios = list(ratios)
     start = (0,) * len(ratios)
-    if not (c > 0 if strict else c >= 0):
-        yield start, base, False
-        return
-    seen = {start}
-    queue = deque([(start, base)])
-    fuel = budget = LIMITS.expand_fuel
-    while queue:
-        v, m = queue.popleft()
-        budget -= 1
-        if budget < 0:
+    heap = [(_HEAP_KEY(b), bi, start, b) for bi, b in enumerate(bases)]
+    heapq.heapify(heap)
+    seen = {(bi, start) for bi in range(len(heap))}
+    fuel, walked = LIMITS.expand_fuel, 0
+    while heap:
+        top = heap[0][3]
+        group = []
+        while heap and heap[0][3] is top:
+            group.append(heapq.heappop(heap))
+        yield top, [v for _, _, v, _ in group]
+        walked += len(group)
+        if walked > fuel:
             raise BudgetExceededError(
-                f"grid walk above {bound.render()} exceeded {fuel} lattice "
+                f"grid walk past {top.render()} exceeded {fuel} lattice "
                 "points; the bound may lie beyond the grid's archimedean reach")
-        yield v, m, True
-        for i in range(len(ratios)):
-            w = v[:i] + (v[i] + 1,) + v[i + 1:]
-            if w in seen:
-                continue
-            seen.add(w)
-            m2 = mono_mul(m, ratios[i])
-            c = mono_cmp(m2, bound)
-            if c > 0 if strict else c >= 0:
-                queue.append((w, m2))
-            else:
-                yield w, m2, False
+        for _, bi, v, m in group:
+            for i, z in enumerate(ratios):
+                w = v[:i] + (v[i] + 1,) + v[i + 1:]
+                if (bi, w) not in seen:
+                    seen.add((bi, w))
+                    m2 = mono_mul(m, z)
+                    heapq.heappush(heap, (_HEAP_KEY(m2), bi, w, m2))
+
+
+def _region(cert: GridCertificate, bound: Monomial) -> dict:
+    """{m: the most ratio factors of a lattice point giving m} over the grid
+    points m >= bound; a base below the bound cannot reach it."""
+    region = {}
+    above = [b for b in cert.bases if mono_cmp(b, bound) >= 0]
+    for m, vs in _walk(above, cert.ratios):
+        if mono_cmp(m, bound) < 0:
+            break
+        region[m] = max(map(sum, vs))
+    return region
+
+
+def _escape(cert: GridCertificate, wanted: dict) -> Optional[Monomial]:
+    """The largest monomial m of `wanted` that is not a grid point with at
+    least wanted[m] ratio factors, or None; one walk down to the smallest."""
+    if not wanted:
+        return None
+    region = _region(cert, max(wanted, key=_HEAP_KEY))  # the smallest
+    out = [m for m, k in wanted.items() if m not in region or region[m] < k]
+    return mono_max(out) if out else None
 
 
 # -- the series type ----------------------------------------------------------
@@ -232,8 +249,6 @@ def _walk_region(base: Monomial, ratios: list, bound: Monomial,
 # term fuel of the quick probes for one or two leading terms: well below
 # LIMITS.term_fuel, so that a probe that cannot decide fails fast
 PROBE_FUEL = 64
-
-_HEAP_KEY = cmp_to_key(lambda a, b: mono_cmp(b, a))  # max-heap on monomials
 
 
 class TransSeries:
@@ -263,9 +278,13 @@ class TransSeries:
         if self._cutoff is not None and mono_cmp(cutoff, self._cutoff) >= 0:
             return {m: c for m, c in self._cache.items()
                     if mono_cmp(m, cutoff) >= 0}
-        got = self._expander(cutoff)
-        self._cache = {m: c for m, c in got.items() if c}
-        self._cutoff = cutoff
+        got = {m: c for m, c in self._expander(cutoff).items() if c}
+        if LIMITS.backend == "float":    # the exact backend makes no floats
+            for m, c in got.items():
+                if c.__class__ is float and not math.isfinite(c):
+                    raise PartialConstantError(
+                        f"coefficient {c} of {m.render()} is out of float range")
+        self._cache, self._cutoff = got, cutoff
         return dict(self._cache)
 
     def terms_above(self, cutoff: Monomial) -> list:
@@ -276,33 +295,9 @@ class TransSeries:
     # -- decreasing-term facade ---------------------------------------------
 
     def _candidates(self) -> Iterator[Monomial]:
-        """Certificate grid monomials in strictly decreasing order.
-
-        Frontier priority queue over lattice points; ties broken by
-        (base index, lattice exponent) so the walk is value-canonical.
-        """
-        ratios = sort_monomials(self.cert.ratios)
-        n = len(ratios)
-        heap = []
-        seen = set()
-        for bi, b in enumerate(sort_monomials(self.cert.bases)):
-            start = (0,) * n
-            seen.add((bi, start))
-            heapq.heappush(heap, (_HEAP_KEY(b), bi, start, b))
-        while heap:
-            top = heap[0][0].obj
-            group = []
-            while heap and heap[0][0].obj is top:
-                group.append(heapq.heappop(heap))
-            for _, bi, v, m in group:
-                for i in range(n):
-                    w = v[:i] + (v[i] + 1,) + v[i + 1:]
-                    if (bi, w) in seen:
-                        continue
-                    seen.add((bi, w))
-                    m2 = mono_mul(m, ratios[i])
-                    heapq.heappush(heap, (_HEAP_KEY(m2), bi, w, m2))
-            yield top
+        """Certificate grid monomials in strictly decreasing order."""
+        for m, _ in _walk(self.cert.bases, self.cert.ratios):
+            yield m
 
     def first_terms(self, n: int, fuel: Optional[int] = None) -> list:
         """The n largest terms (fewer if the support is smaller), exact.
@@ -457,10 +452,8 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     cert = s.cert.product(t.cert)
 
     def expander(cutoff):
-        ms = s.cert.grid_max()
-        mt = t.cert.grid_max()
-        if ms is None or mt is None:
-            return {}
+        # expand never calls the expander of a trivial product certificate
+        ms, mt = s.cert.grid_max(), t.cert.grid_max()
         left = s.expand(mono_mul(cutoff, mt.inv()))
         right = t.expand(mono_mul(cutoff, ms.inv()))
         acc: dict = {}
@@ -537,15 +530,19 @@ def truncate_initial(s: TransSeries, cutoff: Monomial) -> TransSeries:
 
 
 def _infinitesimal_bases(cert: GridCertificate, dom: Monomial) -> frozenset:
-    """Rewrite the part of the grid at or below `dom` with bases <= dom.
-
-    Walks each base's region strictly above dom and collects the boundary
-    points; sound because the region is downward closed.
-    """
-    ratios = sort_monomials(cert.ratios)
-    return frozenset(m for b in cert.bases
-                     for _, m, inside in _walk_region(b, ratios, dom, True)
-                     if not inside)
+    """Rewrite the part of the grid at or below `dom` with bases <= dom: the
+    bases at or below dom, and p*z at or below dom for each grid point p
+    above dom and each ratio z.  Sound because the grid points above dom
+    form a downward closed lattice region."""
+    out = {b for b in cert.bases if mono_cmp(b, dom) <= 0}
+    for p, _ in _walk(cert.bases - out, cert.ratios):
+        if mono_cmp(p, dom) <= 0:
+            break
+        for z in cert.ratios:
+            q = mono_mul(p, z)
+            if mono_cmp(q, dom) <= 0:
+                out.add(q)
+    return frozenset(out)
 
 
 def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
@@ -649,7 +646,7 @@ def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
     it = iter(producer)
     consumed: list = []
     state = {"exhausted": False, "last_level": -1}
-    checked: set = set()
+    checked: dict = {}    # monomial -> the most ratio factors it was checked for
 
     def pull_through(level_cap):
         while not state["exhausted"] and state["last_level"] <= level_cap:
@@ -666,8 +663,6 @@ def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
             consumed.append((level, series))
 
     def expander(cutoff):
-        if gmax is None:
-            return {}
         if zmax is None:
             pull_through(LIMITS.level_fuel)
             if not state["exhausted"]:
@@ -680,7 +675,21 @@ def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
             # above the cutoff, else the level contract was violated
             pull_through(cap + LIMITS.divergence_window)
         acc: dict = {}
-        for idx, (level, series) in enumerate(consumed):
+        new: dict = {}    # unchecked monomial -> the ratio factors it needs
+        for level, series in consumed:
+            if level > cap:
+                continue
+            for m, c in series.expand(cutoff).items():
+                if checked.get(m, -1) < level:
+                    new[m] = level    # levels are nondecreasing
+                acc[m] = acc.get(m, 0) + c
+        m = _escape(cert, new)
+        if m is not None:
+            raise SummabilityViolationError(
+                f"monomial {m.render()} of the level-{new[m]} summand "
+                f"is outside the declared grid", witness=m)
+        checked.update(new)
+        for level, series in consumed:
             if level > cap:
                 stray = series.expand(cutoff)
                 if stray:
@@ -688,15 +697,6 @@ def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
                         f"level-{level} summand reaches above the cutoff "
                         f"bound with {next(iter(stray)).render()}",
                         witness=next(iter(stray)))
-                continue
-            for m, c in series.expand(cutoff).items():
-                if (idx, m) not in checked:
-                    if not cert.member(m, min_factors=level):
-                        raise SummabilityViolationError(
-                            f"monomial {m.render()} of the level-{level} summand "
-                            f"is outside the declared grid", witness=m)
-                    checked.add((idx, m))
-                acc[m] = acc.get(m, 0) + c
         return acc
 
     return TransSeries(cert, expander)
@@ -744,15 +744,18 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
     def expander(cutoff):
         pulled = s.expand(mono_mul(cutoff, growth.inv()))
         acc: dict = {}
+        new: dict = {}    # unchecked image monomial -> its first source
         for m, coeff in pulled.items():
             for mi, ci in image(m).expand(cutoff).items():
                 if mi not in checked:
-                    if not icert.member(mi):
-                        raise SummabilityViolationError(
-                            f"image monomial {mi.render()} of {m.render()} "
-                            f"escapes the declared image grid", witness=mi)
-                    checked.add(mi)
+                    new.setdefault(mi, m)
                 acc[mi] = acc.get(mi, 0) + coeff * ci
+        mi = _escape(icert, dict.fromkeys(new, 0))
+        if mi is not None:
+            raise SummabilityViolationError(
+                f"image monomial {mi.render()} of {new[mi].render()} "
+                f"escapes the declared image grid", witness=mi)
+        checked.update(new)
         return acc
 
     return TransSeries(icert, expander)
@@ -804,14 +807,8 @@ def equal_below(s: TransSeries, t: TransSeries, cutoff: Monomial) -> bool:
 def depth_cutoff(s: TransSeries, depth: int):
     """(cutoff, exhausted): the (depth+1)-th grid candidate of s, or the
     last one if the grid has fewer points."""
-    last = None
-    walker = s._candidates()
-    for _ in range(depth + 1):
-        try:
-            last = next(walker)
-        except StopIteration:
-            return last, True
-    return last, False
+    walked = list(itertools.islice(s._candidates(), depth + 1))
+    return (walked[-1] if walked else None), len(walked) <= depth
 
 
 def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):

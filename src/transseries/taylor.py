@@ -207,6 +207,7 @@ class IdentityReport:
     rhs: Optional[TransSeries] = None
     discrepancy: tuple = field(default_factory=tuple)
     conv_report: Optional[ConvReport] = None
+    cutoff: Optional[Monomial] = None    # from compare_to_depth; None if SKIPPED
 
     @property
     def equal(self) -> bool:
@@ -216,14 +217,14 @@ class IdentityReport:
 def _compare(lhs: TransSeries, rhs: TransSeries, depth: int,
              conv_report: Optional[ConvReport] = None) -> IdentityReport:
     """The EQUAL or UNEQUAL report of comparing lhs and rhs to depth."""
-    equal, _, bad = compare_to_depth(lhs, rhs, depth)
+    equal, cutoff, bad = compare_to_depth(lhs, rhs, depth)
     if equal:
         return IdentityReport("EQUAL", f"agrees through depth {depth}",
-                              lhs, rhs, conv_report=conv_report)
+                              lhs, rhs, conv_report=conv_report, cutoff=cutoff)
     t = bad[0]
     return IdentityReport("UNEQUAL",
                           f"first discrepancy {t.coeff} * {t.mono.render()}",
-                          lhs, rhs, tuple(bad), conv_report)
+                          lhs, rhs, tuple(bad), conv_report, cutoff)
 
 
 def taylor_identity_check(f: TransSeries, g: TransSeries, delta: TransSeries,

@@ -447,3 +447,50 @@ def test_other_value_errors_surface(monkeypatch):
     monkeypatch.setattr(cli, "parse_series", fault)
     with pytest.raises(ValueError, match="a fault in the program"):
         run_cli(["eval", "x"])
+
+
+# (argv, message) of refused operator, cut and ratio arguments: each is a
+# ParseError at offset 0
+REFUSED_ARGUMENTS = [
+    (["locus", "exp(x)", "--op", "bogus", "--delta", "1/x"],
+     "unknown operator spec 'bogus' (use 'identity' or 'compose:EXPR')"),
+    (["cutcheck", "1/x", "--cut", "bogus"],
+     "unknown cut spec 'bogus' (use all, empty, above:EXPR, aboveeq:EXPR)"),
+    (["cutcheck", "1/x", "--cut", "above:x-x"],
+     "cut boundary must be a nonzero series"),
+    (["cutcheck", "x-x", "--cut", "all"], "cutcheck ratio must be a nonzero series"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_ARGUMENTS,
+                         ids=[" ".join(a[:2]) + f"-{i}"
+                              for i, (a, _) in enumerate(REFUSED_ARGUMENTS)])
+def test_refused_arguments_exit_3(argv, message):
+    message += " at offset 0"
+    assert run_cli(argv) == (3, f"error: {message}\n")
+    code, out = run_cli(argv + ["--json"])
+    assert code == 3
+    assert json.loads(out) == {"error": {"type": "ParseError", "offset": 0,
+                                         "message": message}}
+
+
+# (expression, message) under the float backend: a coefficient that leaves
+# the float range is refused where the series stores it, never printed as
+# inf or nan
+FLOAT_OVERFLOWS = [
+    ("exp(10^400*x)", "coefficient inf of 1 is out of float range [at offset 0]"),
+    ("10^400*x", "coefficient inf of 1 is out of float range"),
+    ("(10^200*x)^2", "coefficient inf of x^2 is out of float range"),
+    ("10^400*x - 10^400*x", "coefficient inf of 1 is out of float range"),
+    ("1/(10^400*x)", "coefficient inf of 1 is out of float range [at offset 1]"),
+]
+
+
+@pytest.mark.parametrize("expr,message", FLOAT_OVERFLOWS)
+def test_float_overflow_exits_3(expr, message):
+    argv = ["eval", expr, "--backend", "float"]
+    assert run_cli(argv) == (3, f"error: PartialConstantError: {message}\n")
+    code, out = run_cli(argv + ["--json"])
+    assert code == 3
+    assert json.loads(out) == {"error": {"type": "PartialConstantError",
+                                         "offset": None, "message": message}}

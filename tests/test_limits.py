@@ -68,6 +68,30 @@ def test_expand_fuel_bounds_the_region_walks(monkeypatch):
         _infinitesimal_bases(cert, xpow(-2))
 
 
+def test_expand_fuel_is_shared_by_the_bases_of_one_walk(monkeypatch):
+    # three lattice points at or above x^-2 from each base: 1, x^-1, x^-2
+    # and x^(1/2), x^(-1/2), x^(-3/2)
+    cert = GridCertificate.of([ONE, xpow(Fraction(1, 2))], [X_INV])
+    monkeypatch.setattr(LIMITS, "expand_fuel", 6)
+    assert len(cert.points_above(xpow(-2))) == 6
+    assert cert.member(xpow(-2), min_factors=2)
+    monkeypatch.setattr(LIMITS, "expand_fuel", 5)
+    with pytest.raises(BudgetExceededError):
+        cert.points_above(xpow(-2))
+    with pytest.raises(BudgetExceededError):
+        cert.member(xpow(-2))
+
+
+def test_expand_fuel_bounds_the_term_search(monkeypatch):
+    # the search stops at x^-3, the fourth grid point, having walked past three
+    geom = parse_series("1/(1 - 1/x)")
+    monkeypatch.setattr(LIMITS, "expand_fuel", 3)
+    assert len(geom.first_terms(4)) == 4
+    monkeypatch.setattr(LIMITS, "expand_fuel", 2)
+    with pytest.raises(BudgetExceededError, match="exceeded 2 lattice points"):
+        geom.first_terms(4)
+
+
 def test_cut_prefix_sets_the_scanned_degrees(monkeypatch):
     ones = PowerSeries(lambda k: ONE_SERIES, joint=PSJointCert.of([ONE], [], [ONE]))
     delta = mono_series(X_INV)

@@ -440,6 +440,69 @@ def test_iterate_rejects_non_contracting():
         iterate_contracting(phi, lambda k: 1, ONE_SERIES, gamma=[X_INV])
 
 
+def test_iterate_rejects_growing_generators():
+    phi = lambda t: mul(t, mono_series(X_INV))
+    with pytest.raises(PreconditionError, match="generator x is not infinitesimal"):
+        iterate_contracting(phi, lambda k: 1, ONE_SERIES, gamma=[X_INV, X])
+
+
+# -- refusals of lazy summation ----------------------------------------------------
+
+
+def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
+    # at cutoff x^-1 only levels 0 and 1 can reach; a level-3 summand that
+    # still does breaks the level contract
+    s = sum_lazy(iter([(0, ONE_SERIES), (3, ONE_SERIES)]), bases=[ONE], ratios=[X_INV])
+    with pytest.raises(SummabilityViolationError,
+                       match="level-3 summand reaches above the cutoff bound with 1"
+                       ) as exc:
+        s.expand(X_INV)
+    assert exc.value.witness is ONE
+
+
+def test_sum_lazy_refuses_decreasing_levels():
+    s = sum_lazy(iter([(2, mono_series(xpow(-2))), (1, mono_series(X_INV))]),
+                 bases=[ONE], ratios=[X_INV])
+    with pytest.raises(PreconditionError, match="must be nondecreasing"):
+        s.expand(xpow(-3))
+
+
+def test_sum_lazy_pulls_at_most_level_fuel_summands(monkeypatch):
+    from itertools import repeat
+    from transseries.limits import LIMITS
+    s = sum_lazy(zip(repeat(0), repeat(ZERO)), bases=[ONE], ratios=[X_INV])
+    monkeypatch.setattr(LIMITS, "level_fuel", 3)
+    with pytest.raises(BudgetExceededError, match="pulled too many summands"):
+        s.expand(ONE)
+
+
+def test_sum_lazy_without_ratios_needs_a_finite_producer():
+    from itertools import count
+    finite = sum_lazy(iter([(0, ONE_SERIES), (0, ONE_SERIES)]), bases=[ONE], ratios=[])
+    assert finite.expand(ONE) == {ONE: 2}
+    endless = sum_lazy(((k, ONE_SERIES) for k in count(0, 5000)),
+                       bases=[ONE], ratios=[])
+    with pytest.raises(PreconditionError, match="requires a finite producer"):
+        endless.expand(ONE)
+
+
+def test_extend_requires_every_part_of_the_certificate():
+    s = from_terms([(1, ONE), (1, X_INV)])
+    full = dict(image_bases=[ONE], image_ratios=[X_INV], growth=ONE)
+    for missing in full:
+        with pytest.raises(PreconditionError, match="common image certificate"):
+            extend_strongly_linear(mono_series, s, **{**full, missing: None})
+
+
+def test_extend_refuses_a_map_that_is_not_multiplicative():
+    # m -> m * x^-1 sends a*b to a*b*x^-1 but a and b to a*b*x^-2
+    s = from_terms([(1, ONE), (1, X_INV)])
+    with pytest.raises(PreconditionError, match="map is not multiplicative on"):
+        extend_strongly_linear(lambda m: mono_series(mono_mul(m, X_INV)), s,
+                               image_bases=[X_INV], image_ratios=[X_INV],
+                               growth=X_INV, multiplicative=True)
+
+
 def test_certificate_points_above():
     cert = GridCertificate.of([X], [X_INV])
     got = cert.points_above(xpow(-2))

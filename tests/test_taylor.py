@@ -407,3 +407,26 @@ def test_compare_reports_the_first_discrepancy():
     assert rep.detail == "first discrepancy -1 * x^-3"
     assert [(t.coeff, t.mono) for t in rep.discrepancy] == [(-1, mono_pow(X, -3))]
     assert _compare(lhs, lhs, 6).status == "EQUAL"
+
+
+def test_report_keeps_the_checked_cutoff():
+    # a vacuous EQUAL: the check stops at x^-4*exp(x^2), the fifth position
+    # of the difference's grid, and the report says so
+    rep = taylor_identity_check(parse_series("exp(x^2)"), parse_series("x"),
+                                parse_series("1/exp(x)"), depth=4)
+    assert rep.status == "EQUAL"
+    assert rep.cutoff is mono_mul(xpow(-4), make_monomial({}, [(1, X2)]))
+    lhs = parse_series("1/(1-1/x)")
+    assert _compare(lhs, parse_series("1/(1-1/x) + x^-3"), 6).cutoff is xpow(-6)
+
+
+@pytest.mark.parametrize("check,f,detail", [
+    (analytic_commutation_check, "2*x",
+     "log(2) is irrational; exact backend only knows log(1)"),
+    (chain_rule_transport_check, "exp(x)",
+     "Taylor deformation refused: locus is certified_divergent ("),
+])
+def test_corollary_checks_skip_on_refusal(check, f, detail):
+    rep = check(parse_series(f), ID_AT_1)
+    assert rep.status == "SKIPPED" and rep.detail.startswith(detail)
+    assert rep.cutoff is None
