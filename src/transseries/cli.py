@@ -205,6 +205,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.terms < 0:
+            ap.error(f"argument --terms: {args.terms} is negative")
     except SystemExit as e:
         # argparse exits 2 on a usage error, which is a verdict code here
         if e.code == 2:

@@ -302,9 +302,9 @@ class TransSeries:
     def first_terms(self, n: int, fuel: Optional[int] = None) -> list:
         """The n largest terms (fewer if the support is smaller), exact.
 
-        k grid positions hold at most k terms, so the first expansion is
-        made at grid position n; after that, one per position, through at
-        most `fuel` positions (LIMITS.term_fuel by default).  Raises
+        A grid position holds at most one term, so the search expands at
+        position n, then n - j positions past an expansion holding j terms,
+        through at most `fuel` positions (LIMITS.term_fuel by default).  Raises
         BudgetExceededError if those positions hold fewer than n terms and
         the grid goes on (supports with long zero-coefficient grid
         prefixes).
@@ -834,17 +834,17 @@ def _term_search(s: TransSeries, want: int, budget: int) -> tuple:
     positions, or at the last position searched; and the candidate walker,
     positioned after that position (a finished walker once the grid ends).
 
-    k grid positions hold at most k terms, so no expansion before position
-    `want` can end the search: the first one is made there."""
+    A grid position holds at most one term, so after an expansion at position
+    p (0 at first) holding j < want terms, the next is made at p + want - j."""
     walker = s._candidates()
-    first = min(want, budget)
-    d, pos = {}, 0
+    d, done, pos, probe = {}, 0, 0, min(want, budget)
     for pos, cand in enumerate(itertools.islice(walker, budget), 1):
-        if pos >= first:
-            d = s.expand(cand)
+        if pos >= probe:
+            d, done = s.expand(cand), pos
             if len(d) >= want:
                 break
-    if 0 < pos < first:  # the grid ended before position `first`
+            probe = min(pos + want - len(d), budget)
+    if done < pos:  # the grid ended before the next probe
         d = s.expand(cand)
     return d, walker
 

@@ -216,7 +216,11 @@ class IdentityReport:
 
 def _compare(lhs: TransSeries, rhs: TransSeries, depth: int,
              conv_report: Optional[ConvReport] = None) -> IdentityReport:
-    """The EQUAL or UNEQUAL report of comparing lhs and rhs to depth."""
+    """The EQUAL or UNEQUAL report of comparing lhs and rhs to depth, or
+    SKIPPED at a depth that compares nothing."""
+    if depth < 1:
+        return IdentityReport("SKIPPED", f"depth {depth} compares no grid position",
+                              conv_report=conv_report)
     equal, cutoff, bad = compare_to_depth(lhs, rhs, depth)
     if equal:
         return IdentityReport("EQUAL", f"agrees through depth {depth}",

@@ -494,3 +494,27 @@ def test_float_overflow_exits_3(expr, message):
     assert code == 3
     assert json.loads(out) == {"error": {"type": "PartialConstantError",
                                          "offset": None, "message": message}}
+
+
+def test_taylor_at_depth_0_is_skipped():
+    argv = ["taylor", "1/x", "x", "1", "--terms", "0"]
+    assert run_cli(argv) == (4, "locus: certified_convergent\n"
+                                "SKIPPED: depth 0 compares no grid position\n")
+    code, out = run_cli(argv + ["--json"])
+    assert code == 4
+    assert json.loads(out) == {"command": "taylor", "verdict": "SKIPPED", "terms": [],
+                               "witnesses": ["depth 0 compares no grid position"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "1/x"], ["derive", "1/x"], ["compose", "1/x", "x+1"],
+    ["taylor", "1/x", "x", "1"], ["identity-check", "1/x", "x", "1"],
+    ["locus", "1/x", "--delta", "1"], ["cutcheck", "1/x", "--cut", "all"]],
+    ids=lambda argv: argv[0])
+def test_negative_terms_is_a_usage_error(argv, capsys):
+    for extra in ([], ["--json"]):
+        assert run_cli(argv + ["--terms", "-1"] + extra) == (3, "")
+        err = capsys.readouterr().err
+        assert "usage: transseries" in err
+        assert "argument --terms: -1 is negative" in err
+    assert run_cli(["eval", "1/x", "--terms", "0"]) == (0, "O(x^-1)\n")

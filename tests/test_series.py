@@ -1,11 +1,12 @@
 """Series engine: arithmetic, dominance, summability machinery."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
-                         DivisionByZeroSeries,
+from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
+                         DivisionByZeroSeries, compose,
                          DomainError, GridCertificate, PreconditionError,
                          SummabilityViolationError, TransSeries, X, atom,
                          dominance, dominant_decompose, equal_below,
@@ -15,8 +16,8 @@ from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          mono_series, mul, sum_family, sum_lazy,
                          truncate_initial)
 from transseries.parser import parse_series
-from transseries.series import (add, compare_to_depth, depth_cutoff,
-                                render_series, scale)
+from transseries.series import (_term_search, add, compare_to_depth,
+                                depth_cutoff, render_series, scale)
 
 from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
 from noetherian_oracle import check_product_noetherian
@@ -636,6 +637,76 @@ def test_first_terms_fuel_below_n():
     assert s.first_terms(5, fuel=3) == want
     with pytest.raises(BudgetExceededError):
         from_terms([(1, X), (2, ONE), (3, X_INV)]).first_terms(5, fuel=2)
+
+
+def _cancelling_composites():
+    """Series whose grids are infinite but whose coefficients are zero past
+    the first few positions: 1/(1-5/x) and (1-1/x)/(1-5/x) at x + 5 are
+    1 + 5/x and 1 + 4/x, and the difference is x^-2 + x^-4 + ... - x^-1."""
+    x5 = parse_series("x+5")
+    return [compose(parse_series("1/(1-5/x)"), x5),
+            compose(parse_series("(1-1/x)/(1-5/x)"), x5),
+            parse_series("1/(1-1/x) - 1/(1-1/x^2)")]
+
+
+def _one_position_search(s, want, budget):
+    """The reference term search: an expansion at every grid position until
+    one holds `want` terms, through at most `budget` positions."""
+    walker = s._candidates()
+    d = {}
+    for cand in itertools.islice(walker, budget):
+        d = s.expand(cand)
+        if len(d) >= want:
+            break
+    return d, walker
+
+
+def _probe_positions(s, nterms):
+    """The grid positions at which render_series(s, nterms) expands s."""
+    position = {m: k for k, m in enumerate(itertools.islice(s._candidates(), 64), 1)}
+    expander, probes = s._expander, []
+
+    def recording(cutoff):
+        probes.append(position[cutoff])
+        return expander(cutoff)
+
+    s._expander = recording
+    render_series(s, nterms)
+    return probes
+
+
+def test_term_search_skips_positions_that_cannot_end_it():
+    # 1 + 5/x on an infinite grid: at n = 8 the search wants 9 terms within
+    # 22 positions; 2 terms at position 9 leave 7 to find, so the next
+    # position that can end the search is 16, and after it the budget's end
+    assert _probe_positions(_cancelling_composites()[0], 8) == [9, 16, 22]
+    assert _probe_positions(_cancelling_composites()[0], 4) == [5, 8, 11, 14]
+
+
+def test_term_search_matches_the_one_position_search():
+    def check(s, budgets):
+        for want in range(1, 11):
+            for budget in budgets(want):
+                d, walker = _term_search(s, want, budget)
+                ref, ref_walker = _one_position_search(s, want, budget)
+                assert d == ref, (want, budget)
+                assert next(walker, None) == next(ref_walker, None), (want, budget)
+
+    for seed in range(50):
+        check(rand_grid_series(rng(900 + seed)),
+              lambda want: (want, 2 * want + 6, LIMITS.term_fuel))
+    # the composites cost about k^3.3 per expansion at grid position k
+    for s in _cancelling_composites():
+        check(s, lambda want: (want, 2 * want + 6))
+
+
+def test_first_terms_refuses_within_a_lowered_term_fuel(monkeypatch):
+    s = _cancelling_composites()[0]
+    monkeypatch.setattr(LIMITS, "term_fuel", 20)
+    assert [t.mono for t in s.first_terms(2)] == [ONE, X_INV]
+    with pytest.raises(BudgetExceededError,
+                       match="^could not locate 3 terms within 20 candidate monomials$"):
+        s.first_terms(3)
 
 
 # -- rendering ---------------------------------------------------------------------

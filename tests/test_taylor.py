@@ -430,3 +430,13 @@ def test_corollary_checks_skip_on_refusal(check, f, detail):
     rep = check(parse_series(f), ID_AT_1)
     assert rep.status == "SKIPPED" and rep.detail.startswith(detail)
     assert rep.cutoff is None
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_identity_at_depth_below_1_compares_nothing(depth):
+    # the comparison would stop at the first grid position, above which
+    # nothing lies: an EQUAL there would be vacuous
+    rep = taylor_identity_check(mono_series(X_INV), X_SERIES, ONE_SERIES, depth=depth)
+    assert rep.status == "SKIPPED" and not rep.equal
+    assert rep.detail == f"depth {depth} compares no grid position"
+    assert rep.conv_report.convergent and rep.cutoff is None
