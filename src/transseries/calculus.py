@@ -23,7 +23,7 @@ from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      active_backend, add, const, dominant_decompose,
                      extend_strongly_linear, from_terms, geometric_substitute,
                      invert, mono_series, mul, scale, sum_family,
-                     _infinitesimal_bases, _level_cap)
+                     _extend, _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -243,25 +243,20 @@ def compose(f: TransSeries, h) -> TransSeries:
         return ZERO
 
     bases, ratios, rho = _image_grid(h.mono_image, f.cert.bases, f.cert.ratios)
-    cert = GridCertificate(frozenset(bases), frozenset(ratios))
-    base_img = {b: h.mono_image(b) for b in f.cert.bases}
     zmin = min(f.cert.ratios) if f.cert.ratios else None
 
-    def expander(cutoff):
+    def source_cutoff(cutoff):
         cut_f = None
-        for b, img in base_img.items():
-            mb = img.cert.grid_max()
+        for b in f.cert.bases:
+            mb = h.mono_image(b).cert.grid_max()
             cap = 0 if rho is None else _level_cap(mb, rho, cutoff)
             floor = b if zmin is None else mono_mul(b, mono_pow(zmin, cap))
             if cut_f is None or mono_cmp(floor, cut_f) < 0:
                 cut_f = floor
-        acc: dict = {}
-        for m, coeff in f.expand(cut_f).items():
-            for mi, ci in h.mono_image(m).expand(cutoff).items():
-                acc[mi] = acc.get(mi, 0) + coeff * ci
-        return acc
+        return cut_f
 
-    return TransSeries(cert, expander)
+    return _extend(h.mono_image, f, GridCertificate(frozenset(bases), frozenset(ratios)),
+                   source_cutoff)
 
 
 # -- Faà di Bruno --------------------------------------------------------------

@@ -175,6 +175,16 @@ _COMMANDS = (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # keep argparse's message on its SystemExit for the --json error line
+        try:
+            super().error(message)
+        except SystemExit as e:
+            e.message = message
+            raise
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=int, default=8,
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a stable JSON report")
 
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="transseries",
         description="exact log-exp transseries kernel")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -201,15 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _print_json_error(kind: str, message: str, offset=None) -> None:
+    print(json.dumps({"error": {"type": kind, "message": message, "offset": offset}},
+                     sort_keys=True))
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
         if args.terms < 0:
             ap.error(f"argument --terms: {args.terms} is negative")
     except SystemExit as e:
-        # argparse exits 2 on a usage error, which is a verdict code here
+        # argparse exits 2 on a usage error, which is a verdict code here;
+        # it reads any prefix of --json from --j as the flag, but not after --
         if e.code == 2:
+            flags = argv[:argv.index("--")] if "--" in argv else argv
+            if any(a.startswith("--j") and "--json".startswith(a) for a in flags):
+                _print_json_error("UsageError", e.message)
             return EXIT_INPUT
         raise
     bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound,
@@ -230,9 +250,8 @@ def main(argv=None) -> int:
             e = ResourceError("a number has more than "
                               f"{sys.get_int_max_str_digits()} digits")
         if args.json:
-            offset = e.position if isinstance(e, ParseError) else None
-            print(json.dumps({"error": {"type": type(e).__name__, "message": str(e),
-                                        "offset": offset}}, sort_keys=True))
+            _print_json_error(type(e).__name__, str(e),
+                              e.position if isinstance(e, ParseError) else None)
         elif isinstance(e, ParseError):
             print(f"error: {e}")
         else:

@@ -739,18 +739,27 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
                     raise PreconditionError(
                         f"map is not multiplicative on {a.render()}, {b.render()}")
 
+    return _extend(image, s, icert, lambda cutoff: mono_mul(cutoff, growth.inv()))
+
+
+def _extend(image: Callable[[Monomial], TransSeries], s: TransSeries,
+            cert: GridCertificate,
+            source_cutoff: Callable[[Monomial], Monomial]) -> TransSeries:
+    """The node sum_m s_m * image(m) on the grid `cert`.  An expansion at a
+    cutoff expands s at source_cutoff(cutoff), which must reach every m whose
+    image has a term at or above the cutoff; an image monomial outside the
+    grid raises SummabilityViolationError naming it."""
     checked: set = set()
 
     def expander(cutoff):
-        pulled = s.expand(mono_mul(cutoff, growth.inv()))
         acc: dict = {}
         new: dict = {}    # unchecked image monomial -> its first source
-        for m, coeff in pulled.items():
+        for m, coeff in s.expand(source_cutoff(cutoff)).items():
             for mi, ci in image(m).expand(cutoff).items():
                 if mi not in checked:
                     new.setdefault(mi, m)
                 acc[mi] = acc.get(mi, 0) + coeff * ci
-        mi = _escape(icert, dict.fromkeys(new, 0))
+        mi = _escape(cert, dict.fromkeys(new, 0))
         if mi is not None:
             raise SummabilityViolationError(
                 f"image monomial {mi.render()} of {new[mi].render()} "
@@ -758,7 +767,7 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
         checked.update(new)
         return acc
 
-    return TransSeries(icert, expander)
+    return TransSeries(cert, expander)
 
 
 def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,

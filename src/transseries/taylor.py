@@ -136,21 +136,20 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
                       "generator check failed but no support witness was found")
 
 
-def taylor_series(f: TransSeries, spec: Optional[LocusSpec] = None, *,
-                  check: bool = True) -> PowerSeries:
-    """The Taylor morphism f -> sum f^(k)/k! X^k with its joint certificate.
+def taylor_series(f: TransSeries, spec: LocusSpec) -> PowerSeries:
+    """The Taylor morphism f -> sum f^(k)/k! X^k with its joint certificate,
+    for f in the certified locus of spec."""
+    rep = locus_contains(spec, f)
+    if not rep.convergent:
+        raise PreconditionError(
+            f"Taylor series refused: locus is {rep.verdict} ({rep.detail})")
+    return _taylor_morphism(f)
 
-    The per-degree factor alphabet is the dagger-support closure of f's
-    certificate generators: the k-th derivative multiplies the support by
-    exactly k such factors.
-    """
-    if check:
-        if spec is None:
-            raise PreconditionError("taylor_series needs a locus to certify")
-        rep = locus_contains(spec, f)
-        if not rep.convergent:
-            raise PreconditionError(
-                f"Taylor series refused: locus is {rep.verdict} ({rep.detail})")
+
+def _taylor_morphism(f: TransSeries) -> PowerSeries:
+    """The Taylor morphism of f, unchecked.  Its per-degree factor alphabet is
+    the dagger-support closure of f's certificate generators: the k-th
+    derivative multiplies the support by exactly k such factors."""
     gens = set(f.cert.bases) | set(f.cert.ratios)
     factors = dagger_support_closure(gens)
     joint = PSJointCert.of(f.cert.bases, f.cert.ratios, factors)
@@ -170,14 +169,17 @@ def taylor_deform(f: TransSeries, spec: LocusSpec) -> TransSeries:
     """T_delta of the operator applied to f, as the three-step pipeline:
     Taylor morphism, coefficientwise operator image, evaluation at delta;
     the descent of the first three terms is checked."""
-    rep = locus_contains(spec, f)
+    return _deform(f, spec, locus_contains(spec, f))
+
+
+def _deform(f: TransSeries, spec: LocusSpec, rep: ConvReport) -> TransSeries:
+    """taylor_deform with the locus of f already decided as `rep`."""
     if not rep.convergent:
         raise PreconditionError(
             f"Taylor deformation refused: locus is {rep.verdict} ({rep.detail})")
     if spec.delta.leading_term() is None:
         return spec.op.apply(f)
-    t = taylor_series(f, spec, check=False)
-    lifted = lift_coefficientwise(spec.op, t)
+    lifted = lift_coefficientwise(spec.op, _taylor_morphism(f))
     ev_report = ConvReport("certified_convergent", rep.witnesses,
                            rep.checked_prefix, "locus-certified")
     out = ps_eval(lifted, spec.delta, report=ev_report)
@@ -242,7 +244,7 @@ def taylor_identity_check(f: TransSeries, g: TransSeries, delta: TransSeries,
                               f"locus {rep.verdict}: {rep.detail}",
                               conv_report=rep)
     lhs = compose(f, add(g, delta))
-    rhs = taylor_deform(f, spec)
+    rhs = _deform(f, spec, rep)
     return _compare(lhs, rhs, depth, rep)
 
 

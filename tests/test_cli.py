@@ -243,13 +243,27 @@ def test_order_flag_is_gone():
     assert run_cli(["eval", "x", "--order", "8"]) == (3, "")
 
 
-@pytest.mark.parametrize("argv", [["eval", "x", "--terms", "abc"],
-                                  ["cutcheck", "1/x"],
-                                  ["eval", "-x"]],
-                         ids=["bad-int", "missing-option", "dash-operand"])
-def test_usage_errors_exit_3(argv, capsys):
+def usage_error_line(message):
+    return json.dumps({"error": {"message": message, "offset": None,
+                                 "type": "UsageError"}}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "x", "--terms", "abc"], "argument --terms: invalid int value: 'abc'"),
+    (["cutcheck", "1/x"], "the following arguments are required: --cut"),
+    (["eval", "-x"], "the following arguments are required: expr")],
+    ids=["bad-int", "missing-option", "dash-operand"])
+def test_usage_errors_exit_3(argv, message, capsys):
     assert run_cli(argv) == (3, "")
     assert "usage: transseries" in capsys.readouterr().err
+    # under --json, or a prefix of it that argparse reads as the flag, one
+    # machine-readable line joins argparse's text on stderr
+    for flag in ("--json", "--js"):
+        assert run_cli(argv + [flag]) == (3, usage_error_line(message))
+        err = capsys.readouterr().err
+        assert "usage: transseries" in err and message in err
+    # after "--" a --json is an operand, not the flag
+    assert run_cli(argv + ["--", "--json"]) == (3, "")
 
 
 def test_help_exits_0():
@@ -512,8 +526,9 @@ def test_taylor_at_depth_0_is_skipped():
     ["locus", "1/x", "--delta", "1"], ["cutcheck", "1/x", "--cut", "all"]],
     ids=lambda argv: argv[0])
 def test_negative_terms_is_a_usage_error(argv, capsys):
-    for extra in ([], ["--json"]):
-        assert run_cli(argv + ["--terms", "-1"] + extra) == (3, "")
+    message = "argument --terms: -1 is negative"
+    for extra, out in (([], ""), (["--json"], usage_error_line(message))):
+        assert run_cli(argv + ["--terms", "-1"] + extra) == (3, out)
         err = capsys.readouterr().err
         assert "usage: transseries" in err
         assert "argument --terms: -1 is negative" in err

@@ -401,6 +401,25 @@ def test_extend_flags_escaping_images():
         out.expand(ONE)
 
 
+def test_compose_flags_images_outside_its_certificate(monkeypatch):
+    import transseries.calculus as calculus
+    image_grid = calculus._image_grid
+
+    def losing_a_ratio(image, bases, ratios):
+        out_bases, out_ratios, rho = image_grid(image, bases, ratios)
+        assert X_INV in out_ratios
+        return out_bases, out_ratios - {X_INV}, rho
+
+    monkeypatch.setattr(calculus, "_image_grid", losing_a_ratio)
+    # 1/(1 - 1/x) o (x + 1) = 1 + x^-1 + 0*x^-2 + ...: without the ratio
+    # x^-1 its certificate is the lone base 1, which x^-1 escapes
+    out = compose(geom(), parse_series("x + 1"))
+    with pytest.raises(SummabilityViolationError,
+                       match="image monomial x\\^-1 of x\\^-1 escapes") as exc:
+        out.expand(xpow(-3))
+    assert exc.value.witness is X_INV
+
+
 # -- contracting iteration -------------------------------------------------------------
 
 

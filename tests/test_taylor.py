@@ -261,8 +261,26 @@ def test_descent_check_refuses_rising_terms():
 
 
 def test_deform_refuses_outside_locus():
-    with pytest.raises(PreconditionError):
-        taylor_deform(mono_series(E_X), ID_AT_1)
+    # the Taylor morphism on its own refuses too, each with its own message
+    for fn, what in ((taylor_deform, "Taylor deformation"),
+                     (taylor_series, "Taylor series")):
+        with pytest.raises(PreconditionError,
+                           match=f"^{what} refused: locus is certified_divergent"):
+            fn(mono_series(E_X), ID_AT_1)
+
+
+def test_identity_check_decides_the_locus_once(monkeypatch):
+    import transseries.taylor as taylor
+    calls = []
+
+    def counting(spec, f):
+        calls.append(f)
+        return locus_contains(spec, f)
+
+    monkeypatch.setattr(taylor, "locus_contains", counting)
+    f = geom()
+    assert taylor_identity_check(f, X_SERIES, ONE_SERIES, depth=4).equal
+    assert calls == [f]
 
 
 # -- the main identity ---------------------------------------------------------------
