@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from fractions import Fraction
+from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .errors import (BudgetExceededError, EvaluationRefusedError,
@@ -422,22 +423,36 @@ def _unit_ratios(s: TransSeries, dom: Monomial) -> set:
 
 
 def _eval_ratios(ratios, factors, s: TransSeries, dom: Monomial) -> set:
-    """The infinitesimal ratios of a grid that covers sum_k P_k s^k, for
-    dom the dominant monomial of s: those among `ratios`, the unit ratios
-    of s, and the products d*dom of the joint factors d."""
+    """The ratios of a grid that covers sum_k P_k s^k, for dom the dominant
+    monomial of s: those among `ratios`, the unit ratios of s, and the
+    products d*dom of the joint factors d.  Refuses when one of them is
+    not infinitesimal: the joint certificate then bounds no level of the
+    summands, and dropping that ratio would drop terms silently."""
     out = set(ratios) | _unit_ratios(s, dom) | {mono_mul(d, dom) for d in factors}
-    return {z for z in out if z.is_small()}
+    small = {z for z in out if z.is_small()}
+    if len(small) < len(out):
+        z = sort_monomials(out - small)[0]
+        raise EvaluationRefusedError(
+            "evaluation refused: the joint certificate does not bound the "
+            f"coefficients at delta (the grid ratio {z.render()} is not "
+            "infinitesimal)")
+    return small
 
 
-def ps_eval(p: PowerSeries, delta: TransSeries,
-            report: Optional[ConvReport] = None) -> TransSeries:
+def ps_eval(p: PowerSeries, delta: TransSeries) -> TransSeries:
     """sum_k P_k delta^k via the lazy leveled sum; refuses without a
     certified-convergent report."""
-    report = conv_contains(p, delta) if report is None else report
+    report = conv_contains(p, delta)
     if not report.convergent:
         raise EvaluationRefusedError(
             f"evaluation refused: {report.verdict} ({report.detail})",
             report=report)
+    return _evaluate(p, delta)
+
+
+def _evaluate(p: PowerSeries, delta: TransSeries) -> TransSeries:
+    """sum_k P_k delta^k for a P whose convergence at delta the caller has
+    certified: the one summation behind every evaluation."""
     lt = delta.leading_term()
     if lt is None:
         return p.coeff(0)
@@ -496,32 +511,27 @@ def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec) -> TransSeries:
         elif s.variant == "above_eq":
             if mono_cmp(lt.mono, s.boundary) >= 0:
                 raise PreconditionError("delta is not below the final segment")
-    report = ConvReport("certified_convergent", (), 0,
-                        f"cut membership: {s.describe()}")
-    return ps_eval(p, delta, report=report)
+    return _evaluate(p, delta)
 
 
 def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
-    """P shifted by eps: coefficient k is sum_i C(k+i,k) P_{k+i} eps^i.
+    """P shifted by eps: coefficient k is P^(k)(eps)/k!, that is
+    sum_i C(k+i,k) P_{k+i} eps^i.
 
-    Requires certified convergence at eps; satisfies the group law
+    Requires certified convergence at eps, which every derivative of P
+    inherits (Conv(P') = Conv(P)); satisfies the group law
     P_{+(d+e)} = (P_{+d})_{+e} on certified arguments.
     """
     report = conv_contains(p, eps)
     if not report.convergent:
         raise PreconditionError(
             f"translation requires certified convergence at eps: {report.verdict}")
-    inherited = ConvReport("certified_convergent", (), 0,
-                           "inherited from the translated series")
+    derivs = [p]
 
     def cf(k):
-        # a finite P shifts to a finite degree; an infinite one to the
-        # shifted joint certificate defined below
-        shifted = PowerSeries(
-            lambda i: scale(p.coeff(k + i), comb(k + i, k)),
-            finite_degree=p.finite_degree - k if p.is_finite else None,
-            joint=None if p.is_finite else shifted_joint(k))
-        return ps_eval(shifted, eps, report=inherited)
+        while len(derivs) <= k:
+            derivs.append(ps_derive(derivs[-1]))
+        return scale(_evaluate(derivs[k], eps), Fraction(1, factorial(k)))
 
     if p.is_finite:
         return PowerSeries(cf, finite_degree=p.finite_degree)
@@ -529,26 +539,6 @@ def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
         raise PreconditionError(
             "translating an infinite power series needs a joint certificate")
     joint = p.joint
-    factors = sort_monomials(joint.factors) if joint.factors else []
-
-    def shifted_joint(k: int) -> PSJointCert:
-        if not factors:
-            return PSJointCert(joint.bases if k == 0 else frozenset(),
-                               joint.ratios, joint.factors)
-        distinct = [d for d in factors if not d.is_one]
-        if len(distinct) ** min(k, 16) > 4096:
-            raise PreconditionError(
-                f"translation coefficient order {k} needs "
-                f"{len(distinct)}^{k} shifted bases, more than the 4096 "
-                "allowed")
-        bases = set()
-        for combo in itertools.combinations_with_replacement(factors, k):
-            shift = ONE
-            for d in combo:
-                shift = mono_mul(shift, d)
-            bases |= {mono_mul(b, shift) for b in joint.bases}
-        return PSJointCert(frozenset(bases), joint.ratios, joint.factors)
-
     lt = eps.leading_term()
     if lt is None:
         new_ratios = {z for z in joint.ratios if z.is_small()}

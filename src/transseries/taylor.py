@@ -26,7 +26,7 @@ from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
                        mono_inv, mono_mul, sort_monomials)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
-                          lift_coefficientwise, ps_eval, _scaled_powers)
+                          lift_coefficientwise, _evaluate, _scaled_powers)
 from .series import (PROBE_FUEL, TransSeries, add, compare_to_depth,
                      depth_cutoff, from_terms, mul, scale)
 
@@ -180,9 +180,7 @@ def _deform(f: TransSeries, spec: LocusSpec, rep: ConvReport) -> TransSeries:
     if spec.delta.leading_term() is None:
         return spec.op.apply(f)
     lifted = lift_coefficientwise(spec.op, _taylor_morphism(f))
-    ev_report = ConvReport("certified_convergent", rep.witnesses,
-                           rep.checked_prefix, "locus-certified")
-    out = ps_eval(lifted, spec.delta, report=ev_report)
+    out = _evaluate(lifted, spec.delta)
     _check_descent(lifted, spec.delta, orders=3)
     return out
 

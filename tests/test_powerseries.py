@@ -1,6 +1,7 @@
 """Power series over the transseries field: convergence, cuts, evaluation."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,7 +14,7 @@ from transseries import (ONE, ONE_SERIES, ZERO, ConvReport, CutSpec,
                          ps_add, ps_compose, ps_derive, ps_eval, ps_mul,
                          ps_translate)
 from transseries.calculus import DERIVATION, IDENTITY, CompositionHandle
-from transseries.series import add, scale
+from transseries.series import add, scale, sum_family
 
 from helpers import assert_depth_equal, rng
 
@@ -219,6 +220,22 @@ def test_ps_eval_refuses_divergent():
     assert exc.value.report.divergent
 
 
+def test_eval_refuses_a_joint_certificate_that_does_not_bound_the_coefficients():
+    # P = 1 + x^20 X^20 fits the joint certificate ({1}, {x^-1}, {x}) and
+    # converges at x^-1 with value 2, but the factor x times x^-1 is 1: the
+    # certificate bounds no level of P_20 delta^20, and a sum that dropped
+    # that ratio would render 1 + O(x^-8)
+    p = PowerSeries(lambda k: {0: ONE_SERIES, 20: xs(20)}.get(k, ZERO),
+                    joint=PSJointCert.of([ONE], [X_INV], [X]))
+    d = xs(-1)
+    assert conv_contains(p, d).convergent
+    for evaluate in (lambda: ps_eval(p, d),
+                     lambda: cut_eval(p, d, CutSpec.above(ONE)),
+                     lambda: ps_translate(p, d)):
+        with pytest.raises(EvaluationRefusedError, match="grid ratio 1 is not"):
+            evaluate()
+
+
 def test_ev_is_multiplicative():
     p, q = const_family(), inv_factorial_family()
     d = xs(-1)
@@ -270,6 +287,42 @@ def test_translate_then_eval_is_shifted_eval():
     lhs = ps_eval(ps_translate(p, e), d)
     rhs = ps_eval(p, add(e, d))
     assert_depth_equal(lhs, rhs, 8)
+
+
+def test_translate_past_three_factors_to_the_eighth():
+    # P_k = x^-k under the factors {x^-1, x^-2, x^-3}: coefficient k of P
+    # shifted by x^-1 is sum_i C(k+i, k) x^-(k+2i); k factors from three
+    # make 3^k ordered products, but only 2k + 1 distinct shifted bases
+    p = PowerSeries(lambda k: xs(-k),
+                    joint=PSJointCert.of([ONE], [], [xpow(-1), xpow(-2), xpow(-3)]))
+    t = ps_translate(p, xs(-1))
+    for k in (8, 12):
+        want = {xpow(-(k + 2 * i)): Fraction(comb(k + i, k)) for i in range(6)}
+        assert t.coeff(k).expand(xpow(-(k + 10))) == want
+
+
+def test_translate_matches_binomial_sums():
+    # oracle outside the derivative route: coefficient k of a polynomial P
+    # shifted by eps is sum_i C(k+i, k) P_{k+i} eps^i
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rats = st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2)])
+    series = st.lists(st.tuples(rats, rats), max_size=2).map(
+        lambda terms: from_terms([(c, xpow(e)) for c, e in terms]))
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hyp.given(st.lists(series, min_size=1, max_size=4), series)
+    def check(coeffs, eps):
+        t = ps_translate(PowerSeries.from_coeffs(coeffs), eps)
+        powers = [ONE_SERIES]
+        while len(powers) < len(coeffs):
+            powers.append(mul(powers[-1], eps))
+        for k in range(len(coeffs)):
+            want = sum_family([scale(mul(coeffs[k + i], powers[i]), comb(k + i, k))
+                               for i in range(len(coeffs) - k)])
+            assert_depth_equal(t.coeff(k), want, 4, f"order {k}")
+
+    check()
 
 
 def test_translate_requires_convergence():
