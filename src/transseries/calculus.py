@@ -97,12 +97,6 @@ def derive(s: TransSeries) -> TransSeries:
         growth=mono_max(dag))
 
 
-def derive_n(s: TransSeries, n: int) -> TransSeries:
-    for _ in range(n):
-        s = derive(s)
-    return s
-
-
 def log_series(s: TransSeries) -> TransSeries:
     """log s = ell(d) + log_K(c) + sum_{k>0} (-1)^{k-1}/k * eps^k."""
     c, d, eps = dominant_decompose(s)

@@ -402,11 +402,6 @@ def deriv_terms(m: Monomial) -> list:
     return [(c, mono_mul(m, d)) for c, d in dagger_terms(m)]
 
 
-def height_depth(m: Monomial) -> tuple:
-    """(exponential height, max iterated-log index used)."""
-    return (m.height, m.log_depth)
-
-
 def pre_log(m: Monomial):
     """ell(m) as a TransSeries (purely large or zero); every monomial of it
     is checked against the bounds."""

@@ -28,7 +28,7 @@ from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
 from .calculus import (DERIVATION, _composition_coeff, _derivation_grid,
                        _image_grid)
-from .series import (PROBE_FUEL, ZERO, TransSeries, add, mono_series, mul,
+from .series import (PROBE_FUEL, ZERO, TransSeries, mono_series, mul,
                      render_series, scale, sum_family, sum_lazy,
                      _infinitesimal_bases)
 
@@ -128,36 +128,6 @@ def monomial_geometric(m: Monomial) -> PowerSeries:
 # -- elementary operations ------------------------------------------------------
 
 
-def ps_add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    fin = None
-    if p.is_finite and q.is_finite:
-        fin = max(p.finite_degree, q.finite_degree)
-    joint = None
-    if p.joint and q.joint:
-        joint = PSJointCert(p.joint.bases | q.joint.bases,
-                            p.joint.ratios | q.joint.ratios,
-                            p.joint.factors | q.joint.factors)
-    return PowerSeries(lambda k: add(p.coeff(k), q.coeff(k)),
-                       finite_degree=fin, joint=joint)
-
-
-def ps_mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    fin = None
-    if p.is_finite and q.is_finite:
-        fin = p.finite_degree + q.finite_degree
-    joint = None
-    if p.joint and q.joint:
-        joint = PSJointCert(
-            frozenset(mono_mul(a, b)
-                      for a in p.joint.bases for b in q.joint.bases),
-            p.joint.ratios | q.joint.ratios,
-            p.joint.factors | q.joint.factors)
-
-    return PowerSeries(
-        lambda k: sum_family([mul(p.coeff(i), q.coeff(k - i)) for i in range(k + 1)]),
-        finite_degree=fin, joint=joint)
-
-
 def ps_derive(p: PowerSeries) -> PowerSeries:
     """P' = sum (k+1) P_{k+1} X^k; Conv(P') = Conv(P)."""
     fin = None
@@ -254,22 +224,6 @@ def _in_negative_cone(w: Monomial, j: int, s: CutSpec) -> bool:
         return False
     c = mono_cmp(w, mono_pow(s.boundary, -j))
     return c < 0 if s.variant == "above" else c <= 0
-
-
-def cut_compare(a: tuple, b: tuple, s: CutSpec) -> str:
-    """Compare m*X^k against n*X^k' in the cut ordering.
-
-    Returns 'prec', 'succ', 'eq', or 'incomparable'.
-    """
-    (m, k), (n, kp) = a, b
-    if m is n and k == kp:
-        return "eq"
-    w = mono_mul(m, n.inv())
-    if _in_negative_cone(w, k - kp, s):
-        return "prec"
-    if _in_negative_cone(w.inv(), kp - k, s):
-        return "succ"
-    return "incomparable"
 
 
 @dataclass(frozen=True)

@@ -169,14 +169,6 @@ class GridCertificate:
             return None
         return mono_max(self.bases)
 
-    def points_above(self, cutoff: Monomial) -> set:
-        """All grid monomials >= cutoff (finite, or BudgetExceededError)."""
-        return set(_region(self, cutoff))
-
-    def member(self, m: Monomial, min_factors: int = 0) -> bool:
-        """Is m a grid point (with at least min_factors ratio factors)?"""
-        return _escape(self, {m: min_factors}) is None
-
 
 # -- the lattice walk -----------------------------------------------------------
 
@@ -286,11 +278,6 @@ class TransSeries:
                         f"coefficient {c} of {m.render()} is out of float range")
         self._cache, self._cutoff = got, cutoff
         return dict(self._cache)
-
-    def terms_above(self, cutoff: Monomial) -> list:
-        """Terms with monomial >= cutoff, sorted decreasing."""
-        d = self.expand(cutoff)
-        return [Term(d[m], m) for m in sort_monomials(d)]
 
     # -- decreasing-term facade ---------------------------------------------
 
@@ -467,48 +454,6 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     return TransSeries(cert, expander)
 
 
-# -- dominance ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DominanceVerdict:
-    relation: str            # 'prec' | 'succ' | 'asymp' | 'sim' | 'incomparable-zero'
-    left: Optional[Term]
-    right: Optional[Term]
-
-    def __str__(self):
-        return self.relation
-
-    @property
-    def asymp(self) -> bool:
-        """Equal dominant monomials ('sim' is the refinement with equal terms)."""
-        return self.relation in ("asymp", "sim")
-
-    @property
-    def preceq(self) -> bool:
-        return self.relation in ("prec", "asymp", "sim")
-
-
-def dominance(s: TransSeries, t: TransSeries) -> DominanceVerdict:
-    """Compare dominant monomials; zero operands get dedicated verdicts."""
-    ls = s.leading_term()
-    lt = t.leading_term()
-    if ls is None and lt is None:
-        return DominanceVerdict("incomparable-zero", None, None)
-    if ls is None:
-        return DominanceVerdict("prec", None, lt)
-    if lt is None:
-        return DominanceVerdict("succ", ls, None)
-    c = mono_cmp(ls.mono, lt.mono)
-    if c < 0:
-        return DominanceVerdict("prec", ls, lt)
-    if c > 0:
-        return DominanceVerdict("succ", ls, lt)
-    if ls.coeff == lt.coeff:
-        return DominanceVerdict("sim", ls, lt)
-    return DominanceVerdict("asymp", ls, lt)
-
-
 def dominant_decompose(s: TransSeries) -> tuple:
     """Unique (c, d, eps) with s = c*d*(1+eps) and eps infinitesimal."""
     lt = s.leading_term()
@@ -518,12 +463,6 @@ def dominant_decompose(s: TransSeries) -> tuple:
     unit = mul(s, mono_series(d.inv()))
     eps = add(scale(unit, Fraction(1) / c), scale(ONE_SERIES, -1))
     return c, d, eps
-
-
-def truncate_initial(s: TransSeries, cutoff: Monomial) -> TransSeries:
-    """Keep exactly the terms with monomial strictly > cutoff."""
-    d = s.expand(cutoff)
-    return from_terms([(c, m) for m, c in d.items() if mono_cmp(m, cutoff) > 0])
 
 
 # -- geometric and lazy summation machinery -----------------------------------
@@ -560,41 +499,6 @@ def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
     return count
 
 
-def _coefficients(coeffs) -> tuple:
-    """(cf, max_k) for a callable k -> constant (max_k None) or a finite
-    sequence (missing entries are zero, max_k its last index)."""
-    if callable(coeffs):
-        return coeffs, None
-    seq = list(coeffs)
-    return (lambda k: seq[k] if k < len(seq) else 0), len(seq) - 1
-
-
-def _iterate_sum(cf, max_k, cert: GridCertificate, first: TransSeries,
-                 step: Callable[[TransSeries], TransSeries],
-                 top: Callable[[Monomial], int]) -> TransSeries:
-    """Sum_k cf(k) t_k with t_0 = first and t_{k+1} = step(t_k), where an
-    expansion at a cutoff takes k up to top(cutoff) (and max_k); the
-    iterates are built once and kept."""
-    iterates = [first]
-
-    def expander(cutoff):
-        last = top(cutoff)
-        if max_k is not None:
-            last = min(last, max_k)
-        acc: dict = {}
-        for k in range(last + 1):
-            while len(iterates) <= k:
-                iterates.append(step(iterates[-1]))
-            ck = cf(k)
-            if not ck:
-                continue
-            for m, v in iterates[k].expand(cutoff).items():
-                acc[m] = acc.get(m, 0) + ck * v
-        return acc
-
-    return TransSeries(cert, expander)
-
-
 def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
     """Sum_k c_k eps^k for infinitesimal eps.
 
@@ -603,7 +507,11 @@ def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
     constructive: the refined certificate of eps has infinitesimal bases,
     so each cutoff admits a finite power bound.
     """
-    cf, max_k = _coefficients(coeffs)
+    if callable(coeffs):
+        cf, max_k = coeffs, None
+    else:
+        seq = list(coeffs)
+        cf, max_k = (lambda k: seq[k] if k < len(seq) else 0), len(seq) - 1
     lt = eps.leading_term()
     if lt is None:
         return const(cf(0))
@@ -616,9 +524,24 @@ def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
     rho = mono_max(tight_bases) if tight_bases else None
     cert = GridCertificate(frozenset([ONE]),
                            frozenset(eps.cert.ratios) | tight_bases)
-    return _iterate_sum(
-        cf, max_k, cert, ONE_SERIES, lambda t: mul(t, tight),
-        lambda cutoff: 0 if rho is None else _level_cap(rho, rho, cutoff))
+    powers = [ONE_SERIES]    # eps^k on the tight grid, built once and kept
+
+    def expander(cutoff):
+        last = 0 if rho is None else _level_cap(rho, rho, cutoff)
+        if max_k is not None:
+            last = min(last, max_k)
+        acc: dict = {}
+        for k in range(last + 1):
+            if len(powers) == k:
+                powers.append(mul(powers[-1], tight))
+            ck = cf(k)
+            if not ck:
+                continue
+            for m, v in powers[k].expand(cutoff).items():
+                acc[m] = acc.get(m, 0) + ck * v
+        return acc
+
+    return TransSeries(cert, expander)
 
 
 def invert(s: TransSeries) -> TransSeries:
@@ -770,52 +693,14 @@ def _extend(image: Callable[[Monomial], TransSeries], s: TransSeries,
     return TransSeries(cert, expander)
 
 
-def iterate_contracting(phi: Callable[[TransSeries], TransSeries], coeffs,
-                        s: TransSeries, *,
-                        gamma: Iterable[Monomial]) -> TransSeries:
-    """Sum_k c_k phi^[k](s) for a contracting strongly linear endomap.
-
-    `gamma` is the finite set of infinitesimal contraction generators:
-    supp(phi(t)) must lie in supp(t) * (lattice over gamma, >= 1 factor).
-    Contraction is spot-checked on the certificate generators of s; a
-    violation names the offending monomial.
-    """
-    cf, max_k = _coefficients(coeffs)
-    gamma = frozenset(gamma)
-    for z in gamma:
-        if not z.is_small():
-            raise PreconditionError(
-                f"contraction generator {z.render()} is not infinitesimal")
-    for g in set(s.cert.bases) | set(s.cert.ratios):
-        img = phi(mono_series(g))
-        lt = img.leading_term()
-        if lt is not None and mono_cmp(lt.mono, g) >= 0:
-            raise SummabilityViolationError(
-                f"operator is not contracting at {g.render()}: image has "
-                f"monomial {lt.mono.render()}", witness=(g, lt.mono))
-
-    if not gamma:
-        return scale(s, cf(0))
-    rho = mono_max(gamma)
-    gmax = s.cert.grid_max()
-    # cert has the bases of s, and expand never calls the expander of a
-    # trivial cert, so gmax is set whenever top is called
-    cert = GridCertificate(s.cert.bases, s.cert.ratios | gamma)
-    return _iterate_sum(cf, max_k, cert, s, phi,
-                        lambda cutoff: _level_cap(gmax, rho, cutoff) - 1)
-
-
-# -- equality helpers and rendering -------------------------------------------
-
-
-def equal_below(s: TransSeries, t: TransSeries, cutoff: Monomial) -> bool:
-    """Exact equality of all terms with monomial >= cutoff (decidable)."""
-    return s.expand(cutoff) == t.expand(cutoff)
+# -- comparison and rendering --------------------------------------------------
 
 
 def depth_cutoff(s: TransSeries, depth: int):
     """(cutoff, exhausted): the (depth+1)-th grid candidate of s, or the
-    last one if the grid has fewer points."""
+    last one if the grid has fewer points; a negative depth is refused."""
+    if depth < 0:
+        raise PreconditionError(f"depth {depth} names no grid position")
     walked = list(itertools.islice(s._candidates(), depth + 1))
     return (walked[-1] if walked else None), len(walked) <= depth
 
@@ -824,8 +709,11 @@ def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):
     """Exact comparison through the first `depth` grid positions.
 
     Returns (equal, cutoff, discrepancies) where discrepancies are the
-    terms of s - t above the positional cutoff, largest first.
+    terms of s - t above the positional cutoff, largest first.  A depth
+    below 1 compares nothing and is refused.
     """
+    if depth < 1:
+        raise PreconditionError(f"depth {depth} compares no grid position")
     diff = add(s, scale(t, -1))
     cutoff, exhausted = depth_cutoff(diff, depth)
     if cutoff is None:

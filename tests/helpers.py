@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from transseries import (ONE, X, TransSeries, atom, from_terms, invert,
-                         make_monomial, mono_inv, mono_pow, mono_series)
+from transseries import (ONE, X, PowerSeries, PSJointCert, TransSeries, add,
+                         derive, from_terms, invert, make_monomial, mono_inv,
+                         mono_mul, mono_pow, mul, sum_family)
 from transseries.series import compare_to_depth
 
 X_INV = mono_inv(X)
@@ -81,3 +82,50 @@ def assert_depth_equal(s: TransSeries, t: TransSeries, depth: int, msg: str = ""
 def series_of(*terms) -> TransSeries:
     """from_terms with (coeff, monomial) argument pairs."""
     return from_terms(list(terms))
+
+
+# -- oracles built from the kernel's primitives ---------------------------------
+
+
+def equal_below(s: TransSeries, t: TransSeries, cutoff) -> bool:
+    """Exact equality of all terms with monomial >= cutoff."""
+    return s.expand(cutoff) == t.expand(cutoff)
+
+
+def derive_n(s: TransSeries, n: int) -> TransSeries:
+    """The n-th derivative, by n derivations."""
+    for _ in range(n):
+        s = derive(s)
+    return s
+
+
+def ps_add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
+    """P + Q coefficientwise, with the union of the joint certificates."""
+    fin = None
+    if p.is_finite and q.is_finite:
+        fin = max(p.finite_degree, q.finite_degree)
+    joint = None
+    if p.joint and q.joint:
+        joint = PSJointCert(p.joint.bases | q.joint.bases,
+                            p.joint.ratios | q.joint.ratios,
+                            p.joint.factors | q.joint.factors)
+    return PowerSeries(lambda k: add(p.coeff(k), q.coeff(k)),
+                       finite_degree=fin, joint=joint)
+
+
+def ps_mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
+    """P * Q by the Cauchy product of coefficients; the joint bases are the
+    products of the two base sets."""
+    fin = None
+    if p.is_finite and q.is_finite:
+        fin = p.finite_degree + q.finite_degree
+    joint = None
+    if p.joint and q.joint:
+        joint = PSJointCert(
+            frozenset(mono_mul(a, b)
+                      for a in p.joint.bases for b in q.joint.bases),
+            p.joint.ratios | q.joint.ratios,
+            p.joint.factors | q.joint.factors)
+    return PowerSeries(
+        lambda k: sum_family([mul(p.coeff(i), q.coeff(k - i)) for i in range(k + 1)]),
+        finite_degree=fin, joint=joint)

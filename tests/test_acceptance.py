@@ -16,14 +16,14 @@ from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, CutSpec,
                          faa_di_bruno_coeff, from_terms,
                          invert, locus_contains, make_monomial, mono_cmp,
                          mono_inv, mono_mul, mono_pow, mono_series,
-                         monomial_geometric, mul, ps_add, ps_compose,
-                         ps_derive, ps_eval, ps_mul, ps_translate,
-                         taylor_identity_check, taylor_series)
-from transseries.calculus import derive_n
+                         monomial_geometric, mul, ps_compose, ps_derive,
+                         ps_eval, ps_translate, taylor_identity_check,
+                         taylor_series)
 from transseries.series import add, compare_to_depth, scale
 from transseries.taylor import spec_condition_check
 
-from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
+from helpers import (assert_depth_equal, derive_n, ps_add, ps_mul,
+                     rand_finite_series, rand_grid_series, rng)
 from noetherian_oracle import (FinitePoset, check_product_noetherian,
                                check_star_closure, find_bad_sequence)
 

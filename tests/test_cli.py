@@ -12,10 +12,10 @@ import pytest
 from transseries import ParseError, PartialConstantError, X, make_monomial, parse
 from transseries.cli import main
 from transseries.parser import Binary, Num, Power, Unary, Var, parse_series
-from transseries.series import equal_below, render_series
+from transseries.series import render_series
 from transseries.monomial import mono_pow
 
-from helpers import rand_finite_series, rng
+from helpers import equal_below, rand_finite_series, rng
 
 
 # -- parsing ---------------------------------------------------------------------

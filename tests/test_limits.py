@@ -16,7 +16,7 @@ from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          cut_member, locus_contains, mono_inv, mono_pow,
                          mono_series)
 from transseries.parser import parse_series
-from transseries.series import _infinitesimal_bases
+from transseries.series import _escape, _infinitesimal_bases, _region
 
 X_INV = mono_inv(X)
 
@@ -55,14 +55,14 @@ def test_expand_fuel_bounds_the_region_walks(monkeypatch):
     cert = GridCertificate.of([X], [X_INV])
     # x, 1, x^-1 and x^-2 lie at or above x^-2; the first three strictly
     monkeypatch.setattr(LIMITS, "expand_fuel", 4)
-    assert cert.points_above(xpow(-2)) == {X, ONE, X_INV, xpow(-2)}
-    assert cert.member(xpow(-2))
+    assert set(_region(cert, xpow(-2))) == {X, ONE, X_INV, xpow(-2)}
+    assert _escape(cert, {xpow(-2): 0}) is None
     monkeypatch.setattr(LIMITS, "expand_fuel", 3)
     assert _infinitesimal_bases(cert, xpow(-2)) == {xpow(-2)}
     with pytest.raises(BudgetExceededError):
-        cert.points_above(xpow(-2))
+        _region(cert, xpow(-2))
     with pytest.raises(BudgetExceededError):
-        cert.member(xpow(-2))
+        _escape(cert, {xpow(-2): 0})
     monkeypatch.setattr(LIMITS, "expand_fuel", 2)
     with pytest.raises(BudgetExceededError):
         _infinitesimal_bases(cert, xpow(-2))
@@ -73,13 +73,13 @@ def test_expand_fuel_is_shared_by_the_bases_of_one_walk(monkeypatch):
     # and x^(1/2), x^(-1/2), x^(-3/2)
     cert = GridCertificate.of([ONE, xpow(Fraction(1, 2))], [X_INV])
     monkeypatch.setattr(LIMITS, "expand_fuel", 6)
-    assert len(cert.points_above(xpow(-2))) == 6
-    assert cert.member(xpow(-2), min_factors=2)
+    assert len(_region(cert, xpow(-2))) == 6
+    assert _escape(cert, {xpow(-2): 2}) is None
     monkeypatch.setattr(LIMITS, "expand_fuel", 5)
     with pytest.raises(BudgetExceededError):
-        cert.points_above(xpow(-2))
+        _region(cert, xpow(-2))
     with pytest.raises(BudgetExceededError):
-        cert.member(xpow(-2))
+        _escape(cert, {xpow(-2): 0})
 
 
 def test_expand_fuel_bounds_the_term_search(monkeypatch):

@@ -6,12 +6,12 @@ from functools import cmp_to_key
 import pytest
 
 from transseries import (ONE, ResourceError, X, atom, configure,
-                         height_depth, make_monomial, mono_cmp, mono_inv,
-                         mono_mul, mono_pow, pre_log)
+                         make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
+                         pre_log)
 from transseries.monomial import dagger_terms, pre_log_terms
-from transseries.series import from_terms, equal_below
+from transseries.series import from_terms
 
-from helpers import rng, rand_monomial
+from helpers import equal_below, rng, rand_monomial
 
 L1 = atom(1)
 X_INV = mono_inv(X)
@@ -181,10 +181,11 @@ def test_group_operations_match_make_monomial():
 
 
 def test_height_depth_examples():
-    assert height_depth(X) == (0, 0)
-    assert height_depth(make_monomial({}, [(1, X2)])) == (1, 0)
+    assert (X.height, X.log_depth) == (0, 0)
+    exp_x2 = make_monomial({}, [(1, X2)])
+    assert (exp_x2.height, exp_x2.log_depth) == (1, 0)
     exp_xl1 = make_monomial({}, [(1, mono_mul(X, L1))])
-    assert height_depth(exp_xl1) == (1, 1)
+    assert (exp_xl1.height, exp_xl1.log_depth) == (1, 1)
 
 
 def test_height_bound_enforced():

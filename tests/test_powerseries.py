@@ -7,16 +7,16 @@ import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, ConvReport, CutSpec,
                          EvaluationRefusedError, PowerSeries, PreconditionError,
-                         PSJointCert, X, conv_contains, cut_compare, cut_eval,
-                         cut_member, exp_series, from_terms, invert,
-                         lift_coefficientwise, make_monomial, mono_inv,
-                         mono_pow, mono_series, monomial_geometric, mul,
-                         ps_add, ps_compose, ps_derive, ps_eval, ps_mul,
-                         ps_translate)
+                         PSJointCert, X, conv_contains, cut_eval, cut_member,
+                         exp_series, from_terms, invert, lift_coefficientwise,
+                         make_monomial, mono_cmp, mono_inv, mono_pow,
+                         mono_series, monomial_geometric, mul, ps_compose,
+                         ps_derive, ps_eval, ps_translate)
 from transseries.calculus import DERIVATION, IDENTITY, CompositionHandle
+from transseries.powerseries import _in_negative_cone
 from transseries.series import add, scale, sum_family
 
-from helpers import assert_depth_equal, rng
+from helpers import assert_depth_equal, ps_add, ps_mul, rng
 
 X_INV = mono_inv(X)
 X2 = make_monomial({0: 2})
@@ -163,14 +163,13 @@ def test_conv_convexity_randomized():
                 monomial_geometric(X_INV),
                 PowerSeries(lambda k: mono_series(xpow(k)),
                             joint=PSJointCert.of([ONE], [], [X]))]
-    from transseries import dominance
     deltas = [mono_series(X2), mono_series(X), ONE_SERIES, xs(-1), xs(-2),
               from_terms([(2, X_INV), (1, xpow(-3))])]
     for p in families:
         certified = [d for d in deltas if conv_contains(p, d).convergent]
         for d in certified:
             for e in deltas:
-                if dominance(e, d).preceq:
+                if mono_cmp(e.leading_term().mono, d.leading_term().mono) <= 0:
                     assert conv_contains(p, e).convergent, \
                         "convexity violated"
 
@@ -353,27 +352,36 @@ def test_compose_eval_identity_under_side_condition():
 # -- cuts ------------------------------------------------------------------------
 
 
+# m*X^k < n*X^k' in the cut ordering iff (m/n)*X^(k-k') lies in the
+# negative cone, the test `cut_member` applies to per-degree grid maxima
+
+
 def test_cut_compare_all_is_lexicographic():
-    assert cut_compare((X, 1), (X2, 0), CutSpec.all()) == "prec"
-    assert cut_compare((xpow(-5), 2), (xpow(100), 1), CutSpec.all()) == "prec"
+    # x*X < x^2 and x^-5*X^2 < x^100*X: any positive power of X wins
+    assert _in_negative_cone(X_INV, 1, CutSpec.all())
+    assert _in_negative_cone(xpow(-105), 1, CutSpec.all())
 
 
 def test_cut_compare_empty_is_degreewise():
-    assert cut_compare((ONE, 1), (ONE, 0), CutSpec.empty()) == "incomparable"
-    assert cut_compare((X, 0), (ONE, 0), CutSpec.empty()) == "succ"
-    assert cut_compare((X, 1), (X, 1), CutSpec.empty()) == "eq"
+    # X and 1 are incomparable, x > 1 in degree 0, and x*X is not below
+    # itself
+    for j in (1, -1):
+        assert not _in_negative_cone(ONE, j, CutSpec.empty())
+    assert not _in_negative_cone(X, 0, CutSpec.empty())
+    assert _in_negative_cone(X_INV, 0, CutSpec.empty())
+    assert not _in_negative_cone(ONE, 0, CutSpec.empty())
 
 
 def test_cut_compare_boundary_witness():
-    # u^-k X^k vs u^-(k+1) X^(k+1): comparable above a cut containing u,
-    # incomparable below
+    # u^-3 X^3 vs u^-2 X^2, a ratio of u^-1 X: comparable above a cut
+    # containing u, incomparable below
     u = xpow(-1)
     small_cut = CutSpec.above(xpow(-2))     # contains u = x^-1
     big_cut = CutSpec.above(ONE)            # u is below this segment
-    a = (mono_pow(u, -2), 2)
-    b = (mono_pow(u, -3), 3)
-    assert cut_compare(b, a, small_cut) == "prec"
-    assert cut_compare(b, a, big_cut) == "incomparable"
+    w = mono_pow(u, -1)
+    assert _in_negative_cone(w, 1, small_cut)
+    assert not _in_negative_cone(w, 1, big_cut)
+    assert not _in_negative_cone(w.inv(), -1, big_cut)
 
 
 def test_cut_member_polynomials_everywhere():

@@ -9,15 +9,15 @@ from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          DivisionByZeroSeries, compose,
                          DomainError, GridCertificate, PreconditionError,
                          SummabilityViolationError, TransSeries, X, atom,
-                         dominance, dominant_decompose, equal_below,
-                         extend_strongly_linear, from_terms,
-                         geometric_substitute, invert, iterate_contracting,
+                         dominant_decompose, extend_strongly_linear,
+                         from_terms, geometric_substitute, invert,
                          make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
-                         mono_series, mul, sum_family, sum_lazy,
-                         truncate_initial)
+                         mono_series, mul, sum_family, sum_lazy)
+from transseries.monomial import sort_monomials
 from transseries.parser import parse_series
-from transseries.series import (_term_search, add, compare_to_depth,
-                                depth_cutoff, render_series, scale)
+from transseries.series import (_escape, _region, _term_search,
+                                compare_to_depth, depth_cutoff, render_series,
+                                scale)
 
 from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
 from noetherian_oracle import check_product_noetherian
@@ -51,7 +51,7 @@ def test_from_terms_cancels_to_zero():
 
 def test_from_terms_orders_terms():
     s = from_terms([(1, X_INV), (1, X)])
-    assert [t.mono for t in s.terms_above(X_INV)] == [X, X_INV]
+    assert sort_monomials(s.expand(X_INV)) == [X, X_INV]
 
 
 # -- add ------------------------------------------------------------------------
@@ -65,8 +65,8 @@ def test_add_cancels_constants():
 def test_add_interleaves_infinite_streams():
     # sum x^-k minus sum x^-2k leaves the odd exponents
     odd = geom() - invert(from_terms([(1, ONE), (-1, xpow(-2))]))
-    got = odd.terms_above(xpow(-8))
-    assert [(t.coeff, t.mono) for t in got] == [
+    d = odd.expand(xpow(-8))
+    assert [(d[m], m) for m in sort_monomials(d)] == [
         (Fraction(1), xpow(-1)), (Fraction(1), xpow(-3)),
         (Fraction(1), xpow(-5)), (Fraction(1), xpow(-7))]
 
@@ -158,48 +158,23 @@ def test_dominant_decompose_zero_rejected():
         dominant_decompose(ZERO)
 
 
-def test_dominance_examples():
-    assert dominance(mono_series(X), mono_series(X2)).relation == "prec"
-    assert dominance(from_terms([(2, X), (1, ONE)]),
-                     mono_series(X)).relation == "asymp"
-    # equal dominant monomial 1; the terms are also equal, so the verdict
-    # refines to 'sim' (which implies the asymptotic equivalence)
-    assert dominance(geom(), ONE_SERIES).asymp
-    assert dominance(geom(), ONE_SERIES).relation == "sim"
-    assert dominance(ZERO, mono_series(X)).relation == "prec"
-    assert dominance(ZERO, ZERO).relation == "incomparable-zero"
-    assert dominance(mono_series(X), mono_series(X)).relation == "sim"
-
-
-def test_dominance_transitive_on_random_triples():
-    r = rng(41)
-    corpus = [rand_grid_series(r) for _ in range(10)]
-    corpus = [s for s in corpus if s.leading_term() is not None]
-    for a in corpus:
-        for b in corpus:
-            for c in corpus:
-                if dominance(a, b).relation == "prec" and \
-                   dominance(b, c).relation == "prec":
-                    assert dominance(a, c).relation == "prec"
-
-
 # -- truncation -------------------------------------------------------------------
 
 
-def test_truncate_initial_strict():
-    s = from_terms([(1, X), (1, ONE), (1, X_INV)])
-    t = truncate_initial(s, ONE)
-    assert t.expand(xpow(-2)) == {X: Fraction(1)}
+def _truncation(s, cutoff):
+    """The finite series of the terms of s strictly above cutoff."""
+    return from_terms([(c, m) for m, c in s.expand(cutoff).items()
+                       if mono_cmp(m, cutoff) > 0])
 
 
 def test_truncate_below_support_is_noop():
     s = geom()
-    t = truncate_initial(s, xpow(-20))
+    t = _truncation(s, xpow(-20))
     assert_depth_equal(s, t, 10)
 
 
 def test_truncate_geometric():
-    t = truncate_initial(geom(), xpow(-3))
+    t = _truncation(geom(), xpow(-3))
     assert t.expand(xpow(-9)) == {ONE: Fraction(1), xpow(-1): Fraction(1),
                                   xpow(-2): Fraction(1)}
 
@@ -318,6 +293,13 @@ def test_geometric_matches_invert():
         assert_depth_equal(lhs, rhs, 8)
 
 
+def test_finite_coefficient_sequences():
+    # missing entries are zero: the sum stops at the last listed power
+    want = {ONE: 1, X_INV: 2, xpow(-2): 3}
+    got = geometric_substitute([1, 2, 3], mono_series(X_INV))
+    assert got.expand(xpow(-6)) == want
+
+
 # -- inversion ---------------------------------------------------------------------
 
 
@@ -420,52 +402,6 @@ def test_compose_flags_images_outside_its_certificate(monkeypatch):
     assert exc.value.witness is X_INV
 
 
-# -- contracting iteration -------------------------------------------------------------
-
-
-def test_iterate_multiply_by_xinv():
-    phi = lambda t: mul(t, mono_series(X_INV))
-    out = iterate_contracting(phi, lambda k: 1, ONE_SERIES, gamma=[X_INV])
-    assert_depth_equal(out, geom(), 8)
-
-
-def test_iterate_exponential_coefficients():
-    import math
-    phi = lambda t: mul(t, mono_series(X_INV))
-    out = iterate_contracting(phi, lambda k: Fraction(1, math.factorial(k)),
-                              ONE_SERIES, gamma=[X_INV])
-    got = out.expand(xpow(-3))
-    assert got[xpow(-2)] == Fraction(1, 2) and got[xpow(-3)] == Fraction(1, 6)
-
-
-def test_iterate_zero_map():
-    out = iterate_contracting(lambda t: ZERO, [Fraction(5), 7, 9],
-                              geom(), gamma=[])
-    assert_depth_equal(out, scale(geom(), 5), 8)
-
-
-def test_finite_coefficient_sequences():
-    # missing entries are zero: the sums stop at the last listed power
-    want = {ONE: 1, X_INV: 2, xpow(-2): 3}
-    got = geometric_substitute([1, 2, 3], mono_series(X_INV))
-    assert got.expand(xpow(-6)) == want
-    phi = lambda t: mul(t, mono_series(X_INV))
-    got = iterate_contracting(phi, [1, 2, 3], ONE_SERIES, gamma=[X_INV])
-    assert got.expand(xpow(-6)) == want
-
-
-def test_iterate_rejects_non_contracting():
-    phi = lambda t: mul(t, mono_series(X))
-    with pytest.raises(SummabilityViolationError):
-        iterate_contracting(phi, lambda k: 1, ONE_SERIES, gamma=[X_INV])
-
-
-def test_iterate_rejects_growing_generators():
-    phi = lambda t: mul(t, mono_series(X_INV))
-    with pytest.raises(PreconditionError, match="generator x is not infinitesimal"):
-        iterate_contracting(phi, lambda k: 1, ONE_SERIES, gamma=[X_INV, X])
-
-
 # -- refusals of lazy summation ----------------------------------------------------
 
 
@@ -525,11 +461,11 @@ def test_extend_refuses_a_map_that_is_not_multiplicative():
 
 def test_certificate_points_above():
     cert = GridCertificate.of([X], [X_INV])
-    got = cert.points_above(xpow(-2))
+    got = set(_region(cert, xpow(-2)))
     assert got == {X, ONE, X_INV, xpow(-2)}
-    assert cert.member(xpow(-1), min_factors=2)       # x * x^-1 * x^-1
-    assert not cert.member(xpow(-1), min_factors=3)
-    assert not cert.member(X2)
+    assert _escape(cert, {xpow(-1): 2}) is None       # x * x^-1 * x^-1
+    assert _escape(cert, {xpow(-1): 3}) is xpow(-1)
+    assert _escape(cert, {X2: 0}) is X2
 
 
 def _lattice_box(cert, size):
@@ -559,13 +495,13 @@ def test_region_walk_matches_brute_force(cert):
     box = list(_lattice_box(cert, 8))
     for cutoff in (X, ONE, xpow(-1), xpow(Fraction(-5, 2)), xpow(-3)):
         want = {m for _, _, _, m in box if mono_cmp(m, cutoff) >= 0}
-        assert cert.points_above(cutoff) == want, cutoff
+        assert set(_region(cert, cutoff)) == want, cutoff
 
     for m in {m for _, _, _, m in box if mono_cmp(m, xpow(-3)) >= 0}:
         most = max(sum(v) for _, v, _, p in box if p is m)
         for k in range(most + 2):
-            assert cert.member(m, min_factors=k) == (k <= most), (m, k)
-    assert not cert.member(xpow(Fraction(-1, 3)))
+            assert (_escape(cert, {m: k}) is None) == (k <= most), (m, k)
+    assert _escape(cert, {xpow(Fraction(-1, 3)): 0}) is not None
 
     for dom in (ONE, xpow(-1), xpow(-2)):
         # bases at or below dom, and the lattice points at or below dom
@@ -642,9 +578,24 @@ def test_first_terms_match_a_deeper_expansion():
             s = rand_grid_series(rng(700 + seed))
             got = s.first_terms(n)
             cutoff, exhausted = depth_cutoff(s, 2 * n + 5)
-            ref = s.terms_above(cutoff)
+            d = s.expand(cutoff)
+            ref = [(d[m], m) for m in sort_monomials(d)]
             assert len(ref) >= n or exhausted, (seed, n)
             assert got == ref[:n], (seed, n)
+
+
+def test_comparison_refuses_a_depth_that_compares_nothing():
+    # depth 0 compares no grid position: x and 1 would be reported equal
+    x, one = parse_series("x"), parse_series("1")
+    assert compare_to_depth(x, one, 1) == (False, ONE, [(1, X)])
+    for depth in (0, -3):
+        with pytest.raises(PreconditionError,
+                           match=f"depth {depth} compares no grid position"):
+            compare_to_depth(x, one, depth)
+    # depth 0 names the first grid position, a negative depth none
+    assert depth_cutoff(x, 0) == (X, False)
+    with pytest.raises(PreconditionError, match="depth -3 names no grid position"):
+        depth_cutoff(x, -3)
 
 
 def test_first_terms_fuel_below_n():
