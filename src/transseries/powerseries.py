@@ -28,9 +28,8 @@ from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
 from .calculus import (DERIVATION, _composition_coeff, _derivation_grid,
                        _image_grid)
-from .series import (PROBE_FUEL, ZERO, TransSeries, mono_series, mul,
-                     render_series, scale, sum_family, sum_lazy,
-                     _infinitesimal_bases)
+from .series import (PROBE_FUEL, ZERO, TransSeries, mono_series, mul, scale,
+                     sum_family, sum_lazy, _infinitesimal_bases)
 
 
 # -- joint certificates --------------------------------------------------------
@@ -78,9 +77,6 @@ class PowerSeries:
             got = self._memo[k] = self._fn(k)
         return got
 
-    def __getitem__(self, k: int) -> TransSeries:
-        return self.coeff(k)
-
     @property
     def is_finite(self) -> bool:
         return self.finite_degree is not None
@@ -100,23 +96,6 @@ class PowerSeries:
         joint = PSJointCert.of(bases, ratios, [ONE])
         return PowerSeries(lambda k: coeffs[k] if k < len(coeffs) else ZERO,
                            finite_degree=max(len(coeffs) - 1, 0), joint=joint)
-
-    def render(self, order: int = 6, coeff_terms: int = 4) -> str:
-        parts = []
-        for k in range(self.last_index(order) + 1):
-            body = render_series(self.coeff(k), coeff_terms)
-            if body == "0":
-                continue
-            if k == 0:
-                parts.append(f"({body})")
-            elif k == 1:
-                parts.append(f"({body})*X")
-            else:
-                parts.append(f"({body})*X^{k}")
-        out = " + ".join(parts) if parts else "0"
-        if self.finite_degree is None or self.finite_degree > order:
-            out += f" + O(X^{order + 1})"
-        return out
 
 
 def monomial_geometric(m: Monomial) -> PowerSeries:
@@ -423,7 +402,7 @@ def _evaluate(p: PowerSeries, delta: TransSeries) -> TransSeries:
     joint = p.joint
     ratios = _eval_ratios(joint.coefficient_ratios(), joint.factors, delta, lt.mono)
 
-    return sum_lazy(enumerate(_scaled_powers(p, delta)), joint.bases, ratios)
+    return sum_lazy(_scaled_powers(p, delta), joint.bases, ratios)
 
 
 def _scaled_powers(p: PowerSeries, delta: TransSeries):

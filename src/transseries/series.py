@@ -499,22 +499,17 @@ def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
     return count
 
 
-def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
-    """Sum_k c_k eps^k for infinitesimal eps.
+def geometric_substitute(coeffs: Callable[[int], object],
+                         eps: TransSeries) -> TransSeries:
+    """Sum_k coeffs(k) eps^k for infinitesimal eps.
 
-    `coeffs` is a callable k -> constant or a finite sequence (missing
-    entries are zero).  Summability is the Neumann-series argument made
-    constructive: the refined certificate of eps has infinitesimal bases,
-    so each cutoff admits a finite power bound.
+    Summability is the Neumann-series argument made constructive: the
+    refined certificate of eps has infinitesimal bases, so each cutoff
+    admits a finite power bound.
     """
-    if callable(coeffs):
-        cf, max_k = coeffs, None
-    else:
-        seq = list(coeffs)
-        cf, max_k = (lambda k: seq[k] if k < len(seq) else 0), len(seq) - 1
     lt = eps.leading_term()
     if lt is None:
-        return const(cf(0))
+        return const(coeffs(0))
     if not lt.mono.is_small():
         raise PreconditionError(
             f"geometric substitution requires an infinitesimal series; "
@@ -528,13 +523,11 @@ def geometric_substitute(coeffs, eps: TransSeries) -> TransSeries:
 
     def expander(cutoff):
         last = 0 if rho is None else _level_cap(rho, rho, cutoff)
-        if max_k is not None:
-            last = min(last, max_k)
         acc: dict = {}
         for k in range(last + 1):
             if len(powers) == k:
                 powers.append(mul(powers[-1], tight))
-            ck = cf(k)
+            ck = coeffs(k)
             if not ck:
                 continue
             for m, v in powers[k].expand(cutoff).items():
@@ -554,57 +547,41 @@ def invert(s: TransSeries) -> TransSeries:
     return scale(mul(geo, mono_series(d.inv())), Fraction(1) / c)
 
 
-def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
+def sum_lazy(summands: Iterable[TransSeries], bases: Iterable[Monomial],
              ratios: Iterable[Monomial]) -> TransSeries:
-    """Sum of a lazy indexed family sharing one grid certificate.
+    """Sum of a lazy family sharing one grid certificate.
 
-    `producer` yields (level, TransSeries) with nondecreasing levels; the
-    series at level L must have support inside the declared grid with at
-    least L ratio factors.  Violations discovered during enumeration raise
-    SummabilityViolationError naming the witness monomial.
+    Summand k has level k: its support must lie inside the declared grid
+    with at least k ratio factors, so the grid needs a ratio.  Violations
+    discovered during enumeration raise SummabilityViolationError naming
+    the witness monomial.
     """
     cert = GridCertificate.of(bases, ratios)
-    zmax = mono_max(cert.ratios) if cert.ratios else None
+    if not cert.ratios:
+        raise PreconditionError("sum_lazy needs a grid ratio to bound the levels")
+    zmax = mono_max(cert.ratios)
     gmax = cert.grid_max()
-    it = iter(producer)
+    it = iter(summands)
     consumed: list = []
-    state = {"exhausted": False, "last_level": -1}
     checked: dict = {}    # monomial -> the most ratio factors it was checked for
 
-    def pull_through(level_cap):
-        while not state["exhausted"] and state["last_level"] <= level_cap:
+    def expander(cutoff):
+        cap = _level_cap(gmax, zmax, cutoff) - 1
+        # window past the cap: those summands must be provably silent
+        # above the cutoff, else the level contract was violated
+        while len(consumed) <= cap + LIMITS.divergence_window + 1:
             if len(consumed) > LIMITS.level_fuel:
                 raise BudgetExceededError("sum_lazy pulled too many summands")
-            try:
-                level, series = next(it)
-            except StopIteration:
-                state["exhausted"] = True
-                return
-            if level < state["last_level"]:
-                raise PreconditionError("sum_lazy producer levels must be nondecreasing")
-            state["last_level"] = level
-            consumed.append((level, series))
-
-    def expander(cutoff):
-        if zmax is None:
-            pull_through(LIMITS.level_fuel)
-            if not state["exhausted"]:
-                raise PreconditionError(
-                    "sum_lazy with no ratios requires a finite producer")
-            cap = 0
-        else:
-            cap = _level_cap(gmax, zmax, cutoff) - 1
-            # window past the cap: those summands must be provably silent
-            # above the cutoff, else the level contract was violated
-            pull_through(cap + LIMITS.divergence_window)
+            series = next(it, None)
+            if series is None:
+                break
+            consumed.append(series)
         acc: dict = {}
         new: dict = {}    # unchecked monomial -> the ratio factors it needs
-        for level, series in consumed:
-            if level > cap:
-                continue
+        for level, series in enumerate(consumed[:cap + 1]):
             for m, c in series.expand(cutoff).items():
                 if checked.get(m, -1) < level:
-                    new[m] = level    # levels are nondecreasing
+                    new[m] = level
                 acc[m] = acc.get(m, 0) + c
         m = _escape(cert, new)
         if m is not None:
@@ -612,14 +589,13 @@ def sum_lazy(producer: Iterable, bases: Iterable[Monomial],
                 f"monomial {m.render()} of the level-{new[m]} summand "
                 f"is outside the declared grid", witness=m)
         checked.update(new)
-        for level, series in consumed:
-            if level > cap:
-                stray = series.expand(cutoff)
-                if stray:
-                    raise SummabilityViolationError(
-                        f"level-{level} summand reaches above the cutoff "
-                        f"bound with {next(iter(stray)).render()}",
-                        witness=next(iter(stray)))
+        for level in range(cap + 1, len(consumed)):
+            stray = consumed[level].expand(cutoff)
+            if stray:
+                raise SummabilityViolationError(
+                    f"level-{level} summand reaches above the cutoff "
+                    f"bound with {next(iter(stray)).render()}",
+                    witness=next(iter(stray)))
         return acc
 
     return TransSeries(cert, expander)
@@ -629,15 +605,12 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
                            s: TransSeries, *,
                            image_bases: Iterable[Monomial],
                            image_ratios: Iterable[Monomial],
-                           growth: Monomial,
-                           multiplicative: bool = False) -> TransSeries:
+                           growth: Monomial) -> TransSeries:
     """The unique strongly linear extension of a Noetherian monomial map.
 
     The caller certifies the image family: a common grid certificate
     (image_bases, image_ratios) and a growth bound, a monomial with
-    supp(map_fn(m)) <= m * growth for every grid monomial m of s.  With the
-    product flag set the map is spot-checked multiplicative on certificate
-    generator pairs.
+    supp(map_fn(m)) <= m * growth for every grid monomial m of s.
     """
     if image_bases is None or image_ratios is None or growth is None:
         raise PreconditionError(
@@ -651,16 +624,6 @@ def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
         if got is None:
             got = cache[m] = map_fn(m)
         return got
-
-    if multiplicative:
-        gens = sort_monomials(set(s.cert.bases) | set(s.cert.ratios))[:3]
-        for a in gens:
-            for b in gens:
-                lhs = image(mono_mul(a, b)).first_terms(2, fuel=PROBE_FUEL)
-                rhs = mul(image(a), image(b)).first_terms(2, fuel=PROBE_FUEL)
-                if lhs != rhs:
-                    raise PreconditionError(
-                        f"map is not multiplicative on {a.render()}, {b.render()}")
 
     return _extend(image, s, icert, lambda cutoff: mono_mul(cutoff, growth.inv()))
 

@@ -112,10 +112,13 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
         return ConvReport("certified_convergent", tuple(witnesses), prefix,
                           "generator daggers shrink below 1 under the operator")
 
-    # look for a sharpness witness in the actual support
+    # look for a sharpness witness in the first `prefix` grid positions of
+    # the support, those strictly above the next one unless the grid ends
     try:
-        cutoff, _ = depth_cutoff(f, prefix)
-        supp = [m for m in f.expand(cutoff)] if cutoff is not None else []
+        cutoff, exhausted = depth_cutoff(f, prefix)
+        supp = list(f.expand(cutoff)) if cutoff is not None else []
+        if not exhausted:
+            supp = [m for m in supp if mono_cmp(m, cutoff) > 0]
     except BudgetExceededError:
         supp = []
     for m in supp:

@@ -113,6 +113,25 @@ def test_support_prefix_sets_the_locus_prefix(monkeypatch):
     assert report.convergent and report.checked_prefix == 5
 
 
+def test_support_prefix_is_the_number_of_scanned_support_positions():
+    # exp(x) fails the generator check at delta = 1; its support witness is
+    # its first grid position, so a prefix of 0 scans none and finds none
+    e_x = parse_series("exp(x)")
+    spec = LocusSpec(IDENTITY, ONE_SERIES)
+    verdicts = {}
+    for prefix in (0, 1):
+        previous = configure(support_prefix=prefix)
+        try:
+            verdicts[prefix] = locus_contains(spec, e_x)
+        finally:
+            configure(**previous)
+    assert verdicts[0].verdict == "inconclusive"
+    assert verdicts[0].checked_prefix == 0
+    assert "no support witness" in verdicts[0].detail
+    assert verdicts[1].divergent and verdicts[1].checked_prefix == 1
+    assert verdicts[1].witnesses[0][0] is e_x.leading_term().mono
+
+
 def test_backend_setting_is_restored():
     with pytest.raises(PartialConstantError):
         parse_series("exp(1)")

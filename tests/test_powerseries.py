@@ -481,10 +481,3 @@ def test_pullback_cut_via_dominant_images():
     got = pullback_cut(op, CutSpec.above(xpow(-1)))
     assert got.variant == "above" and got.boundary is xpow(-2)
 
-
-def test_powerseries_rendering():
-    p = PowerSeries.from_coeffs([from_terms([(1, X), (1, ONE)]), ZERO,
-                                 mono_series(X_INV)])
-    assert p.render(order=4) == "(x + 1) + (x^-1)*X^2"
-    q = const_family()
-    assert q.render(order=2) == "(1) + (1)*X + (1)*X^2 + O(X^3)"

@@ -201,7 +201,7 @@ def test_sum_family_partition_invariance():
 
 
 def test_sum_lazy_geometric_support():
-    s = sum_lazy(((k, mono_series(xpow(-k))) for k in range(100)),
+    s = sum_lazy((mono_series(xpow(-k)) for k in range(100)),
                  bases=[ONE], ratios=[X_INV])
     assert s.expand(xpow(-2)) == {ONE: Fraction(1), X_INV: Fraction(1),
                                   xpow(-2): Fraction(1)}
@@ -209,7 +209,7 @@ def test_sum_lazy_geometric_support():
 
 def test_sum_lazy_arbitrary_coefficients():
     import math
-    s = sum_lazy(((k, scale(mono_series(xpow(-k)), math.factorial(k)))
+    s = sum_lazy((scale(mono_series(xpow(-k)), math.factorial(k))
                   for k in range(64)),
                  bases=[ONE], ratios=[X_INV])
     got = s.expand(xpow(-4))
@@ -218,8 +218,8 @@ def test_sum_lazy_arbitrary_coefficients():
 
 def test_sum_lazy_detects_certificate_violation():
     def produce():
-        yield 0, mono_series(ONE)
-        yield 1, mono_series(X)  # escapes the declared grid
+        yield mono_series(ONE)
+        yield mono_series(X)  # escapes the declared grid
     s = sum_lazy(produce(), bases=[ONE], ratios=[X_INV])
     with pytest.raises(SummabilityViolationError) as exc:
         s.expand(xpow(-1))
@@ -294,9 +294,10 @@ def test_geometric_matches_invert():
 
 
 def test_finite_coefficient_sequences():
-    # missing entries are zero: the sum stops at the last listed power
+    # coefficients that vanish past index 2: the sum stops at eps^2
     want = {ONE: 1, X_INV: 2, xpow(-2): 3}
-    got = geometric_substitute([1, 2, 3], mono_series(X_INV))
+    got = geometric_substitute(lambda k: k + 1 if k <= 2 else 0,
+                               mono_series(X_INV))
     assert got.expand(xpow(-6)) == want
 
 
@@ -359,8 +360,7 @@ def test_extend_shift_by_xinv():
 
 def test_extend_square_morphism_is_multiplicative():
     s = from_terms([(1, ONE), (1, X_INV)])
-    kw = dict(image_bases=[ONE], image_ratios=[xpow(-2)], growth=ONE,
-              multiplicative=True)
+    kw = dict(image_bases=[ONE], image_ratios=[xpow(-2)], growth=ONE)
     sq = extend_strongly_linear(lambda m: mono_series(mono_mul(m, m)), s, **kw)
     sq_of_square = extend_strongly_linear(
         lambda m: mono_series(mono_mul(m, m)), mul(s, s),
@@ -408,7 +408,7 @@ def test_compose_flags_images_outside_its_certificate(monkeypatch):
 def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
     # at cutoff x^-1 only levels 0 and 1 can reach; a level-3 summand that
     # still does breaks the level contract
-    s = sum_lazy(iter([(0, ONE_SERIES), (3, ONE_SERIES)]), bases=[ONE], ratios=[X_INV])
+    s = sum_lazy([ONE_SERIES, ZERO, ZERO, ONE_SERIES], bases=[ONE], ratios=[X_INV])
     with pytest.raises(SummabilityViolationError,
                        match="level-3 summand reaches above the cutoff bound with 1"
                        ) as exc:
@@ -416,30 +416,46 @@ def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
     assert exc.value.witness is ONE
 
 
-def test_sum_lazy_refuses_decreasing_levels():
-    s = sum_lazy(iter([(2, mono_series(xpow(-2))), (1, mono_series(X_INV))]),
-                 bases=[ONE], ratios=[X_INV])
-    with pytest.raises(PreconditionError, match="must be nondecreasing"):
-        s.expand(xpow(-3))
-
-
 def test_sum_lazy_pulls_at_most_level_fuel_summands(monkeypatch):
     from itertools import repeat
     from transseries.limits import LIMITS
-    s = sum_lazy(zip(repeat(0), repeat(ZERO)), bases=[ONE], ratios=[X_INV])
+    s = sum_lazy(repeat(ZERO), bases=[ONE], ratios=[X_INV])
     monkeypatch.setattr(LIMITS, "level_fuel", 3)
     with pytest.raises(BudgetExceededError, match="pulled too many summands"):
         s.expand(ONE)
 
 
-def test_sum_lazy_without_ratios_needs_a_finite_producer():
+def test_sum_lazy_refuses_an_empty_ratio_set():
+    # summand k has level k, and without a ratio no level bounds anything:
+    # even a finite family is refused, at construction
+    with pytest.raises(PreconditionError, match="needs a grid ratio"):
+        sum_lazy([ONE_SERIES, ONE_SERIES], bases=[ONE], ratios=[])
+
+
+def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
     from itertools import count
-    finite = sum_lazy(iter([(0, ONE_SERIES), (0, ONE_SERIES)]), bases=[ONE], ratios=[])
-    assert finite.expand(ONE) == {ONE: 2}
-    endless = sum_lazy(((k, ONE_SERIES) for k in count(0, 5000)),
-                       bases=[ONE], ratios=[])
-    with pytest.raises(PreconditionError, match="requires a finite producer"):
-        endless.expand(ONE)
+    from transseries.limits import LIMITS
+    window = LIMITS.divergence_window
+    pulled = []
+
+    def summands():
+        for k in count():
+            pulled.append(k)
+            yield mono_series(xpow(-k))
+
+    # at cutoff x^-3 levels 0..3 reach (cap 3), then the window and one more
+    s = sum_lazy(summands(), bases=[ONE], ratios=[X_INV])
+    assert s.expand(xpow(-3)) == {xpow(-k): 1 for k in range(4)}
+    assert len(pulled) == 3 + window + 2
+    # a cutoff x^-c needs c + window + 2 summands; the fuel L allows L + 1
+    fuel = 10
+    monkeypatch.setattr(LIMITS, "level_fuel", fuel)
+    c = fuel - 1 - window
+    fits = sum_lazy(summands(), bases=[ONE], ratios=[X_INV])
+    assert fits.expand(xpow(-c)) == {xpow(-k): 1 for k in range(c + 1)}
+    over = sum_lazy(summands(), bases=[ONE], ratios=[X_INV])
+    with pytest.raises(BudgetExceededError, match="pulled too many summands"):
+        over.expand(xpow(-c - 1))
 
 
 def test_extend_requires_every_part_of_the_certificate():
@@ -448,15 +464,6 @@ def test_extend_requires_every_part_of_the_certificate():
     for missing in full:
         with pytest.raises(PreconditionError, match="common image certificate"):
             extend_strongly_linear(mono_series, s, **{**full, missing: None})
-
-
-def test_extend_refuses_a_map_that_is_not_multiplicative():
-    # m -> m * x^-1 sends a*b to a*b*x^-1 but a and b to a*b*x^-2
-    s = from_terms([(1, ONE), (1, X_INV)])
-    with pytest.raises(PreconditionError, match="map is not multiplicative on"):
-        extend_strongly_linear(lambda m: mono_series(mono_mul(m, X_INV)), s,
-                               image_bases=[X_INV], image_ratios=[X_INV],
-                               growth=X_INV, multiplicative=True)
 
 
 def test_certificate_points_above():

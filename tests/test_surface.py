@@ -1,8 +1,11 @@
 """The public surface: every function and class that `transseries` exports
-is used by the kernel itself or by the benchmark, found by an AST scan."""
+is used by the kernel itself or by the benchmark, and so is every optional
+parameter of those functions and of the public methods of those classes,
+found by an AST scan."""
 
 import ast
 import inspect
+import math
 from pathlib import Path
 
 import transseries
@@ -16,6 +19,12 @@ PAPER_CONSTRUCTIONS = (
     "faa_di_bruno_coeff", "spec_condition_check",
     "analytic_commutation_check", "chain_rule_transport_check",
 )
+
+# parameters that no kernel or benchmark call passes, kept because they
+# state the paper's cut-pullback lemma: a cut algebra is carried into its
+# pullback under the operator
+UNPASSED_PARAMETERS = (("lift_coefficientwise", "s_source"),
+                       ("lift_coefficientwise", "s_target"))
 
 
 def _exported() -> set:
@@ -69,3 +78,85 @@ def test_the_exempt_constructions_are_exported_and_unreached():
     assert len(exempt) == 9
     assert exempt <= _exported()
     assert not exempt & _reached(), sorted(exempt & _reached())
+
+
+def _optional_parameters(callee: str, fn, bound: bool) -> set:
+    """(callee, name, position) for each defaulted or keyword-only parameter
+    of fn; position is its index among a call's positional arguments (after
+    self or cls when bound), or None for a keyword-only parameter."""
+    params = list(inspect.signature(fn).parameters.values())[bound:]
+    out, position = set(), 0
+    for p in params:
+        if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
+            continue
+        if p.kind == p.KEYWORD_ONLY:
+            out.add((callee, p.name, None))
+            continue
+        if p.default is not p.empty:
+            out.add((callee, p.name, position))
+        position += 1
+    return out
+
+
+def _modes() -> set:
+    """The optional parameters of the exported functions and of the public
+    methods of the exported classes, each keyed by the name calls use."""
+    out = set()
+    for name in _exported():
+        obj = getattr(transseries, name)
+        if inspect.isfunction(obj):
+            out |= _optional_parameters(name, obj, bound=False)
+            continue
+        for attr, member in vars(obj).items():
+            fn = getattr(member, "__func__", member)
+            if not attr.startswith("_") and inspect.isfunction(fn):
+                out |= _optional_parameters(
+                    attr, fn, bound=not isinstance(member, staticmethod))
+    return out
+
+
+def _calls() -> list:
+    """(name, positional count, keyword names) for every call in `src/` and
+    `bench/`, by the called name or attribute; a starred argument fills
+    every position, and a double-starred one (keyword None) every keyword."""
+    out = []
+    paths = [*(ROOT / "src" / "transseries").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.append((name, math.inf if starred else len(node.args),
+                        {k.arg for k in node.keywords}))
+    return out
+
+
+def _passed(mode: tuple, calls: list) -> bool:
+    """Whether some call of the mode's name passes its parameter.  Calls are
+    matched by name alone, so a mode can be missed but never a used one
+    flagged."""
+    callee, param, position = mode
+    return any(name == callee and (param in keywords or None in keywords
+                                   or (position is not None and position < npos))
+               for name, npos, keywords in calls)
+
+
+def test_every_parameter_is_passed_by_a_caller():
+    calls = _calls()
+    unpassed = sorted(mode[:2] for mode in _modes()
+                      if mode[0] not in PAPER_CONSTRUCTIONS
+                      and mode[:2] not in UNPASSED_PARAMETERS
+                      and not _passed(mode, calls))
+    assert not unpassed, unpassed
+
+
+def test_the_exempt_parameters_are_still_unpassed():
+    # a parameter that gains a caller leaves the exemption list
+    calls = _calls()
+    modes = {mode[:2]: mode for mode in _modes()}
+    assert set(UNPASSED_PARAMETERS) <= set(modes)
+    exempt = [mode for key, mode in modes.items()
+              if key in UNPASSED_PARAMETERS or key[0] in PAPER_CONSTRUCTIONS]
+    assert not [mode for mode in exempt if _passed(mode, calls)]
