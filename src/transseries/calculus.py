@@ -23,7 +23,7 @@ from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      active_backend, add, const, dominant_decompose,
                      extend_strongly_linear, from_terms, geometric_substitute,
                      invert, mono_series, mul, scale, sum_family,
-                     _extend, _infinitesimal_bases, _level_cap)
+                     _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -91,10 +91,11 @@ def derive(s: TransSeries) -> TransSeries:
     dag, image_bases = _derivation_grid(s.cert.bases, s.cert.bases | s.cert.ratios)
     if not dag or s.cert.is_trivial:
         return ZERO
+    shrink = mono_inv(mono_max(dag))
     return extend_strongly_linear(
         lambda m: from_terms(deriv_terms(m)), s,
-        image_bases=image_bases, image_ratios=s.cert.ratios,
-        growth=mono_max(dag))
+        GridCertificate.of(image_bases, s.cert.ratios),
+        lambda cutoff: mono_mul(cutoff, shrink))
 
 
 def log_series(s: TransSeries) -> TransSeries:
@@ -249,8 +250,8 @@ def compose(f: TransSeries, h) -> TransSeries:
                 cut_f = floor
         return cut_f
 
-    return _extend(h.mono_image, f, GridCertificate(frozenset(bases), frozenset(ratios)),
-                   source_cutoff)
+    return extend_strongly_linear(h.mono_image, f, GridCertificate.of(bases, ratios),
+                                  source_cutoff)
 
 
 # -- Faà di Bruno --------------------------------------------------------------

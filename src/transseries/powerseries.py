@@ -155,6 +155,19 @@ def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     return PowerSeries(cf, finite_degree=fin, joint=joint)
 
 
+def _taylor_coefficients(x, d: Callable, at: Callable) -> Callable[[int], TransSeries]:
+    """k -> at(d^k(x)) / k!, the Taylor coefficients of x under the
+    derivation d read through `at`; each iterate d^k(x) is built once."""
+    iterates = [x]
+
+    def cf(k):
+        while len(iterates) <= k:
+            iterates.append(d(iterates[-1]))
+        return scale(at(iterates[k]), Fraction(1, factorial(k)))
+
+    return cf
+
+
 # -- cuts -----------------------------------------------------------------------
 
 
@@ -425,25 +438,19 @@ def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec) -> TransSeries:
     to the slightly larger segment).
     """
     verdict = cut_member(p, s)
+    lt = delta.leading_term()
     if not verdict.is_member and s.variant == "above":
         wider = cut_member(p, CutSpec.above_eq(s.boundary))
-        lt0 = delta.leading_term()
-        if wider.is_member and (lt0 is None or
-                                mono_cmp(lt0.mono, s.boundary) < 0):
+        if wider.is_member and (lt is None or mono_cmp(lt.mono, s.boundary) < 0):
             verdict, s = wider, CutSpec.above_eq(s.boundary)
     if not verdict.is_member:
         raise PreconditionError(
             f"cut_eval requires membership; got {verdict.kind}")
-    lt = delta.leading_term()
-    if lt is not None:
-        if s.variant == "empty":
-            pass  # polynomials evaluate anywhere
-        elif s.variant == "above":
-            if mono_cmp(lt.mono, s.boundary) > 0:
-                raise PreconditionError("delta is not below the final segment")
-        elif s.variant == "above_eq":
-            if mono_cmp(lt.mono, s.boundary) >= 0:
-                raise PreconditionError("delta is not below the final segment")
+    # an empty-cut member is a polynomial, which evaluates anywhere
+    if lt is not None and s.variant in ("above", "above_eq"):
+        c = mono_cmp(lt.mono, s.boundary)
+        if c > 0 or (c == 0 and s.variant == "above_eq"):
+            raise PreconditionError("delta is not below the final segment")
     return _evaluate(p, delta)
 
 
@@ -459,13 +466,7 @@ def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
     if not report.convergent:
         raise PreconditionError(
             f"translation requires certified convergence at eps: {report.verdict}")
-    derivs = [p]
-
-    def cf(k):
-        while len(derivs) <= k:
-            derivs.append(ps_derive(derivs[-1]))
-        return scale(_evaluate(derivs[k], eps), Fraction(1, factorial(k)))
-
+    cf = _taylor_coefficients(p, ps_derive, lambda q: _evaluate(q, eps))
     if p.is_finite:
         return PowerSeries(cf, finite_degree=p.finite_degree)
     if p.joint is None:
@@ -525,7 +526,6 @@ def lift_coefficientwise(op, p: PowerSeries,
                 dom = img.leading_term().mono
                 factors.add(dom)
                 ratios |= _unit_ratios(img, dom)
-            ratios = {z for z in ratios if z.is_small()}
             joint = PSJointCert.of(bases, ratios, factors)
     out = PowerSeries(lambda k: op.apply(p.coeff(k)),
                       finite_degree=p.finite_degree, joint=joint)

@@ -310,33 +310,25 @@ class TransSeries:
         got = self.first_terms(1, fuel)
         return got[0] if got else None
 
-    # -- arithmetic sugar -----------------------------------------------------
+    # -- arithmetic sugar, on series only --------------------------------------
 
     def __add__(self, other):
-        return add(self, as_series(other))
-
-    __radd__ = __add__
+        if not isinstance(other, TransSeries):
+            return NotImplemented
+        return add(self, other)
 
     def __neg__(self):
         return scale(self, -1)
 
     def __sub__(self, other):
-        return add(self, -as_series(other))
-
-    def __rsub__(self, other):
-        return add(as_series(other), -self)
+        if not isinstance(other, TransSeries):
+            return NotImplemented
+        return add(self, -other)
 
     def __mul__(self, other):
-        if isinstance(other, TransSeries):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, TransSeries):
-            return mul(self, invert(other))
-        return scale(self, Fraction(1) / other)
+        if not isinstance(other, TransSeries):
+            return NotImplemented
+        return mul(self, other)
 
     def render(self, nterms: int = 8) -> str:
         return render_series(self, nterms)
@@ -346,14 +338,6 @@ class TransSeries:
             return f"TransSeries({self.render(4)})"
         except BudgetExceededError:
             return "TransSeries(<budget exceeded>)"
-
-
-def as_series(x) -> TransSeries:
-    if isinstance(x, TransSeries):
-        return x
-    if isinstance(x, Monomial):
-        return mono_series(x)
-    return const(x)
 
 
 # -- constructors -------------------------------------------------------------
@@ -516,13 +500,13 @@ def geometric_substitute(coeffs: Callable[[int], object],
             f"dominant monomial is {lt.mono.render()}")
     tight_bases = _infinitesimal_bases(eps.cert, lt.mono)
     tight = TransSeries(GridCertificate(tight_bases, eps.cert.ratios), eps.expand)
-    rho = mono_max(tight_bases) if tight_bases else None
+    rho = mono_max(tight_bases)    # lt.mono is one of the tight bases
     cert = GridCertificate(frozenset([ONE]),
                            frozenset(eps.cert.ratios) | tight_bases)
     powers = [ONE_SERIES]    # eps^k on the tight grid, built once and kept
 
     def expander(cutoff):
-        last = 0 if rho is None else _level_cap(rho, rho, cutoff)
+        last = _level_cap(rho, rho, cutoff)
         acc: dict = {}
         for k in range(last + 1):
             if len(powers) == k:
@@ -601,47 +585,27 @@ def sum_lazy(summands: Iterable[TransSeries], bases: Iterable[Monomial],
     return TransSeries(cert, expander)
 
 
-def extend_strongly_linear(map_fn: Callable[[Monomial], TransSeries],
-                           s: TransSeries, *,
-                           image_bases: Iterable[Monomial],
-                           image_ratios: Iterable[Monomial],
-                           growth: Monomial) -> TransSeries:
-    """The unique strongly linear extension of a Noetherian monomial map.
+def extend_strongly_linear(image: Callable[[Monomial], TransSeries],
+                           s: TransSeries, cert: GridCertificate,
+                           source_cutoff: Callable[[Monomial], Monomial]) -> TransSeries:
+    """The unique strongly linear extension sum_m s_m * image(m) of a
+    Noetherian monomial map, on the image grid `cert` the caller certifies.
 
-    The caller certifies the image family: a common grid certificate
-    (image_bases, image_ratios) and a growth bound, a monomial with
-    supp(map_fn(m)) <= m * growth for every grid monomial m of s.
-    """
-    if image_bases is None or image_ratios is None or growth is None:
-        raise PreconditionError(
-            "extend_strongly_linear needs the common image certificate "
-            "(image_bases, image_ratios, growth)")
-    icert = GridCertificate.of(image_bases, image_ratios)
-    cache: dict = {}
-
-    def image(m):
-        got = cache.get(m)
-        if got is None:
-            got = cache[m] = map_fn(m)
-        return got
-
-    return _extend(image, s, icert, lambda cutoff: mono_mul(cutoff, growth.inv()))
-
-
-def _extend(image: Callable[[Monomial], TransSeries], s: TransSeries,
-            cert: GridCertificate,
-            source_cutoff: Callable[[Monomial], Monomial]) -> TransSeries:
-    """The node sum_m s_m * image(m) on the grid `cert`.  An expansion at a
-    cutoff expands s at source_cutoff(cutoff), which must reach every m whose
-    image has a term at or above the cutoff; an image monomial outside the
-    grid raises SummabilityViolationError naming it."""
+    An expansion at a cutoff expands s at source_cutoff(cutoff), which must
+    reach every m whose image has a term at or above the cutoff; each image
+    is built once, and an image monomial outside the grid raises
+    SummabilityViolationError naming it."""
+    images: dict = {}
     checked: set = set()
 
     def expander(cutoff):
         acc: dict = {}
         new: dict = {}    # unchecked image monomial -> its first source
         for m, coeff in s.expand(source_cutoff(cutoff)).items():
-            for mi, ci in image(m).expand(cutoff).items():
+            img = images.get(m)
+            if img is None:
+                img = images[m] = image(m)
+            for mi, ci in img.expand(cutoff).items():
                 if mi not in checked:
                     new.setdefault(mi, m)
                 acc[mi] = acc.get(mi, 0) + coeff * ci
@@ -668,6 +632,18 @@ def depth_cutoff(s: TransSeries, depth: int):
     return (walked[-1] if walked else None), len(walked) <= depth
 
 
+def _terms_to_depth(s: TransSeries, depth: int) -> tuple:
+    """(terms, cutoff): the terms of s strictly above its depth cutoff, or
+    all of them once the grid is exhausted, as {Monomial: coeff}; no terms
+    and cutoff None when the grid is empty (expand never reads the cutoff
+    of an empty grid)."""
+    cutoff, exhausted = depth_cutoff(s, depth)
+    d = s.expand(cutoff)
+    if not exhausted:
+        d = {m: c for m, c in d.items() if mono_cmp(m, cutoff) > 0}
+    return d, cutoff
+
+
 def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):
     """Exact comparison through the first `depth` grid positions.
 
@@ -677,13 +653,7 @@ def compare_to_depth(s: TransSeries, t: TransSeries, depth: int):
     """
     if depth < 1:
         raise PreconditionError(f"depth {depth} compares no grid position")
-    diff = add(s, scale(t, -1))
-    cutoff, exhausted = depth_cutoff(diff, depth)
-    if cutoff is None:
-        return True, None, []
-    d = diff.expand(cutoff)
-    if not exhausted:
-        d = {m: c for m, c in d.items() if mono_cmp(m, cutoff) > 0}
+    d, cutoff = _terms_to_depth(add(s, scale(t, -1)), depth)
     bad = [Term(d[m], m) for m in sort_monomials(d)]
     return not bad, cutoff, bad
 

@@ -14,8 +14,6 @@ of the corresponding theorems to a stated positional depth, exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 from typing import Optional
 
 from .calculus import (X_SERIES, CompositionHandle, compose, dagger,
@@ -26,9 +24,10 @@ from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
                        mono_inv, mono_mul, sort_monomials)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
-                          lift_coefficientwise, _evaluate, _scaled_powers)
+                          lift_coefficientwise, _evaluate, _scaled_powers,
+                          _taylor_coefficients)
 from .series import (PROBE_FUEL, TransSeries, add, compare_to_depth,
-                     depth_cutoff, from_terms, mul, scale)
+                     from_terms, mul, _terms_to_depth)
 
 X_INV = mono_inv(X)
 
@@ -58,8 +57,8 @@ def spec_condition_check(m: Monomial) -> dict:
     prefix = LIMITS.support_prefix
     if m is ONE:
         raise PreconditionError("the dichotomy concerns monomials != 1")
+    flat = is_flat(m)
     dlt = dagger(m).leading_term()
-    flat = dlt is None or mono_cmp(dlt.mono, X_INV) <= 0
     mprime = from_terms(deriv_terms(m))
     # a finite series' certificate bases are exactly its nonzero support
     supp = sort_monomials(mprime.cert.bases)[:prefix]
@@ -115,10 +114,7 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
     # look for a sharpness witness in the first `prefix` grid positions of
     # the support, those strictly above the next one unless the grid ends
     try:
-        cutoff, exhausted = depth_cutoff(f, prefix)
-        supp = list(f.expand(cutoff)) if cutoff is not None else []
-        if not exhausted:
-            supp = [m for m in supp if mono_cmp(m, cutoff) > 0]
+        supp = list(_terms_to_depth(f, prefix)[0])
     except BudgetExceededError:
         supp = []
     for m in supp:
@@ -156,16 +152,10 @@ def _taylor_morphism(f: TransSeries) -> PowerSeries:
     gens = set(f.cert.bases) | set(f.cert.ratios)
     factors = dagger_support_closure(gens)
     joint = PSJointCert.of(f.cert.bases, f.cert.ratios, factors)
-    derivs = [f]
-
-    def cf(k):
-        while len(derivs) <= k:
-            derivs.append(derive(derivs[-1]))
-        return scale(derivs[k], Fraction(1, factorial(k)))
-
     # no dagger factors means f is a constant: the series stops at X^0
     fin = 0 if not factors else None
-    return PowerSeries(cf, joint=joint, finite_degree=fin)
+    return PowerSeries(_taylor_coefficients(f, derive, lambda s: s),
+                       joint=joint, finite_degree=fin)
 
 
 def taylor_deform(f: TransSeries, spec: LocusSpec) -> TransSeries:

@@ -4,22 +4,19 @@ depths; runtime budgets are wall-clock."""
 
 import time
 from fractions import Fraction
-from math import comb
-
-import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, CutSpec,
                          LocusSpec, IDENTITY, PowerSeries, PSJointCert,
                          X, analytic_commutation_check, atom,
                          chain_rule_transport_check, compose, conv_contains,
-                         cut_member, dagger, derive, exp_series,
+                         cut_member, dagger, derive,
                          faa_di_bruno_coeff, from_terms,
                          invert, locus_contains, make_monomial, mono_cmp,
                          mono_inv, mono_mul, mono_pow, mono_series,
                          monomial_geometric, mul, ps_compose, ps_derive,
                          ps_eval, ps_translate, taylor_identity_check,
                          taylor_series)
-from transseries.series import add, compare_to_depth, scale
+from transseries.series import add, scale
 from transseries.taylor import spec_condition_check
 
 from helpers import (assert_depth_equal, derive_n, ps_add, ps_mul,

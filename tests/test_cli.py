@@ -182,6 +182,18 @@ GOLDENS = [
      "knows log(1) [at offset 0]\n"),
     (["eval", "(2*x)^(1/2)"], 3,
      "error: PartialConstantError: 2^(1/2) is irrational [at offset 5]\n"),
+    (["eval", "(1+x)^0"], 0, "1\n"),
+    (["eval", "(-2+1/x)^(1/2)"], 3,
+     "error: DomainError: negative base -2 with fractional exponent 1/2 "
+     "[at offset 8]\n"),
+    (["eval", "(-2+1/x)^(1/2)", "--backend", "float"], 3,
+     "error: DomainError: negative base -2.0 with fractional exponent 1/2 "
+     "[at offset 8]\n"),
+    (["cutcheck", "1/x", "--cut", "empty"], 2,
+     "series: sum (x^-1)^k * X^k\n"
+     "cut: empty segment\n"
+     "verdict: non_member\n"
+     "witness: (1, X^0) vs (x^-1, X^1)\n"),
 ]
 
 
@@ -289,11 +301,12 @@ def test_json_errors():
 
 
 def test_cutcheck_empty_cut_witness():
-    assert run_cli(["cutcheck", "1/x", "--cut", "empty"]) == (2, (
-        "series: sum (x^-1)^k * X^k\n"
-        "cut: empty segment\n"
-        "verdict: non_member\n"
-        "witness: (1, X^0) vs (x^-1, X^1)\n"))
+    # the text form is a golden; under --json the same witness is data
+    code, out = run_cli(["cutcheck", "1/x", "--cut", "empty", "--json"])
+    assert code == 2
+    assert json.loads(out) == {"command": "cutcheck", "terms": [],
+                               "verdict": "non_member",
+                               "witnesses": ["(1, X^0) vs (x^-1, X^1)"]}
 
 
 def test_deep_nesting_is_a_parse_error():

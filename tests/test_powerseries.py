@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from transseries import (ONE, ONE_SERIES, ZERO, ConvReport, CutSpec,
+from transseries import (ONE, ONE_SERIES, ZERO, CutSpec,
                          EvaluationRefusedError, PowerSeries, PreconditionError,
                          PSJointCert, X, conv_contains, cut_eval, cut_member,
                          exp_series, from_terms, invert, lift_coefficientwise,
@@ -412,6 +412,25 @@ def test_cut_monotone_in_the_segment():
     assert cut_member(p, CutSpec.above(X2)).kind == "non_member"
 
 
+def test_cut_member_is_inconclusive_on_loose_maxima_with_a_descending_pair():
+    # P_k = x^-k, but from degree 6 on the certificate of P_k also holds
+    # x^k, whose cancelled terms leave grid maxima that fail the descent
+    # test; the verified dominants x^-k descend, so nothing is decided
+    def coeff(k):
+        if k < 6:
+            return xs(-k)
+        return add(from_terms([(1, xpow(k)), (1, xpow(-k))]), scale(xs(k), -1))
+
+    verdict = cut_member(PowerSeries(coeff), CutSpec.above(ONE))
+    assert verdict.kind == "inconclusive"
+    assert verdict.witnesses == ()
+
+
+def test_negative_coefficient_index_is_refused():
+    with pytest.raises(PreconditionError, match="negative coefficient index"):
+        const_family().coeff(-1)
+
+
 def test_cut_eval_matches_direct_sum():
     # S = monomials > 1, P = sum X^k, delta = x^-1
     p = const_family()
@@ -437,6 +456,17 @@ def test_cut_eval_rejects_delta_inside_segment():
     p = const_family()
     with pytest.raises(PreconditionError):
         cut_eval(p, mono_series(X), CutSpec.above(ONE))
+
+
+def test_cut_eval_at_the_boundary():
+    # delta may sit on the boundary of a strict segment, not of a closed one
+    p = monomial_geometric(X_INV)
+    got = cut_eval(p, xs(-1), CutSpec.above(X_INV))
+    assert_depth_equal(got, invert(add(ONE_SERIES, scale(xs(-2), -1))), 8)
+    with pytest.raises(PreconditionError, match="not below the final segment"):
+        cut_eval(p, ONE_SERIES, CutSpec.above(X_INV))
+    with pytest.raises(PreconditionError, match="not below the final segment"):
+        cut_eval(p, mono_series(X), CutSpec.above_eq(X))
 
 
 # -- coefficientwise lifting -------------------------------------------------------

@@ -79,6 +79,16 @@ def test_long_add_chain_expands_without_deep_recursion():
     assert render_series(s, 2) == "1 + x^-1 + O(x^-2)"
 
 
+def test_operators_take_series_only():
+    # a constant enters as const(c), a monomial as mono_series(m)
+    with pytest.raises(TypeError):
+        geom() + 1
+    with pytest.raises(TypeError):
+        1 - geom()
+    with pytest.raises(TypeError):
+        geom() * Fraction(2)
+
+
 def test_add_zero_identity():
     s = rand_grid_series(rng(3))
     assert_depth_equal(s + ZERO, s, 8)
@@ -342,11 +352,15 @@ def test_invert_roundtrip_corpus():
 # -- strongly linear extension -------------------------------------------------------
 
 
+def _shrink_by(growth):
+    """The source cutoff of an image family whose supports stay at or below
+    m * growth for every source monomial m."""
+    return lambda cutoff: mono_mul(cutoff, growth.inv())
+
+
 def test_extend_identity():
     s = geom()
-    out = extend_strongly_linear(
-        lambda m: mono_series(m), s,
-        image_bases=s.cert.bases, image_ratios=s.cert.ratios, growth=ONE)
+    out = extend_strongly_linear(lambda m: mono_series(m), s, s.cert, _shrink_by(ONE))
     assert_depth_equal(out, s, 8)
 
 
@@ -354,31 +368,25 @@ def test_extend_shift_by_xinv():
     s = from_terms([(1, ONE), (1, X_INV)])
     out = extend_strongly_linear(
         lambda m: mono_series(mono_mul(m, X_INV)), s,
-        image_bases=[X_INV], image_ratios=[X_INV], growth=X_INV)
+        GridCertificate.of([X_INV], [X_INV]), _shrink_by(X_INV))
     assert out.expand(xpow(-2)) == {X_INV: Fraction(1), xpow(-2): Fraction(1)}
 
 
 def test_extend_square_morphism_is_multiplicative():
     s = from_terms([(1, ONE), (1, X_INV)])
-    kw = dict(image_bases=[ONE], image_ratios=[xpow(-2)], growth=ONE)
-    sq = extend_strongly_linear(lambda m: mono_series(mono_mul(m, m)), s, **kw)
+    cert = GridCertificate.of([ONE], [xpow(-2)])
+    sq = extend_strongly_linear(lambda m: mono_series(mono_mul(m, m)), s,
+                                cert, _shrink_by(ONE))
     sq_of_square = extend_strongly_linear(
-        lambda m: mono_series(mono_mul(m, m)), mul(s, s),
-        image_bases=[ONE], image_ratios=[xpow(-2)], growth=ONE)
+        lambda m: mono_series(mono_mul(m, m)), mul(s, s), cert, _shrink_by(ONE))
     assert_depth_equal(sq_of_square, mul(sq, sq), 8)
-
-
-def test_extend_requires_certificate():
-    with pytest.raises(PreconditionError):
-        extend_strongly_linear(lambda m: mono_series(m), geom(),
-                               image_bases=None, image_ratios=None, growth=None)
 
 
 def test_extend_flags_escaping_images():
     s = from_terms([(1, ONE), (1, X_INV)])
     out = extend_strongly_linear(
         lambda m: mono_series(X2), s,
-        image_bases=[ONE], image_ratios=[X_INV], growth=ONE)
+        GridCertificate.of([ONE], [X_INV]), _shrink_by(ONE))
     with pytest.raises(SummabilityViolationError):
         out.expand(ONE)
 
@@ -458,12 +466,10 @@ def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
         over.expand(xpow(-c - 1))
 
 
-def test_extend_requires_every_part_of_the_certificate():
-    s = from_terms([(1, ONE), (1, X_INV)])
-    full = dict(image_bases=[ONE], image_ratios=[X_INV], growth=ONE)
-    for missing in full:
-        with pytest.raises(PreconditionError, match="common image certificate"):
-            extend_strongly_linear(mono_series, s, **{**full, missing: None})
+def test_certificate_refuses_a_ratio_that_is_not_infinitesimal():
+    with pytest.raises(PreconditionError,
+                       match="certificate ratio x is not infinitesimal"):
+        GridCertificate.of([ONE], [X])
 
 
 def test_certificate_points_above():

@@ -1,7 +1,8 @@
 """The public surface: every function and class that `transseries` exports
 is used by the kernel itself or by the benchmark, and so is every optional
 parameter of those functions and of the public methods of those classes,
-found by an AST scan."""
+found by an AST scan; and every name a kernel or test module imports is
+read there."""
 
 import ast
 import inspect
@@ -160,3 +161,27 @@ def test_the_exempt_parameters_are_still_unpassed():
     exempt = [mode for key, mode in modes.items()
               if key in UNPASSED_PARAMETERS or key[0] in PAPER_CONSTRUCTIONS]
     assert not [mode for mode in exempt if _passed(mode, calls)]
+
+
+def _unread_imports(tree: ast.AST) -> list:
+    """The names a module imports and never reads; the `__future__`
+    imports are directives, not names."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_read():
+    # the package's __init__ imports in order to export
+    paths = [path for path in (ROOT / "src" / "transseries").glob("*.py")
+             if path.name != "__init__.py"]
+    paths += (ROOT / "tests").glob("*.py")
+    unread = {f"{path.relative_to(ROOT)}: {name}" for path in paths
+              for name in _unread_imports(ast.parse(path.read_text()))}
+    assert not unread, sorted(unread)

@@ -14,9 +14,9 @@ from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
                          lift_coefficientwise, locus_contains, make_monomial,
                          mono_inv, mono_mul, mono_pow, mono_series, mul,
                          taylor_deform, taylor_identity_check, taylor_series)
-from transseries.series import add, scale
+from transseries.series import add
 from transseries.parser import parse_series
-from transseries.taylor import _check_descent, _compare, is_flat, spec_condition_check
+from transseries.taylor import _check_descent, _compare, spec_condition_check
 
 from helpers import assert_depth_equal, derive_n, rng
 
