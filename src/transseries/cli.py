@@ -9,6 +9,7 @@ cutcheck.  Output is deterministic; exit codes encode verdicts:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,6 +186,7 @@ class _ArgumentParser(argparse.ArgumentParser):
             raise
 
 
+@functools.cache  # built at the first call; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=int, default=8,

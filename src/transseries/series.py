@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -628,7 +629,7 @@ def depth_cutoff(s: TransSeries, depth: int):
     last one if the grid has fewer points; a negative depth is refused."""
     if depth < 0:
         raise PreconditionError(f"depth {depth} names no grid position")
-    walked = list(itertools.islice(s._candidates(), depth + 1))
+    walked = list(itertools.islice(s._candidates(), min(depth + 1, sys.maxsize)))
     return (walked[-1] if walked else None), len(walked) <= depth
 
 
@@ -667,6 +668,7 @@ def _term_search(s: TransSeries, want: int, budget: int) -> tuple:
     A grid position holds at most one term, so after an expansion at position
     p (0 at first) holding j < want terms, the next is made at p + want - j."""
     walker = s._candidates()
+    budget = min(budget, sys.maxsize)  # islice's limit; the walk's fuel ends it first
     d, done, pos, probe = {}, 0, 0, min(want, budget)
     for pos, cand in enumerate(itertools.islice(walker, budget), 1):
         if pos >= probe:

@@ -6,13 +6,15 @@ import json
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from transseries import ParseError, PartialConstantError, X, make_monomial, parse
-from transseries.cli import main
+from transseries.cli import build_parser, main
+from transseries.limits import LIMITS, configure
 from transseries.parser import Binary, Num, Power, Unary, Var, parse_series
-from transseries.series import render_series
+from transseries.series import compare_to_depth, render_series
 from transseries.monomial import mono_pow
 
 from helpers import equal_below, rand_finite_series, rng
@@ -546,3 +548,106 @@ def test_negative_terms_is_a_usage_error(argv, capsys):
         assert "usage: transseries" in err
         assert "argument --terms: -1 is negative" in err
     assert run_cli(["eval", "1/x", "--terms", "0"]) == (0, "O(x^-1)\n")
+
+
+# -- a --terms past what a grid walk can reach -----------------------------------
+
+HUGE_TERMS = ["100000000000000000000", "4611686018427387901", str(sys.maxsize)]
+
+
+@pytest.mark.parametrize("terms", HUGE_TERMS)
+@pytest.mark.parametrize("argv, text, json_terms", [
+    (["eval", "x"], "x\n", [("1", "x")]),
+    (["derive", "exp(x)"], "exp(x)\n", [("1", "exp(x)")]),
+    (["compose", "x^2", "x+1"], "x^2 + 2*x + 1\n", [("1", "x^2"), ("2", "x"), ("1", "1")]),
+    (["taylor", "x^2", "x", "0"], "locus: certified_convergent\nlhs: x^2\nrhs: x^2\nEQUAL\n",
+     [("1", "x^2")])],
+    ids=["eval", "derive", "compose", "taylor"])
+def test_huge_terms_on_a_finite_series(argv, text, json_terms, terms):
+    # a finite grid ends long before the term search's limit
+    assert run_cli(argv + ["--terms", terms]) == (0, text)
+    code, out = run_cli(argv + ["--terms", terms, "--json"])
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"coeff": c, "monomial": m} for c, m in json_terms]
+
+
+@pytest.mark.parametrize("argv", [["eval", "1/(1-1/x)"], ["taylor", "1/x", "x", "1"]],
+                         ids=lambda argv: argv[0])
+def test_huge_terms_on_an_infinite_grid_is_refused(argv):
+    previous = configure(expand_fuel=2_000)
+    try:
+        code, out = run_cli(argv + ["--terms", HUGE_TERMS[0]])
+        assert code == 3
+        assert out.startswith("error: BudgetExceededError: grid walk past ")
+        assert "exceeded 2000 lattice points" in out
+        code, out = run_cli(argv + ["--terms", HUGE_TERMS[0], "--json"])
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "BudgetExceededError"
+    finally:
+        configure(**previous)
+
+
+def test_huge_depth_in_the_library():
+    x = parse_series("x")
+    assert render_series(x, 10**20) == "x"
+    equal, cutoff, bad = compare_to_depth(x, x, 10**20)
+    assert equal and cutoff is X and bad == []
+
+
+# -- one parser per process --------------------------------------------------------
+
+HELP = Path(__file__).resolve().parent / "help"
+SUBCOMMANDS = ["eval", "derive", "compose", "taylor", "identity-check", "locus", "cutcheck"]
+
+
+def help_golden(command):
+    return (HELP / f"{command or 'transseries'}.txt").read_text()
+
+
+def usage_error_text(command, message):
+    """argparse's stderr for a usage error: the parser's usage block from
+    its help golden, then `prog: error: message`."""
+    usage = help_golden(command).split("\n\n", 1)[0]
+    prog = " ".join(filter(None, ["transseries", command]))
+    return f"{usage}\n{prog}: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [None] + SUBCOMMANDS)
+def test_help_goldens(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = help_golden(command)
+    argv = [command, "--help"] if command else ["--help"]
+    # the second print comes from the parser the first call built
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 0
+        assert capsys.readouterr() == (want, "")
+
+
+def test_shared_parser_leaks_no_state(monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    bad_int = "argument --terms: invalid int value: 'abc'"
+    negative = "argument --terms: -1 is negative"
+    calls = [
+        (["eval", "x", "--terms", "abc", "--json"], 3, usage_error_line(bad_int),
+         usage_error_text("eval", bad_int)),
+        # a negative --terms is refused by the top parser's `error`
+        (["eval", "x", "--terms", "-1"], 3, "", usage_error_text(None, negative)),
+        (["eval", "log(2*x)", "--backend", "float"], 0, "log(x) + 0.69314718056\n", ""),
+        (["eval", "log(log(x))", "--depth-bound", "1"], 3,
+         "error: ResourceError: log depth 2 exceeds bound 1 [at offset 0]\n", ""),
+        (["locus", "exp(x)", "--op", "compose:x^2", "--delta", "1/x"], 0,
+         "locus: certified_convergent\n"
+         "detail: generator daggers shrink below 1 under the operator\n"
+         "witness: exp(x) -> x^-1\n", ""),
+        (["eval", "1/(1 - 1/x)"], 0,
+         "1 + x^-1 + x^-2 + x^-3 + x^-4 + x^-5 + x^-6 + x^-7 + O(x^-8)\n", ""),
+    ]
+    before = dict(vars(LIMITS))
+    for _ in range(2):
+        for argv, code, out, err in calls:
+            assert run_cli(argv) == (code, out), argv
+            assert capsys.readouterr().err == err, argv
+    assert dict(vars(LIMITS)) == before
