@@ -10,6 +10,7 @@ multiplicatively over monomials and strongly linearly over series.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, count
 from math import factorial
 from types import SimpleNamespace
 from typing import Sequence
@@ -150,13 +151,9 @@ def pow_series(s: TransSeries, r) -> TransSeries:
     c, d, eps = dominant_decompose(s)
     cr = active_backend().pow(c, r)
 
-    def binom(k: int):
-        out = Fraction(1)
-        for i in range(k):
-            out *= (r - i) / (i + 1)
-        return out
-
-    tail = geometric_substitute(binom, eps)
+    # geometric_substitute asks for each k once, in turn
+    binoms = accumulate(count(), lambda b, i: b * (r - i) / (i + 1), initial=Fraction(1))
+    tail = geometric_substitute(lambda k: next(binoms), eps)
     return scale(mul(mono_series(mono_pow(d, r)), tail), cr)
 
 

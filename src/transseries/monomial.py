@@ -158,11 +158,7 @@ def format_term_sum(terms: Iterable[tuple]) -> str:
 
 
 def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, float):
-        return f"{c:.12g}"
-    return str(c)
+    return f"{c:.12g}" if isinstance(c, float) else str(c)
 
 
 # -- construction ----------------------------------------------------------
@@ -203,8 +199,9 @@ def make_monomial(log_powers: Mapping[int, Rat],
 
 
 def _canon(r):
-    """An exact rational as an int when it is integral."""
-    return r.numerator if r.denominator == 1 else r
+    """An exact rational as an int when it is integral; an int or a float
+    as it is."""
+    return r.numerator if r.__class__ is Fraction and r.denominator == 1 else r
 
 
 def _intern(lp: tuple, et: tuple, checked: bool = True) -> Monomial:
@@ -388,11 +385,11 @@ def dagger_terms(m: Monomial) -> tuple:
         acc: dict = {}
         for k, r in m.log_powers:
             d = make_monomial({i: -1 for i in range(k + 1)})
-            acc[d] = acc.get(d, Fraction(0)) + r
+            acc[d] = acc.get(d, 0) + r
         for c, u in m.exp_terms:
             for dc, dm in dagger_terms(u):
                 key = mono_mul(u, dm)
-                acc[key] = acc.get(key, Fraction(0)) + c * dc
+                acc[key] = acc.get(key, 0) + c * dc
         m._dagger = tuple((c, mo) for mo, c in acc.items() if c)
     return m._dagger
 

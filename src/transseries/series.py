@@ -26,8 +26,8 @@ from .errors import (BudgetExceededError, DivisionByZeroSeries, DomainError,
                      PartialConstantError, PreconditionError,
                      SummabilityViolationError)
 from .limits import LIMITS
-from .monomial import (ONE, Monomial, format_term_sum, mono_cmp, mono_max,
-                       mono_mul, sort_monomials)
+from .monomial import (ONE, Monomial, _canon, format_term_sum, mono_cmp,
+                       mono_max, mono_mul, sort_monomials)
 
 
 class Term(NamedTuple):
@@ -39,21 +39,22 @@ class Term(NamedTuple):
 
 
 class ExactBackend:
-    """Exact rationals; exp and log are partial (defined at 0 resp. 1)."""
+    """Exact rationals, an int when integral and a Fraction otherwise; exp
+    and log are partial (defined at 0 resp. 1)."""
 
     name = "exact"
 
     def coerce(self, c):
-        return Fraction(c)
+        return _canon(Fraction(c))
 
     def exp(self, c):
         if c == 0:
-            return Fraction(1)
+            return 1
         raise PartialConstantError(f"exp({c}) is irrational; exact backend only knows exp(0)")
 
     def log(self, c):
         if c == 1:
-            return Fraction(0)
+            return 0
         raise PartialConstantError(f"log({c}) is irrational; exact backend only knows log(1)")
 
     def pow(self, c, r: Fraction):
@@ -63,14 +64,14 @@ class ExactBackend:
             n = r.numerator
             if c == 0 and n < 0:
                 raise DomainError("0 to a negative power")
-            return c ** n
+            return _canon(c ** n)
         if c < 0:
             raise DomainError(f"negative base {c} with fractional exponent {r}")
         num = _exact_root(c.numerator, r.denominator)
         den = _exact_root(c.denominator, r.denominator)
         if num is None or den is None:
             raise PartialConstantError(f"{c}^({r}) is irrational")
-        return Fraction(num, den) ** r.numerator
+        return _canon(Fraction(num, den) ** r.numerator)
 
 
 class FloatBackend:
@@ -345,13 +346,12 @@ class TransSeries:
 
 
 def from_terms(terms: Iterable) -> TransSeries:
-    """Finite series from (coeff, monomial) pairs; merges and drops zeros."""
+    """Finite series from (coeff, monomial) pairs; merges and drops zeros,
+    and stores an integral rational coefficient as an int."""
     acc: dict = {}
     for coeff, m in terms:
-        if isinstance(coeff, int):
-            coeff = Fraction(coeff)
         acc[m] = acc.get(m, 0) + coeff
-    acc = {m: c for m, c in acc.items() if c}
+    acc = {m: _canon(c) for m, c in acc.items() if c}
     cert = GridCertificate.of(acc.keys())
 
     def expander(cutoff):
@@ -378,8 +378,7 @@ def mono_series(m: Monomial) -> TransSeries:
 
 
 def scale(s: TransSeries, c) -> TransSeries:
-    if isinstance(c, int):
-        c = Fraction(c)
+    c = _canon(c)
     if not c:
         return ZERO
 
@@ -486,7 +485,8 @@ def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
 
 def geometric_substitute(coeffs: Callable[[int], object],
                          eps: TransSeries) -> TransSeries:
-    """Sum_k coeffs(k) eps^k for infinitesimal eps.
+    """Sum_k coeffs(k) eps^k for infinitesimal eps; coeffs(k) is called
+    once for each k, in turn, and kept as an int when it is integral.
 
     Summability is the Neumann-series argument made constructive: the
     refined certificate of eps has infinitesimal bases, so each cutoff
@@ -504,18 +504,19 @@ def geometric_substitute(coeffs: Callable[[int], object],
     rho = mono_max(tight_bases)    # lt.mono is one of the tight bases
     cert = GridCertificate(frozenset([ONE]),
                            frozenset(eps.cert.ratios) | tight_bases)
-    powers = [ONE_SERIES]    # eps^k on the tight grid, built once and kept
+    # (coeffs(k), eps^k on the tight grid), each built once and kept
+    powers = [(_canon(coeffs(0)), ONE_SERIES)]
 
     def expander(cutoff):
         last = _level_cap(rho, rho, cutoff)
         acc: dict = {}
         for k in range(last + 1):
             if len(powers) == k:
-                powers.append(mul(powers[-1], tight))
-            ck = coeffs(k)
+                powers.append((_canon(coeffs(k)), mul(powers[-1][1], tight)))
+            ck, power = powers[k]
             if not ck:
                 continue
-            for m, v in powers[k].expand(cutoff).items():
+            for m, v in power.expand(cutoff).items():
                 acc[m] = acc.get(m, 0) + ck * v
         return acc
 
@@ -528,7 +529,7 @@ def invert(s: TransSeries) -> TransSeries:
     if lt is None:
         raise DivisionByZeroSeries("cannot invert the zero series")
     c, d, eps = dominant_decompose(s)
-    geo = geometric_substitute(lambda k: Fraction(-1) ** k, eps)
+    geo = geometric_substitute(lambda k: (-1) ** k, eps)
     return scale(mul(geo, mono_series(d.inv())), Fraction(1) / c)
 
 

@@ -7,16 +7,18 @@ from math import factorial
 
 import pytest
 
-from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
-                         PartialConstantError, PowerSeries, PreconditionError,
-                         X, atom, compose, dagger, derive, exp_series,
-                         faa_di_bruno_coeff, from_terms, invert, log_series,
-                         make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
-                         mono_series, mul, pow_series, ps_compose)
+from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
+                         CompositionHandle, DomainError, PartialConstantError,
+                         PowerSeries, PreconditionError, X, atom, compose,
+                         dagger, derive, exp_series, faa_di_bruno_coeff,
+                         from_terms, invert, log_series, make_monomial,
+                         mono_cmp, mono_inv, mono_mul, mono_pow, mono_series,
+                         mul, pow_series, ps_compose)
 from transseries.calculus import _image_grid
 from transseries.cli import main
 from transseries.parser import parse_series
-from transseries.series import GridCertificate, add, scale
+from transseries.series import (GridCertificate, add, depth_cutoff, scale,
+                                shown_terms)
 from transseries.taylor import is_flat, spec_condition_check
 
 from helpers import (assert_depth_equal, derive_n, rand_finite_series,
@@ -183,6 +185,46 @@ def test_binomial_half_power():
     got = pow_series(from_terms([(1, X), (1, ONE)]), Fraction(1, 2))
     sq = mul(got, got)
     assert_depth_equal(sq, from_terms([(1, X), (1, ONE)]), 8, "sqrt squared")
+
+
+def test_exp_series_coefficients_are_int_while_integral():
+    d = exp_series(mono_series(X_INV)).expand(xpow(-2))
+    assert type(d[ONE]) is int and type(d[X_INV]) is int
+    assert type(d[xpow(-2)]) is Fraction and d[xpow(-2)] == Fraction(1, 2)
+
+
+def test_pow_series_keeps_non_integral_binomials_fractions():
+    d = pow_series(parse_series("1 + 1/x"), Fraction(1, 2)).expand(xpow(-4))
+    assert type(d[ONE]) is int and d[ONE] == 1
+    binomials = [Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128)]
+    assert [d[xpow(-k)] for k in range(1, 5)] == binomials
+    assert all(type(d[xpow(-k)]) is Fraction for k in range(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_coefficients_are_never_floats_or_bools(seed):
+    """Random grid series through mul, invert, derive, log and exp: every
+    coefficient the kernel computes is an int or a Fraction (an int / int
+    or an int ** -n would make a float)."""
+    r = rng(2000 + seed)
+    s, t = rand_grid_series(r), rand_grid_series(r)
+
+    def small_part():
+        return s - from_terms([(c, m) for m, c in s.expand(ONE).items()])
+
+    ops = (lambda: mul(s, t), lambda: invert(s), lambda: derive(s),
+           lambda: log_series(add(ONE_SERIES, small_part())),
+           lambda: exp_series(small_part()))
+    coeffs = []
+    for op in ops:
+        try:
+            res = op()
+            coeffs += [c for c, _ in shown_terms(res, 6)[0]]
+            coeffs += res.expand(depth_cutoff(res, 10)[0]).values()
+        except BudgetExceededError:    # a refusal computes no coefficient
+            continue
+    assert len(coeffs) >= 20
+    assert all(type(c) in (int, Fraction) for c in coeffs), coeffs
 
 
 def test_fractional_power_of_nonsquare_constant_is_partial():

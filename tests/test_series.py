@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
-                         DivisionByZeroSeries, compose,
+                         DivisionByZeroSeries, compose, derive,
                          DomainError, GridCertificate, PreconditionError,
                          SummabilityViolationError, TransSeries, X, atom,
                          dominant_decompose, extend_strongly_linear,
@@ -15,7 +15,7 @@ from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          mono_series, mul, sum_family, sum_lazy)
 from transseries.monomial import sort_monomials
 from transseries.parser import parse_series
-from transseries.series import (_escape, _region, _term_search,
+from transseries.series import (EXACT, _escape, _region, _term_search,
                                 compare_to_depth, depth_cutoff, render_series,
                                 scale)
 
@@ -52,6 +52,40 @@ def test_from_terms_cancels_to_zero():
 def test_from_terms_orders_terms():
     s = from_terms([(1, X_INV), (1, X)])
     assert sort_monomials(s.expand(X_INV)) == [X, X_INV]
+
+
+# -- the representation of exact coefficients ------------------------------------
+# an integral rational is an int, any other a Fraction, as for monomial exponents
+
+
+def test_from_terms_stores_an_integral_fraction_as_an_int():
+    c = from_terms([(Fraction(3), X)]).expand(X)[X]
+    assert type(c) is int and c == 3
+    merged = from_terms([(Fraction(1, 2), X), (Fraction(3, 2), X)]).expand(X)[X]
+    assert type(merged) is int and merged == 2
+    assert type(from_terms([(Fraction(1, 2), X)]).expand(X)[X]) is Fraction
+
+
+def test_scale_stores_an_integral_factor_as_an_int():
+    c = scale(mono_series(X), Fraction(2)).expand(X)[X]
+    assert type(c) is int and c == 2
+
+
+def test_invert_and_its_derivative_keep_integral_coefficients_int():
+    inv = invert(from_terms([(1, ONE), (-1, X_INV)]))    # 1/(1 - 1/x)
+    for s, want in ((inv, [1] * 13), (derive(inv), [0, 0] + list(range(-1, -12, -1)))):
+        d = s.expand(xpow(-12))
+        assert [d.get(xpow(-k), 0) for k in range(13)] == want
+        assert all(type(c) is int for c in d.values())
+
+
+def test_exact_backend_constants_are_int_when_integral():
+    for got, want in ((EXACT.exp(0), 1), (EXACT.log(1), 0),
+                      (EXACT.pow(4, Fraction(1, 2)), 2),
+                      (EXACT.pow(Fraction(1, 2), -2), 4),
+                      (EXACT.coerce(Fraction(6, 3)), 2)):
+        assert type(got) is int and got == want
+    assert type(EXACT.pow(2, -1)) is Fraction and EXACT.pow(2, -1) == Fraction(1, 2)
 
 
 # -- add ------------------------------------------------------------------------
