@@ -7,13 +7,13 @@ convergence-locus predicate.
 """
 
 from .errors import (BudgetExceededError, DivisionByZeroSeries, DomainError,
-                     EvaluationRefusedError, InvalidInputError, KernelError,
-                     ParseError, PartialConstantError, PreconditionError,
-                     ResourceError, SummabilityViolationError)
+                     EvaluationRefusedError, KernelError, ParseError,
+                     PartialConstantError, PreconditionError, ResourceError,
+                     SummabilityViolationError)
 from .limits import LIMITS, Limits, configure
 from .monomial import (ONE, X, Monomial, atom, make_monomial, mono_cmp,
                        mono_inv, mono_mul, mono_pow, pre_log)
-from .series import (EXACT, FLOAT, ONE_SERIES, ZERO, GridCertificate, Term,
+from .series import (ONE_SERIES, ZERO, GridCertificate, Term,
                      TransSeries, add, compare_to_depth, const,
                      dominant_decompose, extend_strongly_linear, from_terms,
                      geometric_substitute, invert, mono_series, mul,

@@ -16,15 +16,15 @@ from types import SimpleNamespace
 from typing import Sequence
 
 from .errors import DomainError, PreconditionError, ResourceError
-from .limits import LIMITS, configure
+from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
                        make_monomial, mono_cmp, mono_inv, mono_max, mono_mul,
                        mono_pow, pre_log)
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
-                     active_backend, add, const, dominant_decompose,
+                     add, const, dominant_decompose, exp_const,
                      extend_strongly_linear, from_terms, geometric_substitute,
-                     invert, mono_series, mul, scale, sum_family,
-                     _infinitesimal_bases, _level_cap)
+                     invert, log_const, mono_series, mul, pow_const, scale,
+                     sum_family, _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -104,7 +104,7 @@ def log_series(s: TransSeries) -> TransSeries:
     c, d, eps = dominant_decompose(s)
     if not c > 0:
         raise DomainError("log of a series with non-positive leading coefficient")
-    logc = active_backend().log(c)
+    logc = log_const(c)
     tail = geometric_substitute(
         lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k - 1), k), eps)
     return sum_family([pre_log(d), tail] + ([const(logc)] if logc else []))
@@ -121,7 +121,7 @@ def exp_series(s: TransSeries) -> TransSeries:
     large = [(m, c) for m, c in parts.items() if m.is_large()]
     c0 = parts.get(ONE, 0)
     head = make_monomial({}, [(Fraction(c), m) for m, c in large])
-    ec = active_backend().exp(c0) if c0 else 1
+    ec = exp_const(c0) if c0 else 1
     eps = s - from_terms([(c, m) for m, c in large] + ([(c0, ONE)] if c0 else []))
     tail = geometric_substitute(lambda k: Fraction(1, factorial(k)), eps)
     out = mul(mono_series(head), tail)
@@ -149,7 +149,7 @@ def pow_series(s: TransSeries, r) -> TransSeries:
                 return out
             base = mul(base, base)
     c, d, eps = dominant_decompose(s)
-    cr = active_backend().pow(c, r)
+    cr = pow_const(c, r)
 
     # geometric_substitute asks for each k once, in turn
     binoms = accumulate(count(), lambda b, i: b * (r - i) / (i + 1), initial=Fraction(1))
@@ -165,7 +165,7 @@ class CompositionHandle:
 
     Memoizes atom and monomial images; composition of a series is the
     strongly linear extension over its term expansion.  Images are built
-    lazily, in the constant field that was active when the handle was built.
+    lazily.
     """
 
     def __init__(self, g: TransSeries):
@@ -174,13 +174,12 @@ class CompositionHandle:
             raise PreconditionError(
                 "composition requires a positive infinite right argument")
         self.g = g
-        self.backend = LIMITS.backend
         self._atoms = [g]            # atom_image(k) = l_k o g
         self._monos: dict = {ONE: ONE_SERIES}
 
     def atom_image(self, k: int) -> TransSeries:
         while len(self._atoms) <= k:
-            self._atoms.append(self._in_field(log_series, self._atoms[-1]))
+            self._atoms.append(log_series(self._atoms[-1]))
         return self._atoms[k]
 
     def mono_image(self, m: Monomial) -> TransSeries:
@@ -199,21 +198,14 @@ class CompositionHandle:
                     return out
         out = ONE_SERIES
         for k, r in m.log_powers:
-            out = mul(out, self._in_field(pow_series, self.atom_image(k), r))
+            out = mul(out, pow_series(self.atom_image(k), r))
         if m.exp_terms:
             arg = ZERO
             for c, u in m.exp_terms:
                 arg = add(arg, scale(self.mono_image(u), c))
-            out = mul(out, self._in_field(exp_series, arg))
+            out = mul(out, exp_series(arg))
         self._monos[m] = out
         return out
-
-    def _in_field(self, fn, *args) -> TransSeries:
-        previous = configure(backend=self.backend)
-        try:
-            return fn(*args)
-        finally:
-            configure(**previous)
 
     def image_dominant(self, m: Monomial) -> Monomial:
         return self.mono_image(m).leading_term().mono

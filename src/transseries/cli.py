@@ -14,7 +14,7 @@ import json
 import sys
 
 from .errors import KernelError, ParseError, ResourceError
-from .limits import BACKENDS, configure
+from .limits import configure
 from .parser import parse_series
 from .powerseries import CutSpec, cut_member, monomial_geometric
 from .series import TransSeries, format_shown, render_series, shown_terms
@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--terms", type=int, default=8,
                         help="terms / comparison depth (default 8)")
-    common.add_argument("--backend", choices=BACKENDS,
-                        default="exact")
     common.add_argument("--depth-bound", type=int, default=None,
                         help="iterated-log depth bound, for this call only")
     common.add_argument("--height-bound", type=int, default=None,
@@ -234,8 +232,7 @@ def main(argv=None) -> int:
                 _print_json_error("UsageError", e.message)
             return EXIT_INPUT
         raise
-    bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound,
-              "backend": args.backend}
+    bounds = {"log_depth_bound": args.depth_bound, "height_bound": args.height_bound}
     previous = configure(**{k: v for k, v in bounds.items() if v is not None})
     try:
         return args.fn(args)

@@ -12,10 +12,6 @@ class KernelError(Exception):
     """Base class for all kernel errors."""
 
 
-class InvalidInputError(KernelError):
-    """Malformed input to an oracle or constructor."""
-
-
 class PreconditionError(KernelError):
     """A documented operation precondition was not met."""
 
@@ -29,10 +25,11 @@ class DivisionByZeroSeries(DomainError):
 
 
 class PartialConstantError(DomainError):
-    """exp/log/power of a constant is undefined in the active backend.
+    """exp/log/power of a constant is not an exact rational.
 
-    The exact backend only knows exp(0)=1, log(1)=0 and perfect rational
-    powers; anything else must be rejected rather than approximated.
+    Constants are exact rationals, so only exp(0)=1, log(1)=0 and perfect
+    rational powers are known; anything else must be rejected rather than
+    approximated.
     """
 
 

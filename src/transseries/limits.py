@@ -1,18 +1,13 @@
-"""Tunable structural bounds, fuel budgets and the constant field.
+"""Tunable structural bounds and fuel budgets.
 
 The bounds and budgets never change a computed value. They only decide how
 far semi-decidable searches are pushed before the engine raises an honest
-resource error, and where structural recursion is cut off. `backend` does
-change values: it names the field the constants live in.
+resource error, and where structural recursion is cut off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import InvalidInputError
-
-BACKENDS = ("exact", "float")
 
 
 @dataclass
@@ -32,9 +27,6 @@ class Limits:
     term_fuel: int = 512           # candidate monomials walked per term search
     level_fuel: int = 4_096        # level-bound iterations in lazy sums
 
-    # constant field: "exact" rationals, or binary "float"s for demos
-    backend: str = "exact"
-
 
 LIMITS = Limits()
 
@@ -47,9 +39,6 @@ def configure(**kwargs) -> dict:
     for name in kwargs:
         if name not in previous:
             raise TypeError(f"unknown limit {name!r}")
-    if "backend" in kwargs and kwargs["backend"] not in BACKENDS:
-        raise InvalidInputError(
-            f"unknown backend {kwargs['backend']!r}; expected one of {BACKENDS}")
     for name, value in kwargs.items():
         setattr(LIMITS, name, value)
     return previous

@@ -117,12 +117,7 @@ class Monomial:
         for k, r in self.log_powers:
             parts.append(_atom_name(k) + _power_suffix(r))
         if self.exp_terms:
-            terms = self.exp_terms
-            if LIMITS.backend == "float":
-                # a float constant enters an exp term as the exact Fraction
-                # of its binary value: print it as the float it was
-                terms = [(float(c), u) for c, u in terms]
-            parts.append("exp(" + format_term_sum(terms) + ")")
+            parts.append("exp(" + format_term_sum(self.exp_terms) + ")")
         return "*".join(parts)
 
 
@@ -145,20 +140,16 @@ def format_term_sum(terms: Iterable[tuple]) -> str:
         neg = coeff < 0
         mag = -coeff if neg else coeff
         if mono.is_one:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono.render()
         else:
-            body = f"{_coeff_str(mag)}*{mono.render()}"
+            body = f"{mag}*{mono.render()}"
         if not out:
             out.append(f"-{body}" if neg else body)
         else:
             out.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(out) if out else "0"
-
-
-def _coeff_str(c) -> str:
-    return f"{c:.12g}" if isinstance(c, float) else str(c)
 
 
 # -- construction ----------------------------------------------------------
@@ -199,8 +190,7 @@ def make_monomial(log_powers: Mapping[int, Rat],
 
 
 def _canon(r):
-    """An exact rational as an int when it is integral; an int or a float
-    as it is."""
+    """An exact rational as an int when it is integral; an int as it is."""
     return r.numerator if r.__class__ is Fraction and r.denominator == 1 else r
 
 

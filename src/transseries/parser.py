@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import KernelError, ParseError
-from .monomial import X, mono_pow
-from .series import (TransSeries, active_backend, const, invert, mono_series,
-                     mul, scale, sum_family)
+from .monomial import X, _canon, mono_pow
+from .series import (TransSeries, const, invert, mono_series, mul, scale,
+                     sum_family)
 from .calculus import X_SERIES, exp_series, log_series, pow_series
 
 
@@ -214,7 +214,7 @@ def elaborate(e: Expr) -> TransSeries:
     re-raised with the source offset appended."""
     try:
         if isinstance(e, Num):
-            return const(active_backend().coerce(e.value))
+            return const(_canon(e.value))
         if isinstance(e, Var):
             return X_SERIES
         if isinstance(e, Unary):
@@ -243,8 +243,8 @@ def elaborate(e: Expr) -> TransSeries:
                 return mul(left, right)
             return mul(left, invert(right))
         if isinstance(e, Power):
-            # a fractional power keeps the backend's coefficient (1.0 in floats)
-            if isinstance(e.base, Var) and e.exponent.denominator == 1:
+            # a power of x is one monomial, built without a product
+            if isinstance(e.base, Var):
                 return mono_series(mono_pow(X, e.exponent))
             return pow_series(elaborate(e.base), e.exponent)
     except ParseError:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,85 +34,39 @@ class Term(NamedTuple):
     mono: Monomial
 
 
-# -- constant backends -------------------------------------------------------
+# -- exact constants ---------------------------------------------------------
+# Constants are exact rationals, an int when integral and a Fraction
+# otherwise; exp and log of a constant are partial (defined at 0 resp. 1).
 
 
-class ExactBackend:
-    """Exact rationals, an int when integral and a Fraction otherwise; exp
-    and log are partial (defined at 0 resp. 1)."""
-
-    name = "exact"
-
-    def coerce(self, c):
-        return _canon(Fraction(c))
-
-    def exp(self, c):
-        if c == 0:
-            return 1
-        raise PartialConstantError(f"exp({c}) is irrational; exact backend only knows exp(0)")
-
-    def log(self, c):
-        if c == 1:
-            return 0
-        raise PartialConstantError(f"log({c}) is irrational; exact backend only knows log(1)")
-
-    def pow(self, c, r: Fraction):
-        c = Fraction(c)
-        r = Fraction(r)
-        if r.denominator == 1:
-            n = r.numerator
-            if c == 0 and n < 0:
-                raise DomainError("0 to a negative power")
-            return _canon(c ** n)
-        if c < 0:
-            raise DomainError(f"negative base {c} with fractional exponent {r}")
-        num = _exact_root(c.numerator, r.denominator)
-        den = _exact_root(c.denominator, r.denominator)
-        if num is None or den is None:
-            raise PartialConstantError(f"{c}^({r}) is irrational")
-        return _canon(Fraction(num, den) ** r.numerator)
+def exp_const(c):
+    if c == 0:
+        return 1
+    raise PartialConstantError(f"exp({c}) is irrational; exact backend only knows exp(0)")
 
 
-class FloatBackend:
-    """Binary floats, for CLI demos only.  Out of float range, coerce, exp
-    and pow refuse a constant, and TransSeries.expand a coefficient."""
-
-    name = "float"
-
-    def coerce(self, c):
-        try:
-            return float(c)
-        except OverflowError:
-            raise PartialConstantError("constant out of float range") from None
-
-    def exp(self, c):
-        try:
-            return math.exp(c)
-        except OverflowError:
-            raise PartialConstantError(f"exp({c}) is out of float range") from None
-
-    def log(self, c):
-        if c <= 0:
-            raise DomainError(f"log of non-positive constant {c}")
-        return math.log(c)
-
-    def pow(self, c, r):
-        if c < 0 and Fraction(r).denominator != 1:
-            raise DomainError(f"negative base {c} with fractional exponent {r}")
-        try:
-            return float(c) ** float(r)
-        except OverflowError:
-            raise PartialConstantError(f"{c}^({r}) is out of float range") from None
+def log_const(c):
+    if c == 1:
+        return 0
+    raise PartialConstantError(f"log({c}) is irrational; exact backend only knows log(1)")
 
 
-EXACT = ExactBackend()
-FLOAT = FloatBackend()
-_BACKENDS = {b.name: b for b in (EXACT, FLOAT)}
-
-
-def active_backend():
-    """The constant field that `LIMITS.backend` names, read at each call."""
-    return _BACKENDS[LIMITS.backend]
+def pow_const(c, r: Fraction):
+    """c^r for rational r, exactly; an irrational result is refused."""
+    c = Fraction(c)
+    r = Fraction(r)
+    if r.denominator == 1:
+        n = r.numerator
+        if c == 0 and n < 0:
+            raise DomainError("0 to a negative power")
+        return _canon(c ** n)
+    if c < 0:
+        raise DomainError(f"negative base {c} with fractional exponent {r}")
+    num = _exact_root(c.numerator, r.denominator)
+    den = _exact_root(c.denominator, r.denominator)
+    if num is None or den is None:
+        raise PartialConstantError(f"{c}^({r}) is irrational")
+    return _canon(Fraction(num, den) ** r.numerator)
 
 
 def _exact_root(n: int, q: int) -> Optional[int]:
@@ -272,13 +225,8 @@ class TransSeries:
         if self._cutoff is not None and mono_cmp(cutoff, self._cutoff) >= 0:
             return {m: c for m, c in self._cache.items()
                     if mono_cmp(m, cutoff) >= 0}
-        got = {m: c for m, c in self._expander(cutoff).items() if c}
-        if LIMITS.backend == "float":    # the exact backend makes no floats
-            for m, c in got.items():
-                if c.__class__ is float and not math.isfinite(c):
-                    raise PartialConstantError(
-                        f"coefficient {c} of {m.render()} is out of float range")
-        self._cache, self._cutoff = got, cutoff
+        self._cache = {m: c for m, c in self._expander(cutoff).items() if c}
+        self._cutoff = cutoff
         return dict(self._cache)
 
     # -- decreasing-term facade ---------------------------------------------

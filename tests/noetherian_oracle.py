@@ -12,10 +12,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from transseries.errors import InvalidInputError, PreconditionError
+from transseries.errors import PreconditionError
 
 DEFAULT_MAX_LEN = 6
 DEFAULT_DEPTH = 5
+
+
+class InvalidInputError(ValueError):
+    """Malformed input to an oracle."""
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
-from transseries import (InvalidInputError, PreconditionError, X, atom,
-                         make_monomial, mono_cmp, mono_inv, mono_mul)
+from transseries import (PreconditionError, X, atom, make_monomial, mono_cmp,
+                         mono_inv, mono_mul)
 
 from helpers import rng
-from noetherian_oracle import (FinitePoset, check_product_noetherian,
-                               check_star_closure, find_bad_sequence)
+from noetherian_oracle import (FinitePoset, InvalidInputError,
+                               check_product_noetherian, check_star_closure,
+                               find_bad_sequence)
 
 X_INV = mono_inv(X)
 

@@ -13,11 +13,11 @@ from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          from_terms, geometric_substitute, invert,
                          make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
                          mono_series, mul, sum_family, sum_lazy)
-from transseries.monomial import sort_monomials
+from transseries.monomial import _canon, sort_monomials
 from transseries.parser import parse_series
-from transseries.series import (EXACT, _escape, _region, _term_search,
-                                compare_to_depth, depth_cutoff, render_series,
-                                scale)
+from transseries.series import (_escape, _region, _term_search,
+                                compare_to_depth, depth_cutoff, exp_const,
+                                log_const, pow_const, render_series, scale)
 
 from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
 from noetherian_oracle import check_product_noetherian
@@ -80,12 +80,12 @@ def test_invert_and_its_derivative_keep_integral_coefficients_int():
 
 
 def test_exact_backend_constants_are_int_when_integral():
-    for got, want in ((EXACT.exp(0), 1), (EXACT.log(1), 0),
-                      (EXACT.pow(4, Fraction(1, 2)), 2),
-                      (EXACT.pow(Fraction(1, 2), -2), 4),
-                      (EXACT.coerce(Fraction(6, 3)), 2)):
+    for got, want in ((exp_const(0), 1), (log_const(1), 0),
+                      (pow_const(4, Fraction(1, 2)), 2),
+                      (pow_const(Fraction(1, 2), -2), 4),
+                      (_canon(Fraction(6, 3)), 2)):
         assert type(got) is int and got == want
-    assert type(EXACT.pow(2, -1)) is Fraction and EXACT.pow(2, -1) == Fraction(1, 2)
+    assert type(pow_const(2, -1)) is Fraction and pow_const(2, -1) == Fraction(1, 2)
 
 
 # -- add ------------------------------------------------------------------------
