@@ -131,13 +131,37 @@ def test_support_prefix_is_the_number_of_scanned_support_positions():
     assert verdicts[1].witnesses[0][0] is e_x.leading_term().mono
 
 
-def test_irrational_constants_are_refused():
+def test_backend_setting_is_restored():
+    # constants are exact rationals under every setting of the limits: e is
+    # refused before, during and after a configure/restore cycle
     with pytest.raises(PartialConstantError):
         parse_series("exp(1)")
+    previous = configure(term_fuel=64)
+    try:
+        with pytest.raises(PartialConstantError):
+            parse_series("exp(1)")
+    finally:
+        configure(**previous)
+    assert vars(LIMITS) == previous
+    with pytest.raises(PartialConstantError):
+        parse_series("exp(1)")
+
+
+def test_composition_handle_keeps_its_field():
+    # a handle built under changed limits and used after they are restored
+    # still composes over the exact rationals
+    previous = configure(term_fuel=64)
+    try:
+        h = CompositionHandle(parse_series("x+1"))
+    finally:
+        configure(**previous)
+    terms = compose(parse_series("x^2"), h).first_terms(3)
+    assert [t.coeff for t in terms] == [1, 2, 1]
+    assert all(isinstance(t.coeff, (int, Fraction)) for t in terms)
     # the image of exp(x) under x -> x+1 would be e*exp(x)
     f = parse_series("exp(x)")
     with pytest.raises(PartialConstantError):
-        compose(f, CompositionHandle(parse_series("x+1"))).first_terms(1)
+        compose(f, h).first_terms(1)
 
 
 def test_unknown_limit_is_refused_at_once():
