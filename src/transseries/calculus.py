@@ -57,45 +57,41 @@ def dagger_support_closure(gens) -> frozenset:
     return frozenset(out)
 
 
-def _derivation_grid(bases, gens) -> tuple:
-    """The dagger monomials d of `gens`, and the bases b*d (b in `bases`)
-    that cover the derivatives of series on a grid with those bases."""
+def _derivation_grid(cert: GridCertificate, gens) -> tuple:
+    """The dagger monomials of `gens`, and the grid `cert` times them, which
+    covers the derivatives of series on `cert`."""
     dag = {d for g in gens for _, d in dagger_terms(g)}
-    return dag, frozenset(mono_mul(b, d) for b in bases for d in dag)
+    return dag, cert.product(GridCertificate.of(dag))
 
 
-def _image_grid(image, bases, ratios) -> tuple:
-    """(bases, ratios, rho) of a grid covering the images of the grid
-    (bases, ratios) under `image`: each ratio image is refined at its
-    dominant monomial, and rho is the largest refined base (or None)."""
-    out_bases: set = set()
-    out_ratios: set = set()
-    for b in bases:
-        img = image(b)
-        out_bases |= img.cert.bases
-        out_ratios |= img.cert.ratios
+def _image_grid(image, cert: GridCertificate) -> tuple:
+    """(grid, rho): a grid covering the images of the grid `cert` under
+    `image`, in which each ratio image is refined at its dominant
+    monomial, and rho, the largest refined base (or None)."""
+    grid = GridCertificate.of(())
+    for b in cert.bases:
+        grid = grid.union(image(b).cert)
     tops = []
-    for z in ratios:
+    for z in cert.ratios:
         img = image(z)
         lt = img.leading_term()
         if not lt.mono.is_small():
             raise PreconditionError(
                 f"image of ratio {z.render()} failed to stay infinitesimal")
         tight = _infinitesimal_bases(img.cert, lt.mono)
-        out_ratios |= tight | img.cert.ratios
+        grid = grid.union(GridCertificate.of((), tight | img.cert.ratios))
         tops.append(mono_max(tight))
-    return out_bases, out_ratios, mono_max(tops) if tops else None
+    return grid, mono_max(tops) if tops else None
 
 
 def derive(s: TransSeries) -> TransSeries:
     """Strongly linear derivation; Leibniz holds to any depth."""
-    dag, image_bases = _derivation_grid(s.cert.bases, s.cert.bases | s.cert.ratios)
-    if not dag or s.cert.is_trivial:
+    dag, grid = _derivation_grid(s.cert, s.cert.bases | s.cert.ratios)
+    if grid.is_trivial:
         return ZERO
     shrink = mono_inv(mono_max(dag))
     return extend_strongly_linear(
-        lambda m: from_terms(deriv_terms(m)), s,
-        GridCertificate.of(image_bases, s.cert.ratios),
+        lambda m: from_terms(deriv_terms(m)), s, grid,
         lambda cutoff: mono_mul(cutoff, shrink))
 
 
@@ -207,16 +203,12 @@ class CompositionHandle:
         self._monos[m] = out
         return out
 
-    def image_dominant(self, m: Monomial) -> Monomial:
-        return self.mono_image(m).leading_term().mono
-
     def apply(self, s: TransSeries) -> TransSeries:
         return compose(s, self)
 
 
 # the identity operator, with the interface of a CompositionHandle
-IDENTITY = SimpleNamespace(g=X_SERIES, apply=lambda s: s, mono_image=mono_series,
-                           image_dominant=lambda m: m)
+IDENTITY = SimpleNamespace(g=X_SERIES, apply=lambda s: s, mono_image=mono_series)
 
 
 def compose(f: TransSeries, h) -> TransSeries:
@@ -226,7 +218,7 @@ def compose(f: TransSeries, h) -> TransSeries:
     if f.cert.is_trivial:
         return ZERO
 
-    bases, ratios, rho = _image_grid(h.mono_image, f.cert.bases, f.cert.ratios)
+    grid, rho = _image_grid(h.mono_image, f.cert)
     zmin = min(f.cert.ratios) if f.cert.ratios else None
 
     def source_cutoff(cutoff):
@@ -239,8 +231,7 @@ def compose(f: TransSeries, h) -> TransSeries:
                 cut_f = floor
         return cut_f
 
-    return extend_strongly_linear(h.mono_image, f, GridCertificate.of(bases, ratios),
-                                  source_cutoff)
+    return extend_strongly_linear(h.mono_image, f, grid, source_cutoff)
 
 
 # -- Faà di Bruno --------------------------------------------------------------

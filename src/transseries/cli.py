@@ -198,10 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit a stable JSON report")
 
+    # the usage as Python 3.10 to 3.12 wrap it at 80 columns, which 3.13
+    # would join into one line; the subcommands then need their own `prog`
+    indent = " " * len("usage: transseries ")
+    names = ",".join(name for name, *_ in _COMMANDS)
     ap = _ArgumentParser(
         prog="transseries",
+        usage=f"%(prog)s [-h]\n{indent}{{{names}}}\n{indent}...",
         description="exact log-exp transseries kernel")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, prog="transseries")
     for name, fn, help_text, operands in _COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
         for operand in operands:

@@ -1,11 +1,11 @@
 """Formal power series over the transseries field, and the cut algebras.
 
 A PowerSeries is a lazy coefficient sequence with a declared finite degree
-or a joint grid certificate (bases S, ratios Z, per-degree factors D):
-supp(P_k) must lie in grid(S, Z u D-small) times a product of exactly k
-elements of D.  That is the constructive shape under which the infinite
-sums of evaluation, translation, and coefficientwise lifting carry finite
-grid certificates.
+or a joint certificate: a GridCertificate G and per-degree factors D, with
+supp(P_k) inside G, with the small factors of D as extra ratios, times a
+product of exactly k elements of D.  That is the constructive shape under
+which the infinite sums of evaluation, translation, and coefficientwise
+lifting carry finite grid certificates.
 
 Cuts are boundary-presented final segments of the monomial group; the
 negative-cone test decides the cut ordering on mixed monomials m*X^k, and
@@ -28,8 +28,9 @@ from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
 from .calculus import (DERIVATION, _composition_coeff, _derivation_grid,
                        _image_grid)
-from .series import (PROBE_FUEL, ZERO, TransSeries, mono_series, mul, scale,
-                     sum_family, sum_lazy, _infinitesimal_bases)
+from .series import (PROBE_FUEL, ZERO, GridCertificate, TransSeries,
+                     mono_series, mul, scale, sum_family, sum_lazy,
+                     _infinitesimal_bases)
 
 
 # -- joint certificates --------------------------------------------------------
@@ -37,23 +38,17 @@ from .series import (PROBE_FUEL, ZERO, TransSeries, mono_series, mul, scale,
 
 @dataclass(frozen=True)
 class PSJointCert:
-    """supp(P_k) is inside grid(bases, ratios u small factors) times a
-    product of exactly k elements of `factors`."""
+    """supp(P_k) is inside the coefficient grid times a product of exactly
+    k elements of `factors`; `grid` checks its ratios, the factors may be
+    of any size."""
 
-    bases: frozenset
-    ratios: frozenset
+    grid: GridCertificate
     factors: frozenset
 
-    @staticmethod
-    def of(bases, ratios, factors) -> "PSJointCert":
-        return PSJointCert(frozenset(bases), frozenset(ratios), frozenset(factors))
-
-    @property
-    def small_factors(self) -> frozenset:
-        return frozenset(d for d in self.factors if d.is_small())
-
-    def coefficient_ratios(self) -> frozenset:
-        return self.ratios | self.small_factors
+    def coefficient_grid(self) -> GridCertificate:
+        """`grid` with the small factors as extra ratios."""
+        return self.grid.union(
+            GridCertificate.of((), (d for d in self.factors if d.is_small())))
 
 
 class PowerSeries:
@@ -88,12 +83,10 @@ class PowerSeries:
     @staticmethod
     def from_coeffs(coeffs: Sequence[TransSeries]) -> "PowerSeries":
         coeffs = list(coeffs)
-        bases: set = set()
-        ratios: set = set()
+        grid = GridCertificate.of(())
         for c in coeffs:
-            bases |= set(c.cert.bases)
-            ratios |= set(c.cert.ratios)
-        joint = PSJointCert.of(bases, ratios, [ONE])
+            grid = grid.union(c.cert)
+        joint = PSJointCert(grid, frozenset([ONE]))
         return PowerSeries(lambda k: coeffs[k] if k < len(coeffs) else ZERO,
                            finite_degree=max(len(coeffs) - 1, 0), joint=joint)
 
@@ -101,7 +94,7 @@ class PowerSeries:
 def monomial_geometric(m: Monomial) -> PowerSeries:
     """The series sum_k m^k X^k (the increasing-cuts separator family)."""
     return PowerSeries(lambda k: mono_series(mono_pow(m, k)),
-                       joint=PSJointCert.of([ONE], [], [m]))
+                       joint=PSJointCert(GridCertificate.of([ONE]), frozenset([m])))
 
 
 # -- elementary operations ------------------------------------------------------
@@ -115,9 +108,7 @@ def ps_derive(p: PowerSeries) -> PowerSeries:
     joint = None
     if p.joint:
         d = p.joint.factors
-        bases = (frozenset(mono_mul(s, f) for s in p.joint.bases for f in d)
-                 if d else frozenset())
-        joint = PSJointCert(bases, p.joint.ratios, d)
+        joint = PSJointCert(p.joint.grid.product(GridCertificate.of(d)), d)
     return PowerSeries(lambda k: scale(p.coeff(k + 1), k + 1),
                        finite_degree=fin, joint=joint)
 
@@ -144,13 +135,12 @@ def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     joint = None
     if p.joint and q.joint:
         extra_p = {d for d in p.joint.factors if not d.is_one}
+        q_grid = q.joint.coefficient_grid()
         if all(d.is_small() for d in extra_p) and \
-           all(mono_cmp(s, ONE) <= 0 for s in q.joint.bases):
+           all(mono_cmp(s, ONE) <= 0 for s in q_grid.bases):
+            extra = extra_p | {s for s in q_grid.bases if s.is_small()}
             joint = PSJointCert(
-                p.joint.bases,
-                p.joint.ratios | q.joint.ratios | extra_p
-                | q.joint.small_factors
-                | frozenset(s for s in q.joint.bases if s.is_small()),
+                p.joint.grid.union(GridCertificate.of((), q_grid.ratios | extra)),
                 q.joint.factors)
     return PowerSeries(cf, finite_degree=fin, joint=joint)
 
@@ -368,21 +358,21 @@ def _unit_ratios(s: TransSeries, dom: Monomial) -> set:
             | set(s.cert.ratios))
 
 
-def _eval_ratios(ratios, factors, s: TransSeries, dom: Monomial) -> set:
-    """The ratios of a grid that covers sum_k P_k s^k, for dom the dominant
-    monomial of s: those among `ratios`, the unit ratios of s, and the
-    products d*dom of the joint factors d.  Refuses when one of them is
-    not infinitesimal: the joint certificate then bounds no level of the
+def _eval_grid(grid: GridCertificate, factors, s: TransSeries,
+               dom: Monomial) -> GridCertificate:
+    """A grid that covers sum_k P_k s^k, for dom the dominant monomial of
+    s: `grid` with the unit ratios of s and the products d*dom of the joint
+    factors d as extra ratios.  Refuses when one of them is not
+    infinitesimal: the joint certificate then bounds no level of the
     summands, and dropping that ratio would drop terms silently."""
-    out = set(ratios) | _unit_ratios(s, dom) | {mono_mul(d, dom) for d in factors}
-    small = {z for z in out if z.is_small()}
-    if len(small) < len(out):
-        z = sort_monomials(out - small)[0]
+    extra = _unit_ratios(s, dom) | {mono_mul(d, dom) for d in factors}
+    large = sort_monomials(z for z in extra if not z.is_small())
+    if large:
         raise EvaluationRefusedError(
             "evaluation refused: the joint certificate does not bound the "
-            f"coefficients at delta (the grid ratio {z.render()} is not "
+            f"coefficients at delta (the grid ratio {large[0].render()} is not "
             "infinitesimal)")
-    return small
+    return grid.union(GridCertificate.of((), extra))
 
 
 def ps_eval(p: PowerSeries, delta: TransSeries) -> TransSeries:
@@ -412,10 +402,8 @@ def _evaluate(p: PowerSeries, delta: TransSeries) -> TransSeries:
         # a product of k>0 factors from an empty alphabet is empty: the
         # joint contract forces every higher coefficient to vanish
         return p.coeff(0)
-    joint = p.joint
-    ratios = _eval_ratios(joint.coefficient_ratios(), joint.factors, delta, lt.mono)
-
-    return sum_lazy(_scaled_powers(p, delta), joint.bases, ratios)
+    grid = _eval_grid(p.joint.coefficient_grid(), p.joint.factors, delta, lt.mono)
+    return sum_lazy(_scaled_powers(p, delta), grid)
 
 
 def _scaled_powers(p: PowerSeries, delta: TransSeries):
@@ -472,14 +460,10 @@ def ps_translate(p: PowerSeries, eps: TransSeries) -> PowerSeries:
     if p.joint is None:
         raise PreconditionError(
             "translating an infinite power series needs a joint certificate")
-    joint = p.joint
-    lt = eps.leading_term()
-    if lt is None:
-        new_ratios = {z for z in joint.ratios if z.is_small()}
-    else:
-        new_ratios = _eval_ratios(joint.ratios, joint.factors, eps, lt.mono)
-    return PowerSeries(cf, joint=PSJointCert.of(joint.bases, new_ratios,
-                                                joint.factors))
+    grid, lt = p.joint.grid, eps.leading_term()
+    if lt is not None:
+        grid = _eval_grid(grid, p.joint.factors, eps, lt.mono)
+    return PowerSeries(cf, joint=PSJointCert(grid, p.joint.factors))
 
 
 # -- coefficientwise lifting ----------------------------------------------------
@@ -490,7 +474,7 @@ def pullback_cut(op, target: CutSpec) -> CutSpec:
     boundary image (the divisible-case computation of the preimage segment)."""
     if target.variant in ("all", "empty"):
         return target
-    dom = op.image_dominant(target.boundary)
+    dom = op.mono_image(target.boundary).leading_term().mono
     return CutSpec(target.variant, dom)
 
 
@@ -500,16 +484,16 @@ def lift_coefficientwise(op, p: PowerSeries,
     """Apply a strongly linear operator to every coefficient.
 
     `op` is the ambient DERIVATION or a ring morphism (IDENTITY or a
-    CompositionHandle: g, apply, mono_image, image_dominant).  When a
-    target cut is supplied the result's membership is checked on a prefix
-    and a violation raises with its witness.
+    CompositionHandle: g, apply, mono_image).  When a target cut is
+    supplied the result's membership is checked on a prefix and a
+    violation raises with its witness.
     """
     joint = None
     if op is DERIVATION:
         if p.joint is not None:
-            _, bases = _derivation_grid(
-                p.joint.bases, p.joint.bases | p.joint.ratios | p.joint.factors)
-            joint = PSJointCert(bases, p.joint.ratios, p.joint.factors)
+            gens = p.joint.grid.bases | p.joint.grid.ratios | p.joint.factors
+            _, grid = _derivation_grid(p.joint.grid, gens)
+            joint = PSJointCert(grid, p.joint.factors)
     else:
         if s_source is not None and s_target is not None:
             expected = pullback_cut(op, s_target)
@@ -518,15 +502,14 @@ def lift_coefficientwise(op, p: PowerSeries,
                     "source cut must be the pullback of the target cut "
                     f"({expected.describe()})")
         if p.joint is not None:
-            bases, ratios, _ = _image_grid(op.mono_image, p.joint.bases,
-                                           p.joint.coefficient_ratios())
+            grid, _ = _image_grid(op.mono_image, p.joint.coefficient_grid())
             factors = set()
             for d in p.joint.factors:
                 img = op.mono_image(d)
                 dom = img.leading_term().mono
                 factors.add(dom)
-                ratios |= _unit_ratios(img, dom)
-            joint = PSJointCert.of(bases, ratios, factors)
+                grid = grid.union(GridCertificate.of((), _unit_ratios(img, dom)))
+            joint = PSJointCert(grid, frozenset(factors))
     out = PowerSeries(lambda k: op.apply(p.coeff(k)),
                       finite_degree=p.finite_degree, joint=joint)
     if s_target is not None:

@@ -42,13 +42,13 @@ class Term(NamedTuple):
 def exp_const(c):
     if c == 0:
         return 1
-    raise PartialConstantError(f"exp({c}) is irrational; exact backend only knows exp(0)")
+    raise PartialConstantError(f"exp({c}) is irrational; only exp(0) is rational")
 
 
 def log_const(c):
     if c == 1:
         return 0
-    raise PartialConstantError(f"log({c}) is irrational; exact backend only knows log(1)")
+    raise PartialConstantError(f"log({c}) is irrational; only log(1) is rational")
 
 
 def pow_const(c, r: Fraction):
@@ -481,16 +481,14 @@ def invert(s: TransSeries) -> TransSeries:
     return scale(mul(geo, mono_series(d.inv())), Fraction(1) / c)
 
 
-def sum_lazy(summands: Iterable[TransSeries], bases: Iterable[Monomial],
-             ratios: Iterable[Monomial]) -> TransSeries:
-    """Sum of a lazy family sharing one grid certificate.
+def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSeries:
+    """Sum of a lazy family sharing the grid certificate `cert`.
 
     Summand k has level k: its support must lie inside the declared grid
     with at least k ratio factors, so the grid needs a ratio.  Violations
     discovered during enumeration raise SummabilityViolationError naming
     the witness monomial.
     """
-    cert = GridCertificate.of(bases, ratios)
     if not cert.ratios:
         raise PreconditionError("sum_lazy needs a grid ratio to bound the levels")
     zmax = mono_max(cert.ratios)

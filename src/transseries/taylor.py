@@ -149,9 +149,8 @@ def _taylor_morphism(f: TransSeries) -> PowerSeries:
     """The Taylor morphism of f, unchecked.  Its per-degree factor alphabet is
     the dagger-support closure of f's certificate generators: the k-th
     derivative multiplies the support by exactly k such factors."""
-    gens = set(f.cert.bases) | set(f.cert.ratios)
-    factors = dagger_support_closure(gens)
-    joint = PSJointCert.of(f.cert.bases, f.cert.ratios, factors)
+    factors = dagger_support_closure(f.cert.bases | f.cert.ratios)
+    joint = PSJointCert(f.cert, factors)
     # no dagger factors means f is a constant: the series stops at X^0
     fin = 0 if not factors else None
     return PowerSeries(_taylor_coefficients(f, derive, lambda s: s),

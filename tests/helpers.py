@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from transseries import (ONE, X, PowerSeries, PSJointCert, TransSeries, add,
                          derive, from_terms, invert, make_monomial, mono_inv,
-                         mono_mul, mono_pow, mul, sum_family)
+                         mono_pow, mul, sum_family)
 from transseries.series import compare_to_depth
 
 X_INV = mono_inv(X)
@@ -106,8 +106,7 @@ def ps_add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
         fin = max(p.finite_degree, q.finite_degree)
     joint = None
     if p.joint and q.joint:
-        joint = PSJointCert(p.joint.bases | q.joint.bases,
-                            p.joint.ratios | q.joint.ratios,
+        joint = PSJointCert(p.joint.grid.union(q.joint.grid),
                             p.joint.factors | q.joint.factors)
     return PowerSeries(lambda k: add(p.coeff(k), q.coeff(k)),
                        finite_degree=fin, joint=joint)
@@ -121,11 +120,8 @@ def ps_mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
         fin = p.finite_degree + q.finite_degree
     joint = None
     if p.joint and q.joint:
-        joint = PSJointCert(
-            frozenset(mono_mul(a, b)
-                      for a in p.joint.bases for b in q.joint.bases),
-            p.joint.ratios | q.joint.ratios,
-            p.joint.factors | q.joint.factors)
+        joint = PSJointCert(p.joint.grid.product(q.joint.grid),
+                            p.joint.factors | q.joint.factors)
     return PowerSeries(
         lambda k: sum_family([mul(p.coeff(i), q.coeff(k - i)) for i in range(k + 1)]),
         finite_degree=fin, joint=joint)

@@ -6,8 +6,8 @@ import time
 from fractions import Fraction
 
 from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, CutSpec,
-                         LocusSpec, IDENTITY, PowerSeries, PSJointCert,
-                         X, analytic_commutation_check, atom,
+                         GridCertificate, LocusSpec, IDENTITY, PowerSeries,
+                         PSJointCert, X, analytic_commutation_check, atom,
                          chain_rule_transport_check, compose, conv_contains,
                          cut_member, dagger, derive,
                          faa_di_bruno_coeff, from_terms,
@@ -147,10 +147,11 @@ def test_acceptance_power_series_laws():
     """Translation group law to order 6, Conv(P) = Conv(P') on a 20-series
     corpus, composition-evaluation identity on 10 cases."""
     const_fam = PowerSeries(lambda k: ONE_SERIES,
-                            joint=PSJointCert.of([ONE], [], [ONE]))
+                            joint=PSJointCert(GridCertificate.of([ONE]),
+                                              frozenset([ONE])))
     import math
     expfam = PowerSeries(lambda k: scale(ONE_SERIES, Fraction(1, math.factorial(k))),
-                         joint=PSJointCert.of([ONE], [], [ONE]))
+                         joint=PSJointCert(GridCertificate.of([ONE]), frozenset([ONE])))
 
     d, e = mono_series(X_INV), mono_series(xpow(-2))
     both = ps_translate(const_fam, add(d, e))
@@ -161,16 +162,19 @@ def test_acceptance_power_series_laws():
 
     corpus = [const_fam, expfam,
               PowerSeries(lambda k: mono_series(xpow(-(2 ** k))),
-                          joint=PSJointCert.of([ONE], [], [X_INV])),
+                          joint=PSJointCert(GridCertificate.of([ONE]),
+                                            frozenset([X_INV]))),
               monomial_geometric(X_INV), monomial_geometric(X),
               monomial_geometric(xpow(-2)),
               PowerSeries(lambda k: scale(mono_series(xpow(-k)), (-1) ** k),
-                          joint=PSJointCert.of([ONE], [], [X_INV])),
+                          joint=PSJointCert(GridCertificate.of([ONE]),
+                                            frozenset([X_INV]))),
               PowerSeries.from_coeffs([ONE_SERIES, mono_series(X)]),
               PowerSeries.from_coeffs([mono_series(X2), ZERO, ONE_SERIES]),
               PowerSeries(lambda k: scale(mono_series(xpow(-k)),
                                           math.factorial(k)),
-                          joint=PSJointCert.of([ONE], [], [X_INV])),
+                          joint=PSJointCert(GridCertificate.of([ONE]),
+                                            frozenset([X_INV]))),
               ]
     corpus += [ps_add(corpus[0], corpus[3]), ps_mul(corpus[0], corpus[1]),
                ps_derive(corpus[2]), ps_derive(corpus[3]),
@@ -227,7 +231,7 @@ def test_acceptance_cut_algebra():
     assert cut_member(sep, CutSpec.above(X2)).witnesses
 
     lac = PowerSeries(lambda k: mono_series(xpow(-(2 ** k))),
-                      joint=PSJointCert.of([ONE], [], [X_INV]))
+                      joint=PSJointCert(GridCertificate.of([ONE]), frozenset([X_INV])))
     for delta in [mono_series(X), ONE_SERIES, mono_series(X_INV),
                   mono_series(X2), from_terms([(3, X), (1, ONE)])]:
         assert conv_contains(lac, delta).convergent

@@ -92,7 +92,8 @@ def test_expand_fuel_bounds_the_term_search(monkeypatch):
 
 
 def test_cut_prefix_sets_the_scanned_degrees(monkeypatch):
-    ones = PowerSeries(lambda k: ONE_SERIES, joint=PSJointCert.of([ONE], [], [ONE]))
+    ones = PowerSeries(lambda k: ONE_SERIES, joint=PSJointCert(GridCertificate.of([ONE]),
+                                                               frozenset([ONE])))
     delta = mono_series(X_INV)
     assert cut_member(ones, CutSpec.above(X_INV)).checked_prefix == 12
     monkeypatch.setattr(LIMITS, "cut_prefix", 7)

@@ -6,8 +6,9 @@ from math import comb
 import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, CutSpec,
-                         EvaluationRefusedError, PowerSeries, PreconditionError,
-                         PSJointCert, X, conv_contains, cut_eval, cut_member,
+                         EvaluationRefusedError, GridCertificate, PowerSeries,
+                         PreconditionError, PSJointCert, X, conv_contains,
+                         cut_eval, cut_member,
                          exp_series, from_terms, invert, lift_coefficientwise,
                          make_monomial, mono_cmp, mono_inv, mono_pow,
                          mono_series, monomial_geometric, mul, ps_compose,
@@ -33,19 +34,29 @@ def xs(k):
 def const_family():
     """P = sum X^k with coefficient 1."""
     return PowerSeries(lambda k: ONE_SERIES,
-                       joint=PSJointCert.of([ONE], [], [ONE]))
+                       joint=PSJointCert(GridCertificate.of([ONE]), frozenset([ONE])))
 
 
 def inv_factorial_family():
     import math
     return PowerSeries(lambda k: scale(ONE_SERIES, Fraction(1, math.factorial(k))),
-                       joint=PSJointCert.of([ONE], [], [ONE]))
+                       joint=PSJointCert(GridCertificate.of([ONE]), frozenset([ONE])))
 
 
 def lacunary_family():
     """P = sum x^{-2^k} X^k: converges everywhere, not a polynomial."""
     return PowerSeries(lambda k: xs(-(2 ** k)),
-                       joint=PSJointCert.of([ONE], [], [X_INV]))
+                       joint=PSJointCert(GridCertificate.of([ONE]), frozenset([X_INV])))
+
+
+def test_joint_certificate_refuses_a_ratio_that_is_not_infinitesimal():
+    # the factors may be large, and only the small ones become ratios of the
+    # coefficient grid; the grid's own ratios must be infinitesimal
+    joint = PSJointCert(GridCertificate.of([ONE]), frozenset([X_INV, X]))
+    assert joint.coefficient_grid() == GridCertificate.of([ONE], [X_INV])
+    with pytest.raises(PreconditionError,
+                       match="certificate ratio x is not infinitesimal"):
+        PSJointCert(GridCertificate.of([ONE], [X]), frozenset([X_INV]))
 
 
 # -- ps_derive -------------------------------------------------------------------
@@ -67,7 +78,8 @@ def test_ps_derive_shift_law():
 
 
 def test_ps_derive_coefficient_series():
-    p = PowerSeries(lambda k: xs(-k), joint=PSJointCert.of([ONE], [], [X_INV]))
+    p = PowerSeries(lambda k: xs(-k), joint=PSJointCert(GridCertificate.of([ONE]),
+                                                        frozenset([X_INV])))
     d = ps_derive(p)
     for k in range(4):
         assert d.coeff(k).expand(xpow(-k - 1)) == {xpow(-k - 1): Fraction(k + 1)}
@@ -149,7 +161,8 @@ def test_conv_convexity():
     deltas = [xs(-1), xs(-2), scale(xs(-1), 3)]
     for d in deltas:
         assert conv_contains(p, d).convergent
-    p2 = PowerSeries(lambda k: xs(k), joint=PSJointCert.of([ONE], [], [X]))
+    p2 = PowerSeries(lambda k: xs(k), joint=PSJointCert(GridCertificate.of([ONE]),
+                                                        frozenset([X])))
     # needs delta below x^-1
     assert conv_contains(p2, xs(-2)).convergent
     assert conv_contains(p2, xs(-3)).convergent
@@ -162,7 +175,7 @@ def test_conv_convexity_randomized():
     families = [const_family(), inv_factorial_family(), lacunary_family(),
                 monomial_geometric(X_INV),
                 PowerSeries(lambda k: mono_series(xpow(k)),
-                            joint=PSJointCert.of([ONE], [], [X]))]
+                            joint=PSJointCert(GridCertificate.of([ONE]), frozenset([X])))]
     deltas = [mono_series(X2), mono_series(X), ONE_SERIES, xs(-1), xs(-2),
               from_terms([(2, X_INV), (1, xpow(-3))])]
     for p in families:
@@ -184,9 +197,11 @@ def test_conv_algebra_sum_product():
 
 def test_conv_agrees_with_derivative():
     corpus = [const_family(), inv_factorial_family(), lacunary_family(),
-              PowerSeries(lambda k: xs(-k), joint=PSJointCert.of([ONE], [], [X_INV])),
+              PowerSeries(lambda k: xs(-k), joint=PSJointCert(GridCertificate.of([ONE]),
+                                                              frozenset([X_INV]))),
               PowerSeries(lambda k: scale(xs(-k), (-1) ** k),
-                          joint=PSJointCert.of([ONE], [], [X_INV]))]
+                          joint=PSJointCert(GridCertificate.of([ONE]),
+                                            frozenset([X_INV])))]
     deltas = [xs(-1), ONE_SERIES, xs(-2)]
     for p in corpus:
         dp = ps_derive(p)
@@ -225,7 +240,7 @@ def test_eval_refuses_a_joint_certificate_that_does_not_bound_the_coefficients()
     # certificate bounds no level of P_20 delta^20, and a sum that dropped
     # that ratio would render 1 + O(x^-8)
     p = PowerSeries(lambda k: {0: ONE_SERIES, 20: xs(20)}.get(k, ZERO),
-                    joint=PSJointCert.of([ONE], [X_INV], [X]))
+                    joint=PSJointCert(GridCertificate.of([ONE], [X_INV]), frozenset([X])))
     d = xs(-1)
     assert conv_contains(p, d).convergent
     for evaluate in (lambda: ps_eval(p, d),
@@ -293,7 +308,8 @@ def test_translate_past_three_factors_to_the_eighth():
     # shifted by x^-1 is sum_i C(k+i, k) x^-(k+2i); k factors from three
     # make 3^k ordered products, but only 2k + 1 distinct shifted bases
     p = PowerSeries(lambda k: xs(-k),
-                    joint=PSJointCert.of([ONE], [], [xpow(-1), xpow(-2), xpow(-3)]))
+                    joint=PSJointCert(GridCertificate.of([ONE]),
+                                      frozenset([xpow(-1), xpow(-2), xpow(-3)])))
     t = ps_translate(p, xs(-1))
     for k in (8, 12):
         want = {xpow(-(k + 2 * i)): Fraction(comb(k + i, k)) for i in range(6)}
@@ -480,7 +496,8 @@ def test_lift_identity():
 
 
 def test_lift_derivation():
-    p = PowerSeries(lambda k: xs(-k), joint=PSJointCert.of([ONE], [], [X_INV]))
+    p = PowerSeries(lambda k: xs(-k), joint=PSJointCert(GridCertificate.of([ONE]),
+                                                        frozenset([X_INV])))
     q = lift_coefficientwise(DERIVATION, p,
                              s_source=CutSpec.above(xpow(-1)),
                              s_target=CutSpec.above(xpow(-1)))
@@ -490,7 +507,8 @@ def test_lift_derivation():
 
 
 def test_lift_composition_substitutes_monomials():
-    p = PowerSeries(lambda k: xs(-k), joint=PSJointCert.of([ONE], [], [X_INV]))
+    p = PowerSeries(lambda k: xs(-k), joint=PSJointCert(GridCertificate.of([ONE]),
+                                                        frozenset([X_INV])))
     op = CompositionHandle(mono_series(X2))
     q = lift_coefficientwise(op, p)
     for k in range(4):

@@ -246,7 +246,7 @@ def test_sum_family_partition_invariance():
 
 def test_sum_lazy_geometric_support():
     s = sum_lazy((mono_series(xpow(-k)) for k in range(100)),
-                 bases=[ONE], ratios=[X_INV])
+                 GridCertificate.of([ONE], [X_INV]))
     assert s.expand(xpow(-2)) == {ONE: Fraction(1), X_INV: Fraction(1),
                                   xpow(-2): Fraction(1)}
 
@@ -255,7 +255,7 @@ def test_sum_lazy_arbitrary_coefficients():
     import math
     s = sum_lazy((scale(mono_series(xpow(-k)), math.factorial(k))
                   for k in range(64)),
-                 bases=[ONE], ratios=[X_INV])
+                 GridCertificate.of([ONE], [X_INV]))
     got = s.expand(xpow(-4))
     assert got[xpow(-3)] == 6 and got[xpow(-4)] == 24
 
@@ -264,7 +264,7 @@ def test_sum_lazy_detects_certificate_violation():
     def produce():
         yield mono_series(ONE)
         yield mono_series(X)  # escapes the declared grid
-    s = sum_lazy(produce(), bases=[ONE], ratios=[X_INV])
+    s = sum_lazy(produce(), GridCertificate.of([ONE], [X_INV]))
     with pytest.raises(SummabilityViolationError) as exc:
         s.expand(xpow(-1))
     assert exc.value.witness is X
@@ -429,10 +429,10 @@ def test_compose_flags_images_outside_its_certificate(monkeypatch):
     import transseries.calculus as calculus
     image_grid = calculus._image_grid
 
-    def losing_a_ratio(image, bases, ratios):
-        out_bases, out_ratios, rho = image_grid(image, bases, ratios)
-        assert X_INV in out_ratios
-        return out_bases, out_ratios - {X_INV}, rho
+    def losing_a_ratio(image, cert):
+        grid, rho = image_grid(image, cert)
+        assert X_INV in grid.ratios
+        return GridCertificate(grid.bases, grid.ratios - {X_INV}), rho
 
     monkeypatch.setattr(calculus, "_image_grid", losing_a_ratio)
     # 1/(1 - 1/x) o (x + 1) = 1 + x^-1 + 0*x^-2 + ...: without the ratio
@@ -450,7 +450,7 @@ def test_compose_flags_images_outside_its_certificate(monkeypatch):
 def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
     # at cutoff x^-1 only levels 0 and 1 can reach; a level-3 summand that
     # still does breaks the level contract
-    s = sum_lazy([ONE_SERIES, ZERO, ZERO, ONE_SERIES], bases=[ONE], ratios=[X_INV])
+    s = sum_lazy([ONE_SERIES, ZERO, ZERO, ONE_SERIES], GridCertificate.of([ONE], [X_INV]))
     with pytest.raises(SummabilityViolationError,
                        match="level-3 summand reaches above the cutoff bound with 1"
                        ) as exc:
@@ -461,7 +461,7 @@ def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
 def test_sum_lazy_pulls_at_most_level_fuel_summands(monkeypatch):
     from itertools import repeat
     from transseries.limits import LIMITS
-    s = sum_lazy(repeat(ZERO), bases=[ONE], ratios=[X_INV])
+    s = sum_lazy(repeat(ZERO), GridCertificate.of([ONE], [X_INV]))
     monkeypatch.setattr(LIMITS, "level_fuel", 3)
     with pytest.raises(BudgetExceededError, match="pulled too many summands"):
         s.expand(ONE)
@@ -471,7 +471,7 @@ def test_sum_lazy_refuses_an_empty_ratio_set():
     # summand k has level k, and without a ratio no level bounds anything:
     # even a finite family is refused, at construction
     with pytest.raises(PreconditionError, match="needs a grid ratio"):
-        sum_lazy([ONE_SERIES, ONE_SERIES], bases=[ONE], ratios=[])
+        sum_lazy([ONE_SERIES, ONE_SERIES], GridCertificate.of([ONE]))
 
 
 def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
@@ -486,16 +486,16 @@ def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
             yield mono_series(xpow(-k))
 
     # at cutoff x^-3 levels 0..3 reach (cap 3), then the window and one more
-    s = sum_lazy(summands(), bases=[ONE], ratios=[X_INV])
+    s = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))
     assert s.expand(xpow(-3)) == {xpow(-k): 1 for k in range(4)}
     assert len(pulled) == 3 + window + 2
     # a cutoff x^-c needs c + window + 2 summands; the fuel L allows L + 1
     fuel = 10
     monkeypatch.setattr(LIMITS, "level_fuel", fuel)
     c = fuel - 1 - window
-    fits = sum_lazy(summands(), bases=[ONE], ratios=[X_INV])
+    fits = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))
     assert fits.expand(xpow(-c)) == {xpow(-k): 1 for k in range(c + 1)}
-    over = sum_lazy(summands(), bases=[ONE], ratios=[X_INV])
+    over = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))
     with pytest.raises(BudgetExceededError, match="pulled too many summands"):
         over.expand(xpow(-c - 1))
 

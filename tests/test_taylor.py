@@ -45,7 +45,6 @@ def test_operators_share_one_interface(op):
     for m in (X, X_INV, L1, E_X, mono_mul(xpow(Fraction(3, 2)), mono_inv(E_X))):
         img = op.mono_image(m)
         assert_depth_equal(op.apply(mono_series(m)), img, 6)
-        assert op.image_dominant(m) is img.leading_term().mono
     assert_depth_equal(op.g, op.mono_image(X), 6)
     p = taylor_series(geom(), ID_AT_1)
     lifted = lift_coefficientwise(op, p)
@@ -439,7 +438,7 @@ def test_report_keeps_the_checked_cutoff():
 
 @pytest.mark.parametrize("check,f,detail", [
     (analytic_commutation_check, "2*x",
-     "log(2) is irrational; exact backend only knows log(1)"),
+     "log(2) is irrational; only log(1) is rational"),
     (chain_rule_transport_check, "exp(x)",
      "Taylor deformation refused: locus is certified_divergent ("),
 ])
