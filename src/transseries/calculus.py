@@ -15,16 +15,17 @@ from math import factorial
 from types import SimpleNamespace
 from typing import Sequence
 
-from .errors import DomainError, PreconditionError, ResourceError
+from .errors import (DomainError, PartialConstantError, PreconditionError,
+                     ResourceError)
 from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
                        make_monomial, mono_cmp, mono_inv, mono_max, mono_mul,
                        mono_pow, pre_log)
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
-                     add, const, dominant_decompose, exp_const,
-                     extend_strongly_linear, from_terms, geometric_substitute,
-                     invert, log_const, mono_series, mul, pow_const, scale,
-                     sum_family, _infinitesimal_bases, _level_cap)
+                     add, dominant_decompose, extend_strongly_linear,
+                     from_terms, geometric_substitute, invert, mono_series,
+                     mul, pow_const, scale, sum_family, _infinitesimal_bases,
+                     _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -96,34 +97,35 @@ def derive(s: TransSeries) -> TransSeries:
 
 
 def log_series(s: TransSeries) -> TransSeries:
-    """log s = ell(d) + log_K(c) + sum_{k>0} (-1)^{k-1}/k * eps^k."""
+    """log s = ell(d) + sum_{k>0} (-1)^{k-1}/k * eps^k for s = c*d*(1+eps)
+    with c = 1; any other c is refused, log(c) being irrational."""
     c, d, eps = dominant_decompose(s)
     if not c > 0:
         raise DomainError("log of a series with non-positive leading coefficient")
-    logc = log_const(c)
+    if c != 1:
+        raise PartialConstantError(f"log({c}) is irrational; only log(1) is rational")
     tail = geometric_substitute(
         lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k - 1), k), eps)
-    return sum_family([pre_log(d), tail] + ([const(logc)] if logc else []))
+    return sum_family([pre_log(d), tail])
 
 
 def exp_series(s: TransSeries) -> TransSeries:
-    """exp of s = L + c + eps: the monomial exp(L) times exp_K(c) times
-    the factorial series in eps.
+    """exp of s = L + eps: the monomial exp(L) times the factorial series
+    in eps.
 
     The purely large part L must materialise within the expansion budget;
-    its coefficients become exact rationals in the monomial.
+    its coefficients become exact rationals in the monomial.  A nonzero
+    constant term c is refused, since exp(c) is then irrational.
     """
     parts = s.expand(ONE)
     large = [(m, c) for m, c in parts.items() if m.is_large()]
     c0 = parts.get(ONE, 0)
     head = make_monomial({}, [(Fraction(c), m) for m, c in large])
-    ec = exp_const(c0) if c0 else 1
-    eps = s - from_terms([(c, m) for m, c in large] + ([(c0, ONE)] if c0 else []))
+    if c0:
+        raise PartialConstantError(f"exp({c0}) is irrational; only exp(0) is rational")
+    eps = s - from_terms([(c, m) for m, c in large])
     tail = geometric_substitute(lambda k: Fraction(1, factorial(k)), eps)
-    out = mul(mono_series(head), tail)
-    if ec != 1:
-        out = scale(out, ec)
-    return out
+    return mul(mono_series(head), tail)
 
 
 def pow_series(s: TransSeries, r) -> TransSeries:

@@ -63,25 +63,10 @@ class Monomial:
     def __lt__(self, other):
         return mono_cmp(self, other) < 0
 
-    def __le__(self, other):
-        return mono_cmp(self, other) <= 0
-
-    def __gt__(self, other):
-        return mono_cmp(self, other) > 0
-
-    def __ge__(self, other):
-        return mono_cmp(self, other) >= 0
-
     # -- group operations -------------------------------------------------
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return mono_mul(self, other)
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        return mono_mul(self, mono_inv(other))
-
-    def __pow__(self, r) -> "Monomial":
-        return mono_pow(self, r)
 
     def inv(self) -> "Monomial":
         return mono_inv(self)

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (BudgetExceededError, EvaluationRefusedError,
                      PreconditionError, SummabilityViolationError)
@@ -79,16 +79,6 @@ class PowerSeries:
     def last_index(self, n: int) -> int:
         """The last index through n whose coefficient can be nonzero."""
         return n if self.finite_degree is None else min(n, self.finite_degree)
-
-    @staticmethod
-    def from_coeffs(coeffs: Sequence[TransSeries]) -> "PowerSeries":
-        coeffs = list(coeffs)
-        grid = GridCertificate.of(())
-        for c in coeffs:
-            grid = grid.union(c.cert)
-        joint = PSJointCert(grid, frozenset([ONE]))
-        return PowerSeries(lambda k: coeffs[k] if k < len(coeffs) else ZERO,
-                           finite_degree=max(len(coeffs) - 1, 0), joint=joint)
 
 
 def monomial_geometric(m: Monomial) -> PowerSeries:
@@ -194,16 +184,9 @@ class CutSpec:
 
 
 def _in_negative_cone(w: Monomial, j: int, s: CutSpec) -> bool:
-    # w*X^j < 1 in the cut ordering: j = 0 needs w infinitesimal; j > 0
-    # needs a segment witness u with w <= u^{-j}, decided at the boundary.
-    if j == 0:
-        return w.is_small()
-    if j < 0:
-        return False
-    if s.variant == "all":
-        return True
-    if s.variant == "empty":
-        return False
+    # w*X^j < 1 in the cut ordering, for j >= 1 and s a cut above a
+    # boundary: it needs a segment witness u with w <= u^{-j}, decided at
+    # the boundary.
     c = mono_cmp(w, mono_pow(s.boundary, -j))
     return c < 0 if s.variant == "above" else c <= 0
 
@@ -299,10 +282,6 @@ class ConvReport:
     @property
     def convergent(self) -> bool:
         return self.verdict == "certified_convergent"
-
-    @property
-    def divergent(self) -> bool:
-        return self.verdict == "certified_divergent"
 
 
 def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:

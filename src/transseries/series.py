@@ -36,30 +36,15 @@ class Term(NamedTuple):
 
 # -- exact constants ---------------------------------------------------------
 # Constants are exact rationals, an int when integral and a Fraction
-# otherwise; exp and log of a constant are partial (defined at 0 resp. 1).
-
-
-def exp_const(c):
-    if c == 0:
-        return 1
-    raise PartialConstantError(f"exp({c}) is irrational; only exp(0) is rational")
-
-
-def log_const(c):
-    if c == 1:
-        return 0
-    raise PartialConstantError(f"log({c}) is irrational; only log(1) is rational")
+# otherwise; exp and log of a constant are rational only at 0 resp. 1,
+# which `exp_series` and `log_series` check.
 
 
 def pow_const(c, r: Fraction):
-    """c^r for rational r, exactly; an irrational result is refused."""
+    """c^r for rational r = p/q, exactly, by exact q-th roots; an
+    irrational result is refused."""
     c = Fraction(c)
     r = Fraction(r)
-    if r.denominator == 1:
-        n = r.numerator
-        if c == 0 and n < 0:
-            raise DomainError("0 to a negative power")
-        return _canon(c ** n)
     if c < 0:
         raise DomainError(f"negative base {c} with fractional exponent {r}")
     num = _exact_root(c.numerator, r.denominator)

@@ -201,10 +201,6 @@ class IdentityReport:
     conv_report: Optional[ConvReport] = None
     cutoff: Optional[Monomial] = None    # from compare_to_depth; None if SKIPPED
 
-    @property
-    def equal(self) -> bool:
-        return self.status == "EQUAL"
-
 
 def _compare(lhs: TransSeries, rhs: TransSeries, depth: int,
              conv_report: Optional[ConvReport] = None) -> IdentityReport:

@@ -8,9 +8,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from transseries import (ONE, X, PowerSeries, PSJointCert, TransSeries, add,
-                         derive, from_terms, invert, make_monomial, mono_inv,
-                         mono_pow, mul, sum_family)
+from transseries import (ONE, X, ZERO, GridCertificate, PowerSeries,
+                         PSJointCert, TransSeries, add, derive, from_terms,
+                         invert, make_monomial, mono_inv, mono_pow, mul,
+                         sum_family)
 from transseries.series import compare_to_depth
 
 X_INV = mono_inv(X)
@@ -97,6 +98,18 @@ def derive_n(s: TransSeries, n: int) -> TransSeries:
     for _ in range(n):
         s = derive(s)
     return s
+
+
+def from_coeffs(coeffs) -> PowerSeries:
+    """The polynomial with the given coefficients, joint certificate the
+    union of their grids with the factor 1."""
+    coeffs = list(coeffs)
+    grid = GridCertificate.of(())
+    for c in coeffs:
+        grid = grid.union(c.cert)
+    joint = PSJointCert(grid, frozenset([ONE]))
+    return PowerSeries(lambda k: coeffs[k] if k < len(coeffs) else ZERO,
+                       finite_degree=max(len(coeffs) - 1, 0), joint=joint)
 
 
 def ps_add(p: PowerSeries, q: PowerSeries) -> PowerSeries:

@@ -9,7 +9,7 @@ import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          CompositionHandle, DomainError, PartialConstantError,
-                         PowerSeries, PreconditionError, X, atom, compose,
+                         PreconditionError, X, atom, compose,
                          dagger, derive, exp_series, faa_di_bruno_coeff,
                          from_terms, invert, log_series, make_monomial,
                          mono_cmp, mono_inv, mono_mul, mono_pow, mono_series,
@@ -20,8 +20,8 @@ from transseries.parser import parse_series
 from transseries.series import add, depth_cutoff, scale, shown_terms
 from transseries.taylor import is_flat, spec_condition_check
 
-from helpers import (assert_depth_equal, derive_n, rand_finite_series,
-                     rand_grid_series, rng)
+from helpers import (assert_depth_equal, derive_n, from_coeffs,
+                     rand_finite_series, rand_grid_series, rng)
 
 X_INV = mono_inv(X)
 L1 = atom(1)
@@ -399,9 +399,9 @@ def test_faa_orders_three_to_five(f_text, g_text):
     f, g = parse_series(f_text), parse_series(g_text)
     composed, inner = _derivative_lists(f, g, 5)
     fg = compose(f, CompositionHandle(g))
-    p = PowerSeries.from_coeffs(
+    p = from_coeffs(
         [scale(c, Fraction(1, factorial(n))) for n, c in enumerate(composed)])
-    q = PowerSeries.from_coeffs(
+    q = from_coeffs(
         [ZERO] + [scale(inner[j], Fraction(1, factorial(j))) for j in range(1, 6)])
     pq = ps_compose(p, q)
     for k in (3, 4, 5):

@@ -202,6 +202,11 @@ GOLDENS = [
      "cut: empty segment\n"
      "verdict: non_member\n"
      "witness: (1, X^0) vs (x^-1, X^1)\n"),
+    # every power series lies in the algebra of the cut of all monomials
+    (["cutcheck", "1/x", "--cut", "all"], 0,
+     "series: sum (x^-1)^k * X^k\n"
+     "cut: all monomials\n"
+     "verdict: member\n"),
 ]
 
 
@@ -317,6 +322,13 @@ def test_cutcheck_empty_cut_witness():
                                "witnesses": ["(1, X^0) vs (x^-1, X^1)"]}
 
 
+def test_cutcheck_all_cut_is_a_member_without_witnesses():
+    code, out = run_cli(["cutcheck", "1/x", "--cut", "all", "--json"])
+    assert code == 0
+    assert out == ('{"command": "cutcheck", "terms": [], "verdict": "member", '
+                   '"witnesses": []}\n')
+
+
 def test_deep_nesting_is_a_parse_error():
     from transseries.parser import MAX_NESTING
     deep = "(" * 400 + "x" + ")" * 400
@@ -341,17 +353,20 @@ def test_stdin_input(monkeypatch):
 
 
 def test_deep_quotients_are_a_resource_error():
-    # 60 nested quotients stay inside the parser's nesting cap but exhaust
-    # Python's stack while the series is built or expanded
-    deep = "x"
-    for _ in range(60):
-        deep = f"1/(1+{deep})"
-    code, out = run_cli(["eval", deep, "--terms", "3"])
-    assert code == 3 and out.startswith("error: ResourceError: ")
-    code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "ResourceError"
-    assert json.loads(out)["error"]["offset"] is None
+    # 60 and 99 nested quotients stay inside the parser's cap of 100 levels
+    # but exhaust Python's stack while the series is built or expanded: one
+    # refusal line, in text and under --json
+    message = "expression nests too deeply for the recursion limit"
+    for depth in (60, 99):
+        deep = "x"
+        for _ in range(depth):
+            deep = f"1/(1+{deep})"
+        assert run_cli(["eval", deep, "--terms", "3"]) == (
+            3, f"error: ResourceError: {message}\n")
+        code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
+        assert code == 3 and out.count("\n") == 1
+        assert json.loads(out) == {"error": {
+            "type": "ResourceError", "offset": None, "message": message}}
 
 
 def test_long_sums_are_one_flat_sum():

@@ -128,7 +128,8 @@ def test_support_prefix_is_the_number_of_scanned_support_positions():
     assert verdicts[0].verdict == "inconclusive"
     assert verdicts[0].checked_prefix == 0
     assert "no support witness" in verdicts[0].detail
-    assert verdicts[1].divergent and verdicts[1].checked_prefix == 1
+    assert verdicts[1].verdict == "certified_divergent"
+    assert verdicts[1].checked_prefix == 1
     assert verdicts[1].witnesses[0][0] is e_x.leading_term().mono
 
 

@@ -1,8 +1,14 @@
-"""The public surface: every function and class that `transseries` exports
-is used by the kernel itself or by the benchmark, and so is every optional
-parameter of those functions and of the public methods of those classes,
-found by an AST scan; and every name a kernel or test module imports is
-read there."""
+"""The public surface, checked by an AST scan of `src/` and `bench/`:
+
+- every function and class that `transseries` exports is used by the
+  kernel itself or by the benchmark, apart from the paper's constructions
+  listed below;
+- every public method, staticmethod, classmethod and property of those
+  classes is read by the kernel or the benchmark, so a member that only
+  tests read lives in the tests;
+- every optional parameter of those functions and methods is passed by
+  some call there, apart from the cut-pullback parameters listed below;
+- every name a kernel or test module imports is read in that module."""
 
 import ast
 import inspect
@@ -81,6 +87,40 @@ def test_the_exempt_constructions_are_exported_and_unreached():
     assert not exempt & _reached(), sorted(exempt & _reached())
 
 
+def _public_members() -> dict:
+    """(class, name) -> member for each public method, staticmethod,
+    classmethod and property that an exported class defines."""
+    out = {}
+    for name in _exported():
+        obj = getattr(transseries, name)
+        if not inspect.isclass(obj):
+            continue
+        for attr, member in vars(obj).items():
+            fn = getattr(member, "__func__", member)
+            if not attr.startswith("_") and (inspect.isfunction(fn)
+                                             or isinstance(member, property)):
+                out[name, attr] = member
+    return out
+
+
+def _read_attributes() -> set:
+    """The attribute names that the kernel modules (the export list aside)
+    and the benchmark read."""
+    paths = [path for path in (ROOT / "src" / "transseries").glob("*.py")
+             if path.name != "__init__.py"]
+    paths += (ROOT / "bench").glob("*.py")
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_member_is_read():
+    read = _read_attributes()
+    unread = sorted(f"{cls}.{attr}" for cls, attr in _public_members()
+                    if attr not in read)
+    assert not unread, unread
+
+
 def _optional_parameters(callee: str, fn, bound: bool) -> set:
     """(callee, name, position) for each defaulted or keyword-only parameter
     of fn; position is its index among a call's positional arguments (after
@@ -107,12 +147,11 @@ def _modes() -> set:
         obj = getattr(transseries, name)
         if inspect.isfunction(obj):
             out |= _optional_parameters(name, obj, bound=False)
-            continue
-        for attr, member in vars(obj).items():
-            fn = getattr(member, "__func__", member)
-            if not attr.startswith("_") and inspect.isfunction(fn):
-                out |= _optional_parameters(
-                    attr, fn, bound=not isinstance(member, staticmethod))
+    for (_, attr), member in _public_members().items():
+        fn = getattr(member, "__func__", member)
+        if inspect.isfunction(fn):
+            out |= _optional_parameters(
+                attr, fn, bound=not isinstance(member, staticmethod))
     return out
 
 

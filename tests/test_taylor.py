@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
-                         LocusSpec, IDENTITY, PowerSeries, PreconditionError, X,
+                         LocusSpec, IDENTITY, PreconditionError, X,
                          analytic_commutation_check, atom,
                          chain_rule_transport_check, compose, dagger, derive,
                          exp_series, faa_di_bruno_coeff, from_terms, invert,
@@ -18,7 +18,7 @@ from transseries.series import add
 from transseries.parser import parse_series
 from transseries.taylor import _check_descent, _compare, spec_condition_check
 
-from helpers import assert_depth_equal, derive_n, rng
+from helpers import assert_depth_equal, derive_n, from_coeffs, rng
 
 X_INV = mono_inv(X)
 L1 = atom(1)
@@ -62,7 +62,7 @@ def test_locus_geometric_certified():
 
 def test_locus_exponential_diverges_at_one():
     rep = locus_contains(ID_AT_1, mono_series(E_X))
-    assert rep.divergent
+    assert rep.verdict == "certified_divergent"
     assert rep.witnesses[0][0] is E_X
 
 
@@ -251,10 +251,10 @@ def test_deform_descent_chain():
 
 def test_descent_check_refuses_rising_terms():
     # terms P_k delta^k = x^k rise, which a certified locus rules out
-    rising = PowerSeries.from_coeffs([mono_series(xpow(k)) for k in range(3)])
+    rising = from_coeffs([mono_series(xpow(k)) for k in range(3)])
     with pytest.raises(DomainError, match="descent chain violated"):
         _check_descent(rising, ONE_SERIES, orders=3)
-    falling = PowerSeries.from_coeffs([mono_series(xpow(-k)) for k in range(3)])
+    falling = from_coeffs([mono_series(xpow(-k)) for k in range(3)])
     assert _check_descent(falling, ONE_SERIES, orders=3) is None
 
 
@@ -277,7 +277,8 @@ def test_identity_check_decides_the_locus_once(monkeypatch):
 
     monkeypatch.setattr(taylor, "locus_contains", counting)
     f = geom()
-    assert taylor_identity_check(f, X_SERIES, ONE_SERIES, depth=4).equal
+    rep = taylor_identity_check(f, X_SERIES, ONE_SERIES, depth=4)
+    assert rep.status == "EQUAL"
     assert calls == [f]
 
 
@@ -297,7 +298,7 @@ def test_identity_log():
 def test_identity_exp_skipped_at_one():
     r = taylor_identity_check(mono_series(E_X), X_SERIES, ONE_SERIES, 6)
     assert r.status == "SKIPPED"
-    assert r.conv_report.divergent
+    assert r.conv_report.verdict == "certified_divergent"
 
 
 def test_identity_exp_composed_with_square():
@@ -339,7 +340,8 @@ def test_sharpness_divergent_cases_skip():
     ]
     for f, g, d in cases:
         rep = locus_contains(LocusSpec(CompositionHandle(g), d), f)
-        assert rep.divergent, f"expected divergence for {f.render(2)}"
+        assert rep.verdict == "certified_divergent", \
+            f"expected divergence for {f.render(2)}"
         r = taylor_identity_check(f, g, d, 6)
         assert r.status == "SKIPPED"
 
@@ -419,7 +421,7 @@ def test_spec_condition_rejects_unit():
 def test_compare_reports_the_first_discrepancy():
     lhs = parse_series("1/(1-1/x)")
     rep = _compare(lhs, parse_series("1/(1-1/x) + x^-3"), 6)
-    assert rep.status == "UNEQUAL" and not rep.equal
+    assert rep.status == "UNEQUAL"
     assert rep.detail == "first discrepancy -1 * x^-3"
     assert [(t.coeff, t.mono) for t in rep.discrepancy] == [(-1, mono_pow(X, -3))]
     assert _compare(lhs, lhs, 6).status == "EQUAL"
@@ -453,6 +455,6 @@ def test_identity_at_depth_below_1_compares_nothing(depth):
     # the comparison would stop at the first grid position, above which
     # nothing lies: an EQUAL there would be vacuous
     rep = taylor_identity_check(mono_series(X_INV), X_SERIES, ONE_SERIES, depth=depth)
-    assert rep.status == "SKIPPED" and not rep.equal
+    assert rep.status == "SKIPPED"
     assert rep.detail == f"depth {depth} compares no grid position"
     assert rep.conv_report.convergent and rep.cutoff is None
