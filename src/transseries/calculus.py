@@ -20,7 +20,7 @@ from .errors import (DomainError, PartialConstantError, PreconditionError,
 from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
                        make_monomial, mono_cmp, mono_inv, mono_max, mono_mul,
-                       mono_pow, pre_log)
+                       mono_pow, pre_log, sort_monomials)
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      add, dominant_decompose, extend_strongly_linear,
                      from_terms, geometric_substitute, invert, mono_series,
@@ -35,15 +35,15 @@ def dagger(m: Monomial) -> TransSeries:
     return from_terms(dagger_terms(m))
 
 
-def dagger_support_closure(gens) -> frozenset:
+def dagger_support_closure(gens) -> tuple:
     """Smallest monomial set containing every dagger support of `gens`
-    and closed under taking dagger supports.
+    and closed under taking dagger supports, as a decreasing tuple.
 
     Finite because dagger supports only involve inverse log-atom products
     and strictly lower exponential height; this set is the per-degree
     factor alphabet for iterated derivatives.
     """
-    out: set = set()
+    out: dict = {}
     work = list(gens)
     fuel = 10_000
     while work:
@@ -53,15 +53,15 @@ def dagger_support_closure(gens) -> frozenset:
         g = work.pop()
         for _, d in dagger_terms(g):
             if d not in out:
-                out.add(d)
+                out[d] = None
                 work.append(d)
-    return frozenset(out)
+    return sort_monomials(out)
 
 
 def _derivation_grid(cert: GridCertificate, gens) -> tuple:
-    """The dagger monomials of `gens`, and the grid `cert` times them, which
-    covers the derivatives of series on `cert`."""
-    dag = {d for g in gens for _, d in dagger_terms(g)}
+    """The dagger monomials of `gens`, a decreasing tuple, and the grid
+    `cert` times them, which covers the derivatives of series on `cert`."""
+    dag = sort_monomials(d for g in gens for _, d in dagger_terms(g))
     return dag, cert.product(GridCertificate.of(dag))
 
 
@@ -69,10 +69,11 @@ def _image_grid(image, cert: GridCertificate) -> tuple:
     """(grid, rho): a grid covering the images of the grid `cert` under
     `image`, in which each ratio image is refined at its dominant
     monomial, and rho, the largest refined base (or None)."""
-    grid = GridCertificate.of(())
+    bases, ratios, tops = [], [], []
     for b in cert.bases:
-        grid = grid.union(image(b).cert)
-    tops = []
+        grid = image(b).cert
+        bases += grid.bases
+        ratios += grid.ratios
     for z in cert.ratios:
         img = image(z)
         lt = img.leading_term()
@@ -80,17 +81,17 @@ def _image_grid(image, cert: GridCertificate) -> tuple:
             raise PreconditionError(
                 f"image of ratio {z.render()} failed to stay infinitesimal")
         tight = _infinitesimal_bases(img.cert, lt.mono)
-        grid = grid.union(GridCertificate.of((), tight | img.cert.ratios))
-        tops.append(mono_max(tight))
-    return grid, mono_max(tops) if tops else None
+        ratios += tight + img.cert.ratios
+        tops.append(tight[0])
+    return GridCertificate.of(bases, ratios), mono_max(tops) if tops else None
 
 
 def derive(s: TransSeries) -> TransSeries:
     """Strongly linear derivation; Leibniz holds to any depth."""
-    dag, grid = _derivation_grid(s.cert, s.cert.bases | s.cert.ratios)
+    dag, grid = _derivation_grid(s.cert, s.cert.bases + s.cert.ratios)
     if grid.is_trivial:
         return ZERO
-    shrink = mono_inv(mono_max(dag))
+    shrink = mono_inv(dag[0])
     return extend_strongly_linear(
         lambda m: from_terms(deriv_terms(m)), s, grid,
         lambda cutoff: mono_mul(cutoff, shrink))
@@ -221,7 +222,7 @@ def compose(f: TransSeries, h) -> TransSeries:
         return ZERO
 
     grid, rho = _image_grid(h.mono_image, f.cert)
-    zmin = min(f.cert.ratios) if f.cert.ratios else None
+    zmin = f.cert.ratios[-1] if f.cert.ratios else None
 
     def source_cutoff(cutoff):
         cut_f = None

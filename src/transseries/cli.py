@@ -226,8 +226,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.terms < 0:
-            ap.error(f"argument --terms: {args.terms} is negative")
+        for flag in ("terms", "depth_bound", "height_bound"):
+            value = getattr(args, flag)
+            if value is not None and value < 0:
+                ap.error(f"argument --{flag.replace('_', '-')}: {value} is negative")
     except SystemExit as e:
         # argparse exits 2 on a usage error, which is a verdict code here;
         # it reads any prefix of --json from --j as the flag, but not after --

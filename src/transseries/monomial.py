@@ -12,7 +12,8 @@ exponential height.
 Canonical form: exp arguments never contain a bare atom l_j with j >= 1
 (such a term c*l_j is absorbed as l_{j-1}^c into the log-power part), so
 structural identity coincides with equality in the group.  Instances are
-interned; equality is identity.
+interned, so identity is both the equality and the hash, inherited from
+`object`; an iterated collection of monomials is ordered, never a set.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _INTERN: dict = {}
 
 class Monomial:
     __slots__ = ("log_powers", "exp_terms", "height", "log_depth",
-                 "_dagger", "_pre_log", "_hash")
+                 "_dagger", "_pre_log")
 
     log_powers: tuple  # ((atom_index, exponent), ...) ascending index
     exp_terms: tuple   # ((coeff, Monomial), ...) decreasing, all > 1
@@ -48,20 +49,11 @@ class Monomial:
                              + [u.log_depth for _, u in exp_terms], default=0)
         self._dagger = None
         self._pre_log = None
-        self._hash = hash((log_powers, exp_terms))
 
-    def __hash__(self):
-        return self._hash
-
-    # interning makes identity the equality; inherit object.__eq__
+    # interning makes identity the equality and the hash: inherit both
 
     def __repr__(self):
         return f"Monomial({self.render()})"
-
-    # -- ordering ---------------------------------------------------------
-
-    def __lt__(self, other):
-        return mono_cmp(self, other) < 0
 
     # -- group operations -------------------------------------------------
 
@@ -327,8 +319,10 @@ def mono_max(monos: Iterable[Monomial]) -> Monomial:
     return max(monos, key=_MONO_KEY)
 
 
-def sort_monomials(monos: Iterable[Monomial]) -> list:
-    return sorted(monos, key=_MONO_KEY, reverse=True)
+def sort_monomials(monos: Iterable[Monomial]) -> tuple:
+    """The distinct monomials of `monos`, decreasing; sorted runs sort in
+    linear time."""
+    return tuple(sorted(dict.fromkeys(monos), key=_MONO_KEY, reverse=True))
 
 
 # -- pre-logarithm and logarithmic derivative ------------------------------

@@ -40,10 +40,13 @@ from .series import (PROBE_FUEL, ZERO, GridCertificate, TransSeries,
 class PSJointCert:
     """supp(P_k) is inside the coefficient grid times a product of exactly
     k elements of `factors`; `grid` checks its ratios, the factors may be
-    of any size."""
+    of any size, and are kept as a decreasing tuple without repeats."""
 
     grid: GridCertificate
-    factors: frozenset
+    factors: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", sort_monomials(self.factors))
 
     def coefficient_grid(self) -> GridCertificate:
         """`grid` with the small factors as extra ratios."""
@@ -84,7 +87,7 @@ class PowerSeries:
 def monomial_geometric(m: Monomial) -> PowerSeries:
     """The series sum_k m^k X^k (the increasing-cuts separator family)."""
     return PowerSeries(lambda k: mono_series(mono_pow(m, k)),
-                       joint=PSJointCert(GridCertificate.of([ONE]), frozenset([m])))
+                       joint=PSJointCert(GridCertificate.of([ONE]), (m,)))
 
 
 # -- elementary operations ------------------------------------------------------
@@ -124,14 +127,13 @@ def ps_compose(p: PowerSeries, q: PowerSeries) -> PowerSeries:
         fin = p.finite_degree * max(q.finite_degree, 1)
     joint = None
     if p.joint and q.joint:
-        extra_p = {d for d in p.joint.factors if not d.is_one}
+        extra_p = [d for d in p.joint.factors if not d.is_one]
         q_grid = q.joint.coefficient_grid()
         if all(d.is_small() for d in extra_p) and \
            all(mono_cmp(s, ONE) <= 0 for s in q_grid.bases):
-            extra = extra_p | {s for s in q_grid.bases if s.is_small()}
-            joint = PSJointCert(
-                p.joint.grid.union(GridCertificate.of((), q_grid.ratios | extra)),
-                q.joint.factors)
+            extra = [*q_grid.ratios, *extra_p, *(s for s in q_grid.bases if s.is_small())]
+            joint = PSJointCert(p.joint.grid.union(GridCertificate.of((), extra)),
+                                q.joint.factors)
     return PowerSeries(cf, finite_degree=fin, joint=joint)
 
 
@@ -328,13 +330,12 @@ def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:
                       "certificate test failed and no divergence witness found")
 
 
-def _unit_ratios(s: TransSeries, dom: Monomial) -> set:
+def _unit_ratios(s: TransSeries, dom: Monomial) -> list:
     """Ratios whose grid covers s/dom, for dom the dominant monomial of s:
     the bases of s's certificate refined at dom, divided by dom (dom
     itself gives 1), and the certificate's own ratios."""
     tight = _infinitesimal_bases(s.cert, dom)
-    return ({mono_mul(t, dom.inv()) for t in tight if t is not dom}
-            | set(s.cert.ratios))
+    return [mono_mul(t, dom.inv()) for t in tight if t is not dom] + list(s.cert.ratios)
 
 
 def _eval_grid(grid: GridCertificate, factors, s: TransSeries,
@@ -344,12 +345,11 @@ def _eval_grid(grid: GridCertificate, factors, s: TransSeries,
     factors d as extra ratios.  Refuses when one of them is not
     infinitesimal: the joint certificate then bounds no level of the
     summands, and dropping that ratio would drop terms silently."""
-    extra = _unit_ratios(s, dom) | {mono_mul(d, dom) for d in factors}
-    large = sort_monomials(z for z in extra if not z.is_small())
-    if large:
+    extra = sort_monomials(_unit_ratios(s, dom) + [mono_mul(d, dom) for d in factors])
+    if extra and not extra[0].is_small():
         raise EvaluationRefusedError(
             "evaluation refused: the joint certificate does not bound the "
-            f"coefficients at delta (the grid ratio {large[0].render()} is not "
+            f"coefficients at delta (the grid ratio {extra[0].render()} is not "
             "infinitesimal)")
     return grid.union(GridCertificate.of((), extra))
 
@@ -470,7 +470,7 @@ def lift_coefficientwise(op, p: PowerSeries,
     joint = None
     if op is DERIVATION:
         if p.joint is not None:
-            gens = p.joint.grid.bases | p.joint.grid.ratios | p.joint.factors
+            gens = p.joint.grid.bases + p.joint.grid.ratios + p.joint.factors
             _, grid = _derivation_grid(p.joint.grid, gens)
             joint = PSJointCert(grid, p.joint.factors)
     else:
@@ -482,13 +482,13 @@ def lift_coefficientwise(op, p: PowerSeries,
                     f"({expected.describe()})")
         if p.joint is not None:
             grid, _ = _image_grid(op.mono_image, p.joint.coefficient_grid())
-            factors = set()
+            factors, ratios = [], []
             for d in p.joint.factors:
                 img = op.mono_image(d)
                 dom = img.leading_term().mono
-                factors.add(dom)
-                grid = grid.union(GridCertificate.of((), _unit_ratios(img, dom)))
-            joint = PSJointCert(grid, frozenset(factors))
+                factors.append(dom)
+                ratios += _unit_ratios(img, dom)
+            joint = PSJointCert(grid.union(GridCertificate.of((), ratios)), factors)
     out = PowerSeries(lambda k: op.apply(p.coeff(k)),
                       finite_degree=p.finite_degree, joint=joint)
     if s_target is not None:

@@ -76,38 +76,39 @@ def _exact_root(n: int, q: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class GridCertificate:
-    """Finite bases and infinitesimal ratios; certified support is
+    """Finite bases and infinitesimal ratios, decreasing tuples without
+    repeats as `of` builds them; certified support is
     { b * prod z_i^{v_i} : b in bases, v in N^n }."""
 
-    bases: frozenset
-    ratios: frozenset
+    bases: tuple
+    ratios: tuple
 
     def __post_init__(self):
-        for z in self.ratios:
-            if not z.is_small():
-                raise PreconditionError(f"certificate ratio {z.render()} is not infinitesimal")
+        # the ratios decrease, so all are infinitesimal if the first is
+        if self.ratios and not self.ratios[0].is_small():
+            raise PreconditionError(
+                f"certificate ratio {self.ratios[0].render()} is not infinitesimal")
 
     @staticmethod
-    def of(bases: Iterable[Monomial], ratios: Iterable[Monomial] = ()) -> "GridCertificate":
-        return GridCertificate(frozenset(bases), frozenset(ratios))
+    def of(bases: Iterable[Monomial] = (), ratios: Iterable[Monomial] = ()) -> "GridCertificate":
+        return GridCertificate(sort_monomials(bases), sort_monomials(ratios))
 
     def union(self, other: "GridCertificate") -> "GridCertificate":
-        return GridCertificate(self.bases | other.bases, self.ratios | other.ratios)
+        return GridCertificate.of(self.bases + other.bases, self.ratios + other.ratios)
 
     def product(self, other: "GridCertificate") -> "GridCertificate":
         if not self.bases or not other.bases:
-            return GridCertificate(frozenset(), frozenset())
-        bases = frozenset(mono_mul(a, b) for a in self.bases for b in other.bases)
-        return GridCertificate(bases, self.ratios | other.ratios)
+            return GridCertificate.of()
+        # each base of self times the bases of other is a decreasing run
+        return GridCertificate.of([mono_mul(a, b) for a in self.bases for b in other.bases],
+                                  self.ratios + other.ratios)
 
     @property
     def is_trivial(self) -> bool:
         return not self.bases
 
     def grid_max(self) -> Optional[Monomial]:
-        if not self.bases:
-            return None
-        return mono_max(self.bases)
+        return self.bases[0] if self.bases else None
 
 
 # -- the lattice walk -----------------------------------------------------------
@@ -116,7 +117,7 @@ class GridCertificate:
 _HEAP_KEY = cmp_to_key(lambda a, b: mono_cmp(b, a))  # max-heap on monomials
 
 
-def _walk(bases: Iterable[Monomial], ratios: Iterable[Monomial]) -> Iterator[tuple]:
+def _walk(bases: Iterable[Monomial], ratios: tuple) -> Iterator[tuple]:
     """The grid points {b * z^v : b in bases, v in N^n} in strictly
     decreasing order, each once, as (m, vs): vs are the lattice points v
     that give m.
@@ -127,7 +128,6 @@ def _walk(bases: Iterable[Monomial], ratios: Iterable[Monomial]) -> Iterator[tup
     by all bases, and its successors are pushed.  So a caller that stops at
     the first point below a bound pays for the points at or above it only.
     """
-    ratios = list(ratios)
     start = (0,) * len(ratios)
     heap = [(_HEAP_KEY(b), bi, start, b) for bi, b in enumerate(bases)]
     heapq.heapify(heap)
@@ -385,20 +385,21 @@ def dominant_decompose(s: TransSeries) -> tuple:
 # -- geometric and lazy summation machinery -----------------------------------
 
 
-def _infinitesimal_bases(cert: GridCertificate, dom: Monomial) -> frozenset:
-    """Rewrite the part of the grid at or below `dom` with bases <= dom: the
-    bases at or below dom, and p*z at or below dom for each grid point p
-    above dom and each ratio z.  Sound because the grid points above dom
-    form a downward closed lattice region."""
-    out = {b for b in cert.bases if mono_cmp(b, dom) <= 0}
-    for p, _ in _walk(cert.bases - out, cert.ratios):
+def _infinitesimal_bases(cert: GridCertificate, dom: Monomial) -> tuple:
+    """Rewrite the part of the grid at or below `dom` with bases <= dom, a
+    decreasing tuple: the bases at or below dom, and p*z at or below dom
+    for each grid point p above dom and each ratio z.  Sound because the
+    grid points above dom form a downward closed lattice region."""
+    out = [b for b in cert.bases if mono_cmp(b, dom) <= 0]
+    above = cert.bases[:len(cert.bases) - len(out)]    # the bases decrease
+    for p, _ in _walk(above, cert.ratios):
         if mono_cmp(p, dom) <= 0:
             break
         for z in cert.ratios:
             q = mono_mul(p, z)
             if mono_cmp(q, dom) <= 0:
-                out.add(q)
-    return frozenset(out)
+                out.append(q)
+    return sort_monomials(out)
 
 
 def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
@@ -433,10 +434,9 @@ def geometric_substitute(coeffs: Callable[[int], object],
             f"geometric substitution requires an infinitesimal series; "
             f"dominant monomial is {lt.mono.render()}")
     tight_bases = _infinitesimal_bases(eps.cert, lt.mono)
-    tight = TransSeries(GridCertificate(tight_bases, eps.cert.ratios), eps.expand)
-    rho = mono_max(tight_bases)    # lt.mono is one of the tight bases
-    cert = GridCertificate(frozenset([ONE]),
-                           frozenset(eps.cert.ratios) | tight_bases)
+    tight = TransSeries(GridCertificate.of(tight_bases, eps.cert.ratios), eps.expand)
+    rho = tight_bases[0]    # lt.mono, the largest of the tight bases
+    cert = GridCertificate.of([ONE], eps.cert.ratios + tight_bases)
     # (coeffs(k), eps^k on the tight grid), each built once and kept
     powers = [(_canon(coeffs(0)), ONE_SERIES)]
 
@@ -476,7 +476,7 @@ def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSer
     """
     if not cert.ratios:
         raise PreconditionError("sum_lazy needs a grid ratio to bound the levels")
-    zmax = mono_max(cert.ratios)
+    zmax = cert.ratios[0]
     gmax = cert.grid_max()
     it = iter(summands)
     consumed: list = []

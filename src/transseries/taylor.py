@@ -22,7 +22,7 @@ from .errors import (BudgetExceededError, DomainError, PartialConstantError,
                      PreconditionError)
 from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
-                       mono_inv, mono_mul, sort_monomials)
+                       mono_inv, mono_mul)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
                           lift_coefficientwise, _evaluate, _scaled_powers,
                           _taylor_coefficients)
@@ -60,8 +60,8 @@ def spec_condition_check(m: Monomial) -> dict:
     flat = is_flat(m)
     dlt = dagger(m).leading_term()
     mprime = from_terms(deriv_terms(m))
-    # a finite series' certificate bases are exactly its nonzero support
-    supp = sort_monomials(mprime.cert.bases)[:prefix]
+    # a finite series' certificate bases are its nonzero support, decreasing
+    supp = mprime.cert.bases[:prefix]
     for n in supp:
         if flat:
             ok = is_flat(n)
@@ -97,7 +97,7 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
         lt = op.apply(dagger(m)).leading_term()
         return None if lt is None else mono_mul(lt.mono, dd)
 
-    gens = set(f.cert.bases) | set(f.cert.ratios)
+    gens = dict.fromkeys(f.cert.bases + f.cert.ratios)
     witnesses = []
     gens_ok = True
     for g in sorted(gens, key=lambda m: m.render()):
@@ -149,7 +149,7 @@ def _taylor_morphism(f: TransSeries) -> PowerSeries:
     """The Taylor morphism of f, unchecked.  Its per-degree factor alphabet is
     the dagger-support closure of f's certificate generators: the k-th
     derivative multiplies the support by exactly k such factors."""
-    factors = dagger_support_closure(f.cert.bases | f.cert.ratios)
+    factors = dagger_support_closure(f.cert.bases + f.cert.ratios)
     joint = PSJointCert(f.cert, factors)
     # no dagger factors means f is a constant: the series stops at X^0
     fin = 0 if not factors else None

@@ -120,7 +120,7 @@ def ps_add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     joint = None
     if p.joint and q.joint:
         joint = PSJointCert(p.joint.grid.union(q.joint.grid),
-                            p.joint.factors | q.joint.factors)
+                            p.joint.factors + q.joint.factors)
     return PowerSeries(lambda k: add(p.coeff(k), q.coeff(k)),
                        finite_degree=fin, joint=joint)
 
@@ -134,7 +134,7 @@ def ps_mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     joint = None
     if p.joint and q.joint:
         joint = PSJointCert(p.joint.grid.product(q.joint.grid),
-                            p.joint.factors | q.joint.factors)
+                            p.joint.factors + q.joint.factors)
     return PowerSeries(
         lambda k: sum_family([mul(p.coeff(i), q.coeff(k - i)) for i in range(k + 1)]),
         finite_degree=fin, joint=joint)

@@ -351,6 +351,28 @@ def test_images_by_morphism_keep_the_chain_certificates(g):
             assert_depth_equal(h.mono_image(m), _chain_image(h, m), 4, m.render())
 
 
+def test_integral_powers_build_on_the_previous_image(monkeypatch):
+    # the ring-morphism shortcut of mono_image: x^k is the image of x^(k-1)
+    # times that of x, so only x itself and x^-1 need a power series
+    import transseries.calculus as calculus
+    exponents = []
+
+    def spy(s, r):
+        exponents.append(r)
+        return pow_series(s, r)
+
+    monkeypatch.setattr(calculus, "pow_series", spy)
+    h = CompositionHandle(parse_series("x + 1"))
+    h.mono_image(X)
+    built = len(exponents)
+    for k in range(2, 7):
+        h.mono_image(xpow(k))
+    assert len(exponents) == built
+    for k in range(1, 4):
+        h.mono_image(xpow(-k))
+    assert exponents[built:] == [-1]
+
+
 @pytest.mark.parametrize("argv, want", [
     (["eval", "(1+1/x)^600", "--terms", "3"],
      "1 + 600*x^-1 + 179700*x^-2 + O(x^-3)\n"),

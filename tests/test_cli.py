@@ -90,7 +90,8 @@ def test_parse_render_roundtrip_corpus():
         text = render_series(s, 12)
         assert "O(" not in text
         back = parse_series(text)
-        floor = min(s.expand(min(s.cert.bases)))
+        # a finite series' bases are its support, decreasing
+        floor = s.cert.bases[-1]
         assert equal_below(back, s, floor), f"round trip failed for {text}"
         done += 1
 
@@ -509,6 +510,32 @@ def test_negative_terms_is_a_usage_error(argv, capsys):
         assert "usage: transseries" in err
         assert "argument --terms: -1 is negative" in err
     assert run_cli(["eval", "1/x", "--terms", "0"]) == (0, "O(x^-1)\n")
+
+
+BOUND_AT_ZERO = [
+    (["eval", "x", "--height-bound"], "x\n"),
+    (["eval", "x^2", "--height-bound"], "x^2\n"),
+    (["eval", "2", "--depth-bound"], "2\n"),
+    (["derive", "x", "--depth-bound"], "1\n"),
+    (["locus", "1/x", "--delta", "1", "--height-bound"],
+     "locus: certified_convergent\n"
+     "detail: generator daggers shrink below 1 under the operator\n"
+     "witness: x^-1 -> x^-1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, at_zero", BOUND_AT_ZERO,
+                         ids=[" ".join(argv) for argv, _ in BOUND_AT_ZERO])
+def test_negative_bound_is_a_usage_error(argv, at_zero, capsys):
+    # refused before anything is built, also for an input whose monomials
+    # were interned at import; a bound of 0 is a bound
+    message = f"argument {argv[-1]}: -1 is negative"
+    for extra, out in (([], ""), (["--json"], usage_error_line(message))):
+        assert run_cli(argv + ["-1"] + extra) == (3, out)
+        err = capsys.readouterr().err
+        assert "usage: transseries" in err
+        assert message in err
+    assert run_cli(argv + ["0"]) == (0, at_zero)
 
 
 # -- a --terms past what a grid walk can reach -----------------------------------

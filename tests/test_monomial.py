@@ -8,7 +8,7 @@ import pytest
 from transseries import (ONE, ResourceError, X, atom, configure,
                          make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
                          pre_log)
-from transseries.monomial import dagger_terms, pre_log_terms
+from transseries.monomial import dagger_terms, pre_log_terms, sort_monomials
 from transseries.series import from_terms
 
 from helpers import equal_below, rng, rand_monomial
@@ -216,7 +216,7 @@ def test_truncation_closure_of_pre_log_image():
         merged: dict = {}
         for c, u in terms:
             merged[u] = merged.get(u, 0) + c
-        ordered = sorted((u for u, c in merged.items() if c), reverse=True)
+        ordered = sort_monomials(u for u, c in merged.items() if c)
         for cut in range(1, len(ordered) + 1):
             trunc = [(merged[u], u) for u in ordered[:cut]]
             rebuilt = make_monomial({}, trunc)

@@ -51,7 +51,7 @@ def test_from_terms_cancels_to_zero():
 
 def test_from_terms_orders_terms():
     s = from_terms([(1, X_INV), (1, X)])
-    assert sort_monomials(s.expand(X_INV)) == [X, X_INV]
+    assert sort_monomials(s.expand(X_INV)) == (X, X_INV)
 
 
 # -- the representation of exact coefficients ------------------------------------
@@ -152,8 +152,8 @@ def test_mul_coefficients_match_fiber_convolution():
     for _ in range(12):
         s = rand_finite_series(r, 3)
         t = rand_finite_series(r, 3)
-        sd = s.expand(min(s.cert.bases)) if s.cert.bases else {}
-        td = t.expand(min(t.cert.bases)) if t.cert.bases else {}
+        sd = s.expand(s.cert.bases[-1]) if s.cert.bases else {}
+        td = t.expand(t.cert.bases[-1]) if t.cert.bases else {}
         if not sd or not td:
             continue
         fibers = check_product_noetherian(sd.keys(), td.keys(), mono_cmp).fibers
@@ -431,7 +431,7 @@ def test_compose_flags_images_outside_its_certificate(monkeypatch):
     def losing_a_ratio(image, cert):
         grid, rho = image_grid(image, cert)
         assert X_INV in grid.ratios
-        return GridCertificate(grid.bases, grid.ratios - {X_INV}), rho
+        return GridCertificate.of(grid.bases, [z for z in grid.ratios if z is not X_INV]), rho
 
     monkeypatch.setattr(calculus, "_image_grid", losing_a_ratio)
     # 1/(1 - 1/x) o (x + 1) = 1 + x^-1 + 0*x^-2 + ...: without the ratio
@@ -561,7 +561,7 @@ def test_region_walk_matches_brute_force(cert):
             for i, z in enumerate(ratios):
                 if v[i] and mono_cmp(mono_mul(m, mono_inv(z)), dom) > 0:
                     want.add(m)
-        assert _infinitesimal_bases(cert, dom) == want, dom
+        assert set(_infinitesimal_bases(cert, dom)) == want, dom
 
 
 def test_level_cap_counts_levels_up_to_the_fuel(monkeypatch):

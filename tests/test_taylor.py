@@ -12,7 +12,7 @@ from transseries import (ONE, ONE_SERIES, ZERO, CompositionHandle, DomainError,
                          chain_rule_transport_check, compose, dagger, derive,
                          exp_series, faa_di_bruno_coeff, from_terms, invert,
                          lift_coefficientwise, locus_contains, make_monomial,
-                         mono_inv, mono_mul, mono_pow, mono_series, mul,
+                         mono_cmp, mono_inv, mono_mul, mono_pow, mono_series, mul,
                          taylor_deform, taylor_identity_check, taylor_series)
 from transseries.series import add
 from transseries.parser import parse_series
@@ -244,7 +244,7 @@ def test_deform_descent_chain():
             if lt is None:
                 break
             if prev is not None:
-                assert lt.mono < prev
+                assert mono_cmp(lt.mono, prev) < 0
             prev = lt.mono
             power = mul(power, spec.delta)
 
