@@ -12,8 +12,12 @@ exponential height.
 Canonical form: exp arguments never contain a bare atom l_j with j >= 1
 (such a term c*l_j is absorbed as l_{j-1}^c into the log-power part), so
 structural identity coincides with equality in the group.  Instances are
-interned, so identity is both the equality and the hash, inherited from
-`object`; an iterated collection of monomials is ordered, never a set.
+interned weakly, so among live monomials identity is both the equality and
+the hash, inherited from `object`; an iterated collection of monomials is
+ordered, never a set.  A monomial lives only while something refers to it:
+a series, a certificate, another monomial or one of the last
+`CMP_MEMO_SIZE` comparisons, so the tables follow the live series, not
+everything ever computed.
 """
 
 from __future__ import annotations
@@ -21,18 +25,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Iterable, Mapping
+from weakref import KeyedRef
 
 from .errors import ResourceError
 from .limits import LIMITS
 
 Rat = Fraction
 
+# (log_powers, exp_terms) -> a weak reference to the live monomial
 _INTERN: dict = {}
+# the pairs `mono_cmp` remembers; each keeps its two monomials alive
+CMP_MEMO_SIZE = 1024
 
 
 class Monomial:
     __slots__ = ("log_powers", "exp_terms", "height", "log_depth",
-                 "_dagger", "_pre_log")
+                 "_dagger", "_pre_log", "__weakref__")
 
     log_powers: tuple  # ((atom_index, exponent), ...) ascending index
     exp_terms: tuple   # ((coeff, Monomial), ...) decreasing, all > 1
@@ -44,9 +52,15 @@ class Monomial:
         # and the group operations
         self.log_powers = log_powers
         self.exp_terms = exp_terms
-        self.height = max((u.height + 1 for _, u in exp_terms), default=0)
-        self.log_depth = max([k for k, _ in log_powers]
-                             + [u.log_depth for _, u in exp_terms], default=0)
+        # monomials die and are made again, so this is kept cheap; the log
+        # powers ascend by atom index
+        depth = log_powers[-1][0] if log_powers else 0
+        if exp_terms:
+            self.height = 1 + max(u.height for _, u in exp_terms)
+            depth = max(depth, *(u.log_depth for _, u in exp_terms))
+        else:
+            self.height = 0
+        self.log_depth = depth
         self._dagger = None
         self._pre_log = None
 
@@ -172,10 +186,11 @@ def _canon(r):
 
 
 def _intern(lp: tuple, et: tuple, checked: bool = True) -> Monomial:
-    """The interned monomial with canonical data (lp, et), made if new.
+    """The live monomial with canonical data (lp, et), made if there is none.
     Unless `checked` is false, a monomial out of bounds is refused."""
     key = (lp, et)
-    m = _INTERN.get(key)
+    ref = _INTERN.get(key)
+    m = ref() if ref is not None else None
     if m is None:
         for c, u in et:
             if not u.is_large():
@@ -183,11 +198,20 @@ def _intern(lp: tuple, et: tuple, checked: bool = True) -> Monomial:
         m = Monomial(lp, et)
         if checked:
             _check_bounds(m)
-        _INTERN[key] = m
+        _INTERN[key] = KeyedRef(m, _evict, key)
     elif checked:
         # checked on hits too: the bounds may have been lowered since then
         _check_bounds(m)
     return m
+
+
+def _evict(ref: KeyedRef) -> None:
+    """Drop a dead monomial's entry.  A newer entry that took the key before
+    this callback ran goes back: a late callback must not evict a live
+    monomial.  One probe in the usual case, as hashing the key is dear."""
+    other = _INTERN.pop(ref.key, None)
+    if other is not None and other is not ref:
+        _INTERN[ref.key] = other
 
 
 def _check_bounds(m: Monomial) -> None:
@@ -215,15 +239,34 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     # Products of canonical monomials are merged directly; make_monomial
     # canonicalises untrusted data.  The merged exp terms keep their
     # monomials, so none needs absorbing and none stops being large.
-    powers = dict(a.log_powers)
-    for k, r in b.log_powers:
-        r = powers.get(k, 0) + r
-        if r:
-            powers[k] = _canon(r)
-        else:
-            del powers[k]
-    return _intern(tuple(sorted(powers.items())),
+    return _intern(_merge_powers(a.log_powers, b.log_powers),
                    _merge_terms(a.exp_terms, b.exp_terms))
+
+
+def _merge_powers(p: tuple, q: tuple) -> tuple:
+    """The product of two ascending log-power tuples, ascending, without
+    the exponents that cancel."""
+    if not p or not q:
+        return p or q
+    out = []
+    i = j = 0
+    while i < len(p) and j < len(q):
+        (k, r), (h, s) = p[i], q[j]
+        if k == h:
+            t = r + s
+            if t:
+                out.append((k, _canon(t)))
+            i += 1
+            j += 1
+        elif k < h:
+            out.append(p[i])
+            i += 1
+        else:
+            out.append(q[j])
+            j += 1
+    out.extend(p[i:])
+    out.extend(q[j:])
+    return tuple(out)
 
 
 def _merge_terms(p: tuple, q: tuple) -> tuple:
@@ -270,7 +313,7 @@ def mono_pow(a: Monomial, r) -> Monomial:
 # -- the group order -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CMP_MEMO_SIZE)
 def mono_cmp(a: Monomial, b: Monomial) -> int:
     """Total order on monomials: sign of ell(a) - ell(b).
 
@@ -292,7 +335,7 @@ def mono_cmp(a: Monomial, b: Monomial) -> int:
     i = j = 0
     while i < len(p) and j < len(q):
         (c, u), (e, v) = p[i], q[j]
-        if u == v:  # identity for interned monomials
+        if u == v:  # identity for interned monomials, all live here
             if c != e:
                 return 1 if c > e else -1
             i += 1

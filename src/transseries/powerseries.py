@@ -199,10 +199,6 @@ class CutVerdict:
     witnesses: tuple = field(default_factory=tuple)
     checked_prefix: int = 0
 
-    @property
-    def is_member(self) -> bool:
-        return self.kind == "member"
-
 
 def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
     """Certificate-level membership of P in the cut algebra of s.
@@ -306,7 +302,7 @@ def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:
         return ConvReport("certified_convergent", (), p.finite_degree,
                           "polynomial: converges everywhere")
     verdict = cut_member(p, CutSpec.above(dd))
-    if verdict.is_member:
+    if verdict.kind == "member":
         return ConvReport("certified_convergent", verdict.witnesses, prefix,
                           f"member of the cut algebra above {dd.render()}")
 
@@ -406,11 +402,11 @@ def cut_eval(p: PowerSeries, delta: TransSeries, s: CutSpec) -> TransSeries:
     """
     verdict = cut_member(p, s)
     lt = delta.leading_term()
-    if not verdict.is_member and s.variant == "above":
+    if verdict.kind != "member" and s.variant == "above":
         wider = cut_member(p, CutSpec.above_eq(s.boundary))
-        if wider.is_member and (lt is None or mono_cmp(lt.mono, s.boundary) < 0):
+        if wider.kind == "member" and (lt is None or mono_cmp(lt.mono, s.boundary) < 0):
             verdict, s = wider, CutSpec.above_eq(s.boundary)
-    if not verdict.is_member:
+    if verdict.kind != "member":
         raise PreconditionError(
             f"cut_eval requires membership; got {verdict.kind}")
     # an empty-cut member is a polynomial, which evaluates anywhere

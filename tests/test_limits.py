@@ -98,7 +98,7 @@ def test_cut_prefix_sets_the_scanned_degrees(monkeypatch):
     assert cut_member(ones, CutSpec.above(X_INV)).checked_prefix == 12
     monkeypatch.setattr(LIMITS, "cut_prefix", 7)
     verdict = cut_member(ones, CutSpec.above(X_INV))
-    assert verdict.is_member and verdict.checked_prefix == 7
+    assert verdict.kind == "member" and verdict.checked_prefix == 7
     assert len(verdict.witnesses) == 8        # grid maxima of degrees 0..7
     report = conv_contains(ones, delta)
     assert report.convergent and report.checked_prefix == 7

@@ -1,5 +1,9 @@
 """The log-exp monomial group: canonical forms, orders, pre-logarithm."""
 
+import gc
+import io
+import weakref
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -337,10 +341,20 @@ def test_comparison_atoms_are_not_bound_checked():
     assert equal_below(pre_log(x_e_x), from_terms([(1, X), (1, L1)]), ONE)
 
 
-def test_integral_exponents_are_ints():
-    from transseries import compose, derive, render_series
-    from transseries.monomial import _INTERN
+def test_integral_exponents_are_ints(monkeypatch):
+    # every monomial these computations intern is checked, also those no
+    # series keeps alive, so the results of `_intern` are recorded
+    from transseries import compose, derive, monomial, render_series
     from transseries.parser import parse_series
+    interned = {}
+    intern = monomial._intern
+
+    def recording(*args, **kwargs):
+        m = intern(*args, **kwargs)
+        interned[id(m)] = m
+        return m
+
+    monkeypatch.setattr(monomial, "_intern", recording)
     for text in ["x^(3/2)*x^(1/2)*log(x)^-1", "exp(x/2 + x/2 + log(x)^2)*x^(1/3)",
                  "exp(3/2*x^(1/2))^2 + 1/(1 - 1/x)", "log(x^2 + x^(1/2))"]:
         s = parse_series(text)
@@ -348,6 +362,78 @@ def test_integral_exponents_are_ints():
         render_series(derive(s), 6)
         render_series(compose(s, parse_series("x^(3/2) + x")), 4)
     assert mono_pow(mono_pow(X, Fraction(2, 3)), 3).log_powers == ((0, 2),)
-    for m in list(_INTERN.values()):
+    assert len(interned) >= 175  # the count these computations intern at the parent
+    for m in interned.values():
         for r in [r for _, r in m.log_powers] + [c for c, _ in m.exp_terms]:
             assert type(r) is (int if r.denominator == 1 else Fraction), m.render()
+
+
+def _build(data):
+    """The monomial with log powers `lp` and exp terms c*exp-arg, each exp
+    arg x^(n/13)*log(x)^k given by (n, k); no other test builds these."""
+    lp, terms = data
+    return make_monomial(dict(lp), [(c, make_monomial({0: Fraction(n, 13), 1: k}))
+                                    for c, (n, k) in terms])
+
+
+def test_identity_survives_dead_monomials():
+    # monomials are interned weakly: once every reference is gone they die,
+    # and rebuilding one gives a single live monomial per key, with the
+    # identity comparisons of the order and of the exp-term merge intact
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from transseries.monomial import _INTERN, _merge_terms
+    rats = st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2)])
+    args = st.tuples(st.integers(1, 12), st.integers(-1, 1))
+    data = st.tuples(st.lists(st.tuples(st.integers(0, 1), rats), max_size=2),
+                     st.lists(st.tuples(rats.filter(bool), args), min_size=1, max_size=3))
+    died = []
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hyp.given(st.lists(data, min_size=1, max_size=4))
+    def check(datas):
+        monos = [_build(d) for d in datas]
+        texts = [m.render() for m in monos]
+        signs = [[mono_cmp(a, b) for b in monos] for a in monos]
+        refs = [weakref.ref(m) for m in monos]
+        del monos
+        mono_cmp.cache_clear()
+        gc.collect()
+        died.append(sum(r() is None for r in refs))
+
+        again = [_build(d) for d in datas]
+        for d, m, text in zip(datas, again, texts):
+            assert _build(d) is m and m.render() == text
+            assert _INTERN[m.log_powers, m.exp_terms]() is m
+            for c, u in m.exp_terms:
+                # exp(2u)*exp(-2u): the merge meets u twice and cancels it
+                assert _merge_terms(((2 * c, u),), ((-2 * c, u),)) == ()
+                assert mono_mul(make_monomial({}, [(2 * c, u)]),
+                                make_monomial({}, [(-2 * c, u)])) is ONE
+        assert [[mono_cmp(a, b) for b in again] for a in again] == signs
+        mono_cmp.cache_clear()
+        assert [[mono_cmp(a, b) for b in again] for a in again] == signs
+        for key, ref in list(_INTERN.items()):
+            m = ref()
+            if m is not None:
+                assert (m.log_powers, m.exp_terms) == key and _INTERN[key] is ref
+
+    check()
+    # dropping the last reference frees a monomial
+    assert sum(died) > 0
+
+
+def test_tables_stay_flat_over_many_calls():
+    # distinct queries in one process: the intern table holds the live
+    # monomials and the comparison memo its last pairs, so neither grows
+    from transseries import monomial
+    from transseries.cli import main
+    sizes = {}
+    for i in range(1, 301):
+        with redirect_stdout(io.StringIO()):
+            assert main(["eval", f"exp(x^({i}/7))/(1-{i}/x)"]) == 0
+        if i % 100 == 0:
+            gc.collect()
+            sizes[i] = len(monomial._INTERN), mono_cmp.cache_info().currsize
+    assert sizes[100] == sizes[200] == sizes[300], sizes
+    assert sizes[300][1] == monomial.CMP_MEMO_SIZE
