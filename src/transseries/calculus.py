@@ -45,11 +45,7 @@ def dagger_support_closure(gens) -> tuple:
     """
     out: dict = {}
     work = list(gens)
-    fuel = 10_000
     while work:
-        fuel -= 1
-        if fuel < 0:
-            raise ResourceError("dagger support closure did not stabilise")
         g = work.pop()
         for _, d in dagger_terms(g):
             if d not in out:

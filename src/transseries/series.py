@@ -122,57 +122,54 @@ def _walk(bases: Iterable[Monomial], ratios: tuple) -> Iterator[tuple]:
     decreasing order, each once, as (m, vs): vs are the lattice points v
     that give m.
 
-    A frontier heap of lattice points, each pushed once.  The walk moves
-    past a grid point when it is resumed after yielding it: then each of
-    the point's lattice points costs one unit of LIMITS.expand_fuel, shared
-    by all bases, and its successors are pushed.  So a caller that stops at
-    the first point below a bound pays for the points at or above it only.
+    A frontier heap of lattice points and nothing more.  Each lattice point
+    has one parent, the point with its last raised coordinate lowered by
+    one, so a point raised last at coordinate i pushes children only at
+    coordinates i and above.  The ratios are infinitesimal, so a parent is
+    larger than its children, and all lattice points of a grid point are on
+    the heap when it reaches the top.  The walk moves past a grid point
+    when it is resumed after yielding it: then each of the point's lattice
+    points costs one unit of LIMITS.expand_fuel, shared by all bases, and
+    its children are pushed.  So a caller that stops at the first point
+    below a bound pays for the points at or above it only.
     """
     start = (0,) * len(ratios)
-    heap = [(_HEAP_KEY(b), bi, start, b) for bi, b in enumerate(bases)]
+    heap = [(_HEAP_KEY(b), bi, start, 0, b) for bi, b in enumerate(bases)]
     heapq.heapify(heap)
-    seen = {(bi, start) for bi in range(len(heap))}
     fuel, walked = LIMITS.expand_fuel, 0
     while heap:
-        top = heap[0][3]
+        top = heap[0][4]
         group = []
-        while heap and heap[0][3] is top:
+        while heap and heap[0][4] is top:
             group.append(heapq.heappop(heap))
-        yield top, [v for _, _, v, _ in group]
+        yield top, [v for _, _, v, _, _ in group]
         walked += len(group)
         if walked > fuel:
             raise BudgetExceededError(
                 f"grid walk past {top.render()} exceeded {fuel} lattice "
                 "points; the bound may lie beyond the grid's archimedean reach")
-        for _, bi, v, m in group:
-            for i, z in enumerate(ratios):
+        for _, bi, v, last, m in group:
+            for i in range(last, len(ratios)):
                 w = v[:i] + (v[i] + 1,) + v[i + 1:]
-                if (bi, w) not in seen:
-                    seen.add((bi, w))
-                    m2 = mono_mul(m, z)
-                    heapq.heappush(heap, (_HEAP_KEY(m2), bi, w, m2))
-
-
-def _region(cert: GridCertificate, bound: Monomial) -> dict:
-    """{m: the most ratio factors of a lattice point giving m} over the grid
-    points m >= bound; a base below the bound cannot reach it."""
-    region = {}
-    above = [b for b in cert.bases if mono_cmp(b, bound) >= 0]
-    for m, vs in _walk(above, cert.ratios):
-        if mono_cmp(m, bound) < 0:
-            break
-        region[m] = max(map(sum, vs))
-    return region
+                m2 = mono_mul(m, ratios[i])
+                heapq.heappush(heap, (_HEAP_KEY(m2), bi, w, i, m2))
 
 
 def _escape(cert: GridCertificate, wanted: dict) -> Optional[Monomial]:
     """The largest monomial m of `wanted` that is not a grid point with at
-    least wanted[m] ratio factors, or None; one walk down to the smallest."""
+    least wanted[m] ratio factors, or None; one walk down to the smallest,
+    from the bases at or above it, ticking off each monomial it meets."""
     if not wanted:
         return None
-    region = _region(cert, max(wanted, key=_HEAP_KEY))  # the smallest
-    out = [m for m, k in wanted.items() if m not in region or region[m] < k]
-    return mono_max(out) if out else None
+    bound = max(wanted, key=_HEAP_KEY)  # the smallest
+    missing = dict(wanted)
+    above = [b for b in cert.bases if mono_cmp(b, bound) >= 0]
+    for m, vs in _walk(above, cert.ratios):
+        if mono_cmp(m, bound) < 0:
+            break
+        if m in missing and max(map(sum, vs)) >= missing[m]:
+            del missing[m]
+    return mono_max(missing) if missing else None
 
 
 # -- the series type ----------------------------------------------------------
@@ -334,9 +331,8 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
         return ZERO
     if len(fam) == 1:
         return fam[0]
-    cert = fam[0].cert
-    for s in fam[1:]:
-        cert = cert.union(s.cert)
+    cert = GridCertificate.of([b for s in fam for b in s.cert.bases],
+                              [z for s in fam for z in s.cert.ratios])
     summands = [u for s in fam for u in (s._summands or (s,))]
 
     def expander(cutoff):
@@ -525,20 +521,17 @@ def extend_strongly_linear(image: Callable[[Monomial], TransSeries],
     Noetherian monomial map, on the image grid `cert` the caller certifies.
 
     An expansion at a cutoff expands s at source_cutoff(cutoff), which must
-    reach every m whose image has a term at or above the cutoff; each image
-    is built once, and an image monomial outside the grid raises
-    SummabilityViolationError naming it."""
-    images: dict = {}
+    reach every m whose image has a term at or above the cutoff; `image`
+    is called once per source monomial and expansion (a caller that wants
+    its images kept caches them), and an image monomial outside the grid
+    raises SummabilityViolationError naming it."""
     checked: set = set()
 
     def expander(cutoff):
         acc: dict = {}
         new: dict = {}    # unchecked image monomial -> its first source
         for m, coeff in s.expand(source_cutoff(cutoff)).items():
-            img = images.get(m)
-            if img is None:
-                img = images[m] = image(m)
-            for mi, ci in img.expand(cutoff).items():
+            for mi, ci in image(m).expand(cutoff).items():
                 if mi not in checked:
                     new.setdefault(mi, m)
                 acc[mi] = acc.get(mi, 0) + coeff * ci
@@ -561,8 +554,10 @@ def depth_cutoff(s: TransSeries, depth: int):
     last one if the grid has fewer points; a negative depth is refused."""
     if depth < 0:
         raise PreconditionError(f"depth {depth} names no grid position")
-    walked = list(itertools.islice(s._candidates(), min(depth + 1, sys.maxsize)))
-    return (walked[-1] if walked else None), len(walked) <= depth
+    last, count = None, 0
+    for last in itertools.islice(s._candidates(), min(depth + 1, sys.maxsize)):
+        count += 1
+    return last, count <= depth
 
 
 def _terms_to_depth(s: TransSeries, depth: int) -> tuple:

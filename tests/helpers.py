@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 from transseries import (ONE, X, ZERO, GridCertificate, PowerSeries,
                          PSJointCert, TransSeries, add, derive, from_terms,
-                         invert, make_monomial, mono_inv, mono_pow, mul,
-                         sum_family)
-from transseries.series import compare_to_depth
+                         invert, make_monomial, mono_cmp, mono_inv, mono_pow,
+                         mul, sum_family)
+from transseries.series import _walk, compare_to_depth
 
 X_INV = mono_inv(X)
 
@@ -86,6 +87,15 @@ def series_of(*terms) -> TransSeries:
 
 
 # -- oracles built from the kernel's primitives ---------------------------------
+
+
+def points_above(cert: GridCertificate, bound) -> dict:
+    """{m: vs} over the grid points m >= bound of `cert`, taken from one
+    walk from the bases at or above the bound while its points are at or
+    above it; the walk is charged as `_escape` charges it."""
+    above = [b for b in cert.bases if mono_cmp(b, bound) >= 0]
+    return dict(takewhile(lambda p: mono_cmp(p[0], bound) >= 0,
+                          _walk(above, cert.ratios)))
 
 
 def equal_below(s: TransSeries, t: TransSeries, cutoff) -> bool:

@@ -9,13 +9,14 @@ import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          CompositionHandle, DomainError, PartialConstantError,
-                         PreconditionError, X, atom, compose,
-                         dagger, derive, exp_series, faa_di_bruno_coeff,
-                         from_terms, invert, log_series, make_monomial,
-                         mono_cmp, mono_inv, mono_mul, mono_pow, mono_series,
-                         mul, pow_series, ps_compose)
+                         PreconditionError, X, atom, compose, dagger,
+                         dagger_support_closure, derive, exp_series,
+                         faa_di_bruno_coeff, from_terms, invert, log_series,
+                         make_monomial, mono_cmp, mono_inv, mono_mul,
+                         mono_pow, mono_series, mul, pow_series, ps_compose)
 from transseries.calculus import _image_grid
 from transseries.cli import main
+from transseries.monomial import dagger_terms, sort_monomials
 from transseries.parser import parse_series
 from transseries.series import add, depth_cutoff, scale, shown_terms
 from transseries.taylor import is_flat, spec_condition_check
@@ -54,6 +55,35 @@ def test_dagger_additive():
     for _ in range(15):
         a, b = rand_monomial(r), rand_monomial(r)
         assert_depth_equal(dagger(mono_mul(a, b)), dagger(a) + dagger(b), 8)
+
+
+# exp arguments, all > 1, of heights 0 and 1: the monomials built on them
+# have height at most 2
+EXP_ARGS = [X, X2, mono_pow(X, Fraction(1, 2)), mono_mul(X, mono_inv(L1)),
+            mono_pow(L1, 2), E_X, mono_mul(make_monomial({}, [(1, X2)]), X_INV),
+            make_monomial({1: 1}, [(Fraction(1, 2), X)])]
+
+
+def test_dagger_support_closure_is_closed():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    rats = st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2)])
+    monos = st.builds(
+        make_monomial,
+        st.dictionaries(st.integers(0, 2), rats, max_size=3),
+        st.lists(st.tuples(st.sampled_from([-2, -1, Fraction(1, 2), 1]),
+                           st.sampled_from(EXP_ARGS)), max_size=2))
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hyp.given(st.lists(monos, min_size=1, max_size=3))
+    def check(gens):
+        closure = dagger_support_closure(gens)
+        assert closure == sort_monomials(closure)
+        members = set(closure)
+        for m in gens + list(closure):
+            assert {d for _, d in dagger_terms(m)} <= members, m.render()
+
+    check()
 
 
 # -- derive ---------------------------------------------------------------------

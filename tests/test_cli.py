@@ -15,7 +15,7 @@ from transseries.cli import build_parser, main
 from transseries.limits import LIMITS, configure
 from transseries.parser import Binary, Num, Power, Unary, Var, parse_series
 from transseries.series import compare_to_depth, render_series
-from transseries.monomial import mono_pow
+from transseries.monomial import _INTERN, mono_pow
 
 from helpers import equal_below, rand_finite_series, rng
 
@@ -251,11 +251,14 @@ def test_json_terms_are_the_shown_terms():
 def test_bound_flags_refuse_for_one_call():
     from transseries.limits import LIMITS
     before = (LIMITS.height_bound, LIMITS.log_depth_bound)
-    # a fresh monomial of height 2, and then one an earlier call interned
+    # a fresh monomial of height 2, and then one an earlier call interned,
+    # held here so that the flagged call finds it in the intern table
     assert run_cli(["eval", "exp(exp(x^3))", "--height-bound", "1"]) == (
         3, "error: ResourceError: monomial height 2 exceeds bound 1 "
            "[at offset 0]\n")
+    held = make_monomial({}, [(1, make_monomial({}, [(1, X)]))])
     assert run_cli(["eval", "exp(exp(x))"]) == (0, "exp(exp(x))\n")
+    assert _INTERN[(held.log_powers, held.exp_terms)]() is held
     assert run_cli(["eval", "exp(exp(x))", "--height-bound", "1"])[0] == 3
     assert run_cli(["eval", "log(log(x))", "--depth-bound", "1"]) == (
         3, "error: ResourceError: log depth 2 exceeds bound 1 [at offset 0]\n")

@@ -15,7 +15,9 @@ from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          configure, conv_contains, cut_member, locus_contains,
                          mono_inv, mono_pow, mono_series)
 from transseries.parser import parse_series
-from transseries.series import _escape, _infinitesimal_bases, _region
+from transseries.series import _escape, _infinitesimal_bases
+
+from helpers import points_above
 
 X_INV = mono_inv(X)
 
@@ -54,12 +56,12 @@ def test_expand_fuel_bounds_the_region_walks(monkeypatch):
     cert = GridCertificate.of([X], [X_INV])
     # x, 1, x^-1 and x^-2 lie at or above x^-2; the first three strictly
     monkeypatch.setattr(LIMITS, "expand_fuel", 4)
-    assert set(_region(cert, xpow(-2))) == {X, ONE, X_INV, xpow(-2)}
+    assert set(points_above(cert, xpow(-2))) == {X, ONE, X_INV, xpow(-2)}
     assert _escape(cert, {xpow(-2): 0}) is None
     monkeypatch.setattr(LIMITS, "expand_fuel", 3)
     assert _infinitesimal_bases(cert, xpow(-2)) == (xpow(-2),)
     with pytest.raises(BudgetExceededError):
-        _region(cert, xpow(-2))
+        points_above(cert, xpow(-2))
     with pytest.raises(BudgetExceededError):
         _escape(cert, {xpow(-2): 0})
     monkeypatch.setattr(LIMITS, "expand_fuel", 2)
@@ -72,11 +74,11 @@ def test_expand_fuel_is_shared_by_the_bases_of_one_walk(monkeypatch):
     # and x^(1/2), x^(-1/2), x^(-3/2)
     cert = GridCertificate.of([ONE, xpow(Fraction(1, 2))], [X_INV])
     monkeypatch.setattr(LIMITS, "expand_fuel", 6)
-    assert len(_region(cert, xpow(-2))) == 6
+    assert len(points_above(cert, xpow(-2))) == 6
     assert _escape(cert, {xpow(-2): 2}) is None
     monkeypatch.setattr(LIMITS, "expand_fuel", 5)
     with pytest.raises(BudgetExceededError):
-        _region(cert, xpow(-2))
+        points_above(cert, xpow(-2))
     with pytest.raises(BudgetExceededError):
         _escape(cert, {xpow(-2): 0})
 

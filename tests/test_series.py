@@ -1,6 +1,7 @@
 """Series engine: arithmetic, dominance, summability machinery."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,12 @@ from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          mono_series, mul, sum_family, sum_lazy)
 from transseries.monomial import _canon, sort_monomials
 from transseries.parser import parse_series
-from transseries.series import (_escape, _region, _term_search,
+from transseries.series import (_escape, _term_search, _walk,
                                 compare_to_depth, depth_cutoff, pow_const,
                                 render_series, scale)
 
-from helpers import assert_depth_equal, rand_finite_series, rand_grid_series, rng
+from helpers import (assert_depth_equal, points_above, rand_finite_series,
+                     rand_grid_series, rng)
 from noetherian_oracle import check_product_noetherian
 
 X_INV = mono_inv(X)
@@ -507,7 +509,7 @@ def test_certificate_refuses_a_ratio_that_is_not_infinitesimal():
 
 def test_certificate_points_above():
     cert = GridCertificate.of([X], [X_INV])
-    got = set(_region(cert, xpow(-2)))
+    got = set(points_above(cert, xpow(-2)))
     assert got == {X, ONE, X_INV, xpow(-2)}
     assert _escape(cert, {xpow(-1): 2}) is None       # x * x^-1 * x^-1
     assert _escape(cert, {xpow(-1): 3}) is xpow(-1)
@@ -541,7 +543,7 @@ def test_region_walk_matches_brute_force(cert):
     box = list(_lattice_box(cert, 8))
     for cutoff in (X, ONE, xpow(-1), xpow(Fraction(-5, 2)), xpow(-3)):
         want = {m for _, _, _, m in box if mono_cmp(m, cutoff) >= 0}
-        assert set(_region(cert, cutoff)) == want, cutoff
+        assert set(points_above(cert, cutoff)) == want, cutoff
 
     for m in {m for _, _, _, m in box if mono_cmp(m, xpow(-3)) >= 0}:
         most = max(sum(v) for _, v, _, p in box if p is m)
@@ -562,6 +564,79 @@ def test_region_walk_matches_brute_force(cert):
                 if v[i] and mono_cmp(mono_mul(m, mono_inv(z)), dom) > 0:
                     want.add(m)
         assert set(_infinitesimal_bases(cert, dom)) == want, dom
+
+
+L1 = atom(1)
+# x^c (log x)^d bases and ratios x^-a (log x)^b, a > 0, keyed by a: a
+# point b * z^v above x^-e has v_i <= (e + 1) / a_i for every base <= x log x
+WALK_BASES = [mono_mul(xpow(c), mono_pow(L1, d))
+              for c in (-1, 0, Fraction(1, 2), 1) for d in (-1, 0, 1)]
+WALK_RATIOS = {mono_mul(xpow(-a), mono_pow(L1, b)): a
+               for a in (Fraction(1, 2), 1, 2) for b in (-1, 0, 1)}
+
+
+def test_walk_matches_brute_force():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hyp.given(st.lists(st.sampled_from(WALK_BASES), min_size=1, max_size=3, unique=True),
+               st.lists(st.sampled_from(list(WALK_RATIOS)), min_size=1, max_size=3,
+                        unique=True),
+               st.sampled_from([0, 1, Fraction(5, 2), 3]))
+    def check(bases, ratios, e):
+        bound = xpow(-e)
+        ratios = sort_monomials(ratios)
+        want: dict = {}
+        for v in itertools.product(*(range(int((e + 1) / WALK_RATIOS[z]) + 1)
+                                     for z in ratios)):
+            for bi, b in enumerate(bases):
+                m = b
+                for z, k in zip(ratios, v):
+                    m = mono_mul(m, mono_pow(z, k))
+                if mono_cmp(m, bound) >= 0:
+                    want.setdefault(m, []).append((bi, v))
+        got = itertools.takewhile(lambda p: mono_cmp(p[0], bound) >= 0,
+                                  _walk(bases, ratios))
+        assert list(got) == [(m, [v for _, v in sorted(want[m])])
+                             for m in sort_monomials(want)]
+
+    check()
+
+
+def _traced_peak(fn) -> int:
+    """The peak of the memory `fn()` allocates, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ratios", [[X_INV], [X_INV, mono_mul(X_INV, mono_inv(L1))]],
+                         ids=["one-ratio", "two-ratio"])
+def test_refusing_escape_keeps_only_the_frontier(ratios, monkeypatch):
+    # exp(-x) lies below every grid point, so the walk runs until the fuel
+    # refuses; what it holds is its frontier, however far it walked
+    cert = GridCertificate.of([ONE], ratios)
+
+    def refuse():
+        with pytest.raises(BudgetExceededError):
+            _escape(cert, {make_monomial({}, [(-1, X)]): 0})
+
+    peaks = []
+    for fuel in (2_000, 8_000):
+        monkeypatch.setattr(LIMITS, "expand_fuel", fuel)
+        peaks.append(_traced_peak(refuse))
+    assert max(peaks) < 1_000_000, peaks
+    assert peaks[1] < peaks[0] + 250_000, peaks
+
+
+def test_depth_cutoff_keeps_only_the_last_candidate():
+    s = geom()
+    assert depth_cutoff(s, 20_000) == (xpow(-20_000), False)
+    assert _traced_peak(lambda: depth_cutoff(s, 20_000)) < 1_000_000
 
 
 def test_level_cap_counts_levels_up_to_the_fuel(monkeypatch):
