@@ -24,8 +24,8 @@ from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      add, dominant_decompose, extend_strongly_linear,
                      from_terms, geometric_substitute, invert, mono_series,
-                     mul, pow_const, scale, sum_family, _infinitesimal_bases,
-                     _level_cap)
+                     mul, one_term, pow_const, scale, sum_family,
+                     _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -95,12 +95,16 @@ def derive(s: TransSeries) -> TransSeries:
 
 def log_series(s: TransSeries) -> TransSeries:
     """log s = ell(d) + sum_{k>0} (-1)^{k-1}/k * eps^k for s = c*d*(1+eps)
-    with c = 1; any other c is refused, log(c) being irrational."""
-    c, d, eps = dominant_decompose(s)
+    with c = 1; any other c is refused, log(c) being irrational.  Of one
+    term d it is ell(d)."""
+    lt = one_term(s)
+    c, d, eps = dominant_decompose(s) if lt is None else (*lt, None)
     if not c > 0:
         raise DomainError("log of a series with non-positive leading coefficient")
     if c != 1:
         raise PartialConstantError(f"log({c}) is irrational; only log(1) is rational")
+    if eps is None:
+        return pre_log(d)
     tail = geometric_substitute(
         lambda k: Fraction(0) if k == 0 else Fraction((-1) ** (k - 1), k), eps)
     return sum_family([pre_log(d), tail])
@@ -112,8 +116,12 @@ def exp_series(s: TransSeries) -> TransSeries:
 
     The purely large part L must materialise within the expansion budget;
     its coefficients become exact rationals in the monomial.  A nonzero
-    constant term c is refused, since exp(c) is then irrational.
+    constant term c is refused, since exp(c) is then irrational.  Of one
+    purely large term it is that monomial.
     """
+    lt = one_term(s)
+    if lt is not None and lt.mono.is_large():
+        return mono_series(make_monomial({}, [(Fraction(lt.coeff), lt.mono)]))
     parts = s.expand(ONE)
     large = [(m, c) for m, c in parts.items() if m.is_large()]
     c0 = parts.get(ONE, 0)
@@ -128,10 +136,16 @@ def exp_series(s: TransSeries) -> TransSeries:
 def pow_series(s: TransSeries, r) -> TransSeries:
     """s^r for rational r; integer powers are exact products built by
     repeated squaring, so |r| = n takes O(log n) nested products; fractional
-    powers use c^r * d^r * binomial series in eps (requires c^r exact)."""
+    powers use c^r * d^r * binomial series in eps (requires c^r exact).
+    Of one term c*d it is c^r * d^r."""
     r = Fraction(r)
     if r == 0:
         return ONE_SERIES
+    lt = one_term(s)
+    if lt is not None:
+        c, d = lt
+        cr = Fraction(c) ** r if r.denominator == 1 else pow_const(c, r)
+        return from_terms([(cr, mono_pow(d, r))])
     if r.denominator == 1:
         n = abs(r.numerator)
         base = s if r > 0 else invert(s)

@@ -157,12 +157,13 @@ def make_monomial(log_powers: Mapping[int, Rat],
     powers: dict = {}
     for k, r in log_powers.items():
         if r:
-            powers[k] = powers.get(k, 0) + _canon(Fraction(r))
+            powers[k] = _canon(Fraction(r))    # the keys of a mapping are distinct
 
     merged: dict = {}
     for c, u in exp_terms:
         if c:
-            merged[u] = merged.get(u, 0) + _canon(Fraction(c))
+            c = _canon(Fraction(c))
+            merged[u] = merged[u] + c if u in merged else c
 
     cleaned = []
     for u, c in merged.items():
@@ -397,11 +398,11 @@ def dagger_terms(m: Monomial) -> tuple:
         acc: dict = {}
         for k, r in m.log_powers:
             d = make_monomial({i: -1 for i in range(k + 1)})
-            acc[d] = acc.get(d, 0) + r
+            acc[d] = acc[d] + r if d in acc else r
         for c, u in m.exp_terms:
             for dc, dm in dagger_terms(u):
                 key = mono_mul(u, dm)
-                acc[key] = acc.get(key, 0) + c * dc
+                acc[key] = acc[key] + c * dc if key in acc else c * dc
         m._dagger = tuple((c, mo) for mo, c in acc.items() if c)
     return m._dagger
 

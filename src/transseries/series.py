@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -26,7 +25,7 @@ from .errors import (BudgetExceededError, DivisionByZeroSeries, DomainError,
                      SummabilityViolationError)
 from .limits import LIMITS
 from .monomial import (ONE, Monomial, _canon, format_term_sum, mono_cmp,
-                       mono_max, mono_mul, sort_monomials)
+                       mono_inv, mono_max, mono_mul, sort_monomials)
 
 
 class Term(NamedTuple):
@@ -74,41 +73,131 @@ def _exact_root(n: int, q: int) -> Optional[int]:
 # -- grid certificates --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GridCertificate:
-    """Finite bases and infinitesimal ratios, decreasing tuples without
-    repeats as `of` builds them; certified support is
-    { b * prod z_i^{v_i} : b in bases, v in N^n }."""
+    """Finite bases and infinitesimal ratios, both decreasing without
+    repeats; certified support is
+    { b * prod z_i^{v_i} : b in bases, v in N^n }.
 
-    bases: tuple
-    ratios: tuple
+    `of` sorts its bases at once.  A product or a union keeps its parts
+    and forms its bases only as far as a reader asks, in decreasing order:
+    `base(i)` forms the first i + 1 of them, `bases` all of them, once.
+    Certificates compare by value."""
 
-    def __post_init__(self):
+    __slots__ = ("ratios", "_pulled", "_parts", "_next", "_heap")
+
+    def __init__(self, bases, ratios: tuple, parts=None, successors=None):
         # the ratios decrease, so all are infinitesimal if the first is
-        if self.ratios and not self.ratios[0].is_small():
+        if ratios and not ratios[0].is_small():
             raise PreconditionError(
-                f"certificate ratio {self.ratios[0].render()} is not infinitesimal")
+                f"certificate ratio {ratios[0].render()} is not infinitesimal")
+        self.ratios = ratios
+        self._pulled = bases        # the bases formed so far; a tuple once all are
+        self._parts = parts         # the factors of a product, the parts of a union
+        self._next = successors     # the heap rule while bases remain to form
+        self._heap = None           # the pull's heap, from the first pull past base 0
 
     @staticmethod
     def of(bases: Iterable[Monomial] = (), ratios: Iterable[Monomial] = ()) -> "GridCertificate":
         return GridCertificate(sort_monomials(bases), sort_monomials(ratios))
 
-    def union(self, other: "GridCertificate") -> "GridCertificate":
-        return GridCertificate.of(self.bases + other.bases, self.ratios + other.ratios)
+    def union(self, *others: "GridCertificate") -> "GridCertificate":
+        """The bases of all, by a k-way merge of their chains; the parts of
+        a union join as they are, so no union nests in another."""
+        certs = (self,) + others
+        parts = []
+        for c in certs:
+            if c._next is _union_successors:
+                parts += c._parts
+            elif not c.is_trivial:
+                parts.append(c)
+        ratios = _joined(*(c.ratios for c in certs))
+        if not parts:
+            return GridCertificate((), ratios)
+        first = mono_max(c.base(0) for c in certs if not c.is_trivial)
+        return GridCertificate([first], ratios, parts, _union_successors)
 
     def product(self, other: "GridCertificate") -> "GridCertificate":
-        if not self.bases or not other.bases:
-            return GridCertificate.of()
-        # each base of self times the bases of other is a decreasing run
-        return GridCertificate.of([mono_mul(a, b) for a in self.bases for b in other.bases],
-                                  self.ratios + other.ratios)
+        """The products a_i * b_j of the bases, by a heap over index pairs:
+        (i, j) hands on (i, j + 1), and (i + 1, 0) when j = 0, so each pair
+        comes from one larger pair, and a factor with one base keeps one
+        entry on the heap (lazy sorting of X + Y, Frederickson and Johnson
+        1982)."""
+        if self.is_trivial or other.is_trivial:
+            return _EMPTY
+        return GridCertificate([mono_mul(self.base(0), other.base(0))],
+                               _joined(self.ratios, other.ratios), (self, other),
+                               _product_successors)
+
+    def base(self, i: int) -> Optional[Monomial]:
+        """The (i+1)-th largest base, or None past the last.
+
+        A product or union pulls its next base from a heap of `_entry`s: a
+        popped entry pushes the entries its successor rule forms, none
+        larger than it, so equal monomials leave the heap together.  They
+        are formed before the heap changes: a pull that raises, at the
+        recursion limit deep in a factor, leaves the heap as it was."""
+        pulled = self._pulled
+        while i >= len(pulled):
+            if self._next is None:
+                return None
+            heap = self._heap
+            if heap is None:
+                # the start entry is alone on the heap: no key compares it
+                heap = self._heap = [(None, None, pulled[0])]
+            while heap:
+                kids = self._next(self, heap[0][1])
+                m = heapq.heappop(heap)[2]
+                for kid in kids:
+                    heapq.heappush(heap, kid)
+                if m is not pulled[-1]:
+                    pulled.append(m)
+                    break
+            else:
+                self._pulled, self._next, self._heap = tuple(pulled), None, None
+                return None
+        return pulled[i]
+
+    @property
+    def bases(self) -> tuple:
+        """Every base, decreasing; formed on the first read and kept."""
+        while self._next is not None:
+            self.base(len(self._pulled))
+        return self._pulled
 
     @property
     def is_trivial(self) -> bool:
-        return not self.bases
+        # a product or union with a base holds it from the start
+        return not self._pulled
 
     def grid_max(self) -> Optional[Monomial]:
-        return self.bases[0] if self.bases else None
+        return self.base(0)
+
+    def __eq__(self, other):
+        if not isinstance(other, GridCertificate):
+            return NotImplemented
+        return self.ratios == other.ratios and self.bases == other.bases
+
+    def __hash__(self):
+        return hash((self.bases, self.ratios))
+
+    def __repr__(self):
+        return f"GridCertificate(bases={self.bases!r}, ratios={self.ratios!r})"
+
+
+# the certificate of zero; it has nothing to form, so it is shared
+_EMPTY = GridCertificate((), ())
+
+
+def _joined(*tuples: tuple) -> tuple:
+    """The union of decreasing monomial tuples, decreasing: one that is not
+    empty, kept as it is when each other one is empty or the same tuple."""
+    full = ()
+    for t in tuples:
+        if t and t is not full:
+            if full:
+                return sort_monomials([z for t in tuples for z in t])
+            full = t
+    return full
 
 
 # -- the lattice walk -----------------------------------------------------------
@@ -117,25 +206,54 @@ class GridCertificate:
 _HEAP_KEY = cmp_to_key(lambda a, b: mono_cmp(b, a))  # max-heap on monomials
 
 
-def _walk(bases: Iterable[Monomial], ratios: tuple) -> Iterator[tuple]:
-    """The grid points {b * z^v : b in bases, v in N^n} in strictly
-    decreasing order, each once, as (m, vs): vs are the lattice points v
-    that give m.
+def _entry(m: Monomial, index: tuple) -> tuple:
+    return (_HEAP_KEY(m), index, m)
+
+
+def _product_successors(cert: GridCertificate, index) -> list:
+    a, b = cert._parts
+    if index is None:    # the start
+        return [_entry(cert._pulled[0], (0, 0))]
+    i, j = index
+    out = []
+    for p, q in ((i, j + 1), (i + 1, 0)) if j == 0 else ((i, j + 1),):
+        u, w = a.base(p), b.base(q)
+        if u is not None and w is not None:
+            out.append(_entry(mono_mul(u, w), (p, q)))
+    return out
+
+
+def _union_successors(cert: GridCertificate, index) -> list:
+    parts = cert._parts
+    if index is None:    # the start: the first base of every part
+        return [_entry(p.base(0), (k, 0)) for k, p in enumerate(parts)]
+    k, i = index
+    m = parts[k].base(i + 1)
+    return [] if m is None else [_entry(m, (k, i + 1))]
+
+
+def _walk(cert: GridCertificate) -> Iterator[tuple]:
+    """The grid points {b * z^v : b in bases, v in N^n} of `cert` in
+    strictly decreasing order, each once, as (m, vs): vs are the lattice
+    points v that give m.
 
     A frontier heap of lattice points and nothing more.  Each lattice point
     has one parent, the point with its last raised coordinate lowered by
     one, so a point raised last at coordinate i pushes children only at
-    coordinates i and above.  The ratios are infinitesimal, so a parent is
-    larger than its children, and all lattice points of a grid point are on
-    the heap when it reaches the top.  The walk moves past a grid point
-    when it is resumed after yielding it: then each of the point's lattice
-    points costs one unit of LIMITS.expand_fuel, shared by all bases, and
-    its children are pushed.  So a caller that stops at the first point
-    below a bound pays for the points at or above it only.
+    coordinates i and above.  Base i + 1 joins the heap when base i leaves
+    it, so the walk forms only the bases at or above its last point.  The
+    ratios are infinitesimal and the bases decrease, so a parent is larger
+    than its children, and all lattice points of a grid point are on the
+    heap when it reaches the top.  The walk moves past a grid point when it
+    is resumed after yielding it: then each of the point's lattice points
+    costs one unit of LIMITS.expand_fuel, shared by all bases, and its
+    children are pushed.  So a caller that stops at the first point below a
+    bound pays for the points at or above it only.
     """
+    ratios = cert.ratios
     start = (0,) * len(ratios)
-    heap = [(_HEAP_KEY(b), bi, start, 0, b) for bi, b in enumerate(bases)]
-    heapq.heapify(heap)
+    b = cert.base(0)
+    heap = [] if b is None else [(_HEAP_KEY(b), 0, start, 0, b)]
     fuel, walked = LIMITS.expand_fuel, 0
     while heap:
         top = heap[0][4]
@@ -149,6 +267,10 @@ def _walk(bases: Iterable[Monomial], ratios: tuple) -> Iterator[tuple]:
                 f"grid walk past {top.render()} exceeded {fuel} lattice "
                 "points; the bound may lie beyond the grid's archimedean reach")
         for _, bi, v, last, m in group:
+            if v is start:    # a base, not a raised lattice point
+                b = cert.base(bi + 1)
+                if b is not None:
+                    heapq.heappush(heap, (_HEAP_KEY(b), bi + 1, start, 0, b))
             for i in range(last, len(ratios)):
                 w = v[:i] + (v[i] + 1,) + v[i + 1:]
                 m2 = mono_mul(m, ratios[i])
@@ -158,13 +280,12 @@ def _walk(bases: Iterable[Monomial], ratios: tuple) -> Iterator[tuple]:
 def _escape(cert: GridCertificate, wanted: dict) -> Optional[Monomial]:
     """The largest monomial m of `wanted` that is not a grid point with at
     least wanted[m] ratio factors, or None; one walk down to the smallest,
-    from the bases at or above it, ticking off each monomial it meets."""
+    ticking off each monomial it meets."""
     if not wanted:
         return None
     bound = max(wanted, key=_HEAP_KEY)  # the smallest
     missing = dict(wanted)
-    above = [b for b in cert.bases if mono_cmp(b, bound) >= 0]
-    for m, vs in _walk(above, cert.ratios):
+    for m, vs in _walk(cert):
         if mono_cmp(m, bound) < 0:
             break
         if m in missing and max(map(sum, vs)) >= missing[m]:
@@ -215,7 +336,7 @@ class TransSeries:
 
     def _candidates(self) -> Iterator[Monomial]:
         """Certificate grid monomials in strictly decreasing order."""
-        for m, _ in _walk(self.cert.bases, self.cert.ratios):
+        for m, _ in _walk(self.cert):
             yield m
 
     def first_terms(self, n: int, fuel: Optional[int] = None) -> list:
@@ -280,7 +401,7 @@ def from_terms(terms: Iterable) -> TransSeries:
     and stores an integral rational coefficient as an int."""
     acc: dict = {}
     for coeff, m in terms:
-        acc[m] = acc.get(m, 0) + coeff
+        acc[m] = acc[m] + coeff if m in acc else coeff
     acc = {m: _canon(c) for m, c in acc.items() if c}
     cert = GridCertificate.of(acc.keys())
 
@@ -331,15 +452,14 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
         return ZERO
     if len(fam) == 1:
         return fam[0]
-    cert = GridCertificate.of([b for s in fam for b in s.cert.bases],
-                              [z for s in fam for z in s.cert.ratios])
+    cert = fam[0].cert.union(*(s.cert for s in fam[1:]))
     summands = [u for s in fam for u in (s._summands or (s,))]
 
     def expander(cutoff):
         acc: dict = {}
         for s in summands:
             for m, c in s.expand(cutoff).items():
-                acc[m] = acc.get(m, 0) + c
+                acc[m] = acc[m] + c if m in acc else c
         return acc
 
     out = TransSeries(cert, expander)
@@ -350,26 +470,31 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
 def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     """Cauchy product; every coefficient is the full finite convolution."""
     cert = s.cert.product(t.cert)
+    shrink = None    # the inverses of the factors' grid maxima
 
     def expander(cutoff):
+        nonlocal shrink
         # expand never calls the expander of a trivial product certificate
-        ms, mt = s.cert.grid_max(), t.cert.grid_max()
-        left = s.expand(mono_mul(cutoff, mt.inv()))
-        right = t.expand(mono_mul(cutoff, ms.inv()))
+        if shrink is None:
+            shrink = (mono_inv(t.cert.grid_max()), mono_inv(s.cert.grid_max()))
+        left = s.expand(mono_mul(cutoff, shrink[0]))
+        right = t.expand(mono_mul(cutoff, shrink[1]))
         acc: dict = {}
         for u, a in left.items():
             for v, b in right.items():
                 w = mono_mul(u, v)
                 if mono_cmp(w, cutoff) >= 0:
-                    acc[w] = acc.get(w, 0) + a * b
+                    acc[w] = acc[w] + a * b if w in acc else a * b
         return acc
 
     return TransSeries(cert, expander)
 
 
-def dominant_decompose(s: TransSeries) -> tuple:
-    """Unique (c, d, eps) with s = c*d*(1+eps) and eps infinitesimal."""
-    lt = s.leading_term()
+def dominant_decompose(s: TransSeries, lt: Optional[Term] = None) -> tuple:
+    """Unique (c, d, eps) with s = c*d*(1+eps) and eps infinitesimal; `lt`
+    is the leading term of s when the caller has it."""
+    if lt is None:
+        lt = s.leading_term()
     if lt is None:
         raise DomainError("the zero series has no dominant decomposition")
     c, d = lt.coeff, lt.mono
@@ -387,8 +512,7 @@ def _infinitesimal_bases(cert: GridCertificate, dom: Monomial) -> tuple:
     for each grid point p above dom and each ratio z.  Sound because the
     grid points above dom form a downward closed lattice region."""
     out = [b for b in cert.bases if mono_cmp(b, dom) <= 0]
-    above = cert.bases[:len(cert.bases) - len(out)]    # the bases decrease
-    for p, _ in _walk(above, cert.ratios):
+    for p, _ in _walk(cert):
         if mono_cmp(p, dom) <= 0:
             break
         for z in cert.ratios:
@@ -446,18 +570,35 @@ def geometric_substitute(coeffs: Callable[[int], object],
             if not ck:
                 continue
             for m, v in power.expand(cutoff).items():
-                acc[m] = acc.get(m, 0) + ck * v
+                acc[m] = acc[m] + ck * v if m in acc else ck * v
         return acc
 
     return TransSeries(cert, expander)
 
 
+def one_term(s: TransSeries) -> Optional[Term]:
+    """The term c*m of s when its certificate is the one base m and no
+    ratio, else None (zero included).  The inverse, powers, log and exp of
+    such a term have closed forms, with the certificates the general
+    constructions would build."""
+    cert = s.cert
+    if cert.ratios or cert.is_trivial or cert.base(1) is not None:
+        return None
+    m = cert.base(0)
+    c = s.expand(m).get(m)
+    return None if c is None else Term(c, m)
+
+
 def invert(s: TransSeries) -> TransSeries:
-    """Multiplicative inverse via dominant decomposition and Neumann series."""
+    """Multiplicative inverse: (1/c)*m^-1 of one term c*m, otherwise via
+    dominant decomposition and Neumann series."""
+    lt = one_term(s)
+    if lt is not None:
+        return from_terms([(Fraction(1) / lt.coeff, mono_inv(lt.mono))])
     lt = s.leading_term()
     if lt is None:
         raise DivisionByZeroSeries("cannot invert the zero series")
-    c, d, eps = dominant_decompose(s)
+    c, d, eps = dominant_decompose(s, lt)
     geo = geometric_substitute(lambda k: (-1) ** k, eps)
     return scale(mul(geo, mono_series(d.inv())), Fraction(1) / c)
 
@@ -495,7 +636,7 @@ def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSer
             for m, c in series.expand(cutoff).items():
                 if checked.get(m, -1) < level:
                     new[m] = level
-                acc[m] = acc.get(m, 0) + c
+                acc[m] = acc[m] + c if m in acc else c
         m = _escape(cert, new)
         if m is not None:
             raise SummabilityViolationError(
@@ -534,7 +675,7 @@ def extend_strongly_linear(image: Callable[[Monomial], TransSeries],
             for mi, ci in image(m).expand(cutoff).items():
                 if mi not in checked:
                     new.setdefault(mi, m)
-                acc[mi] = acc.get(mi, 0) + coeff * ci
+                acc[mi] = acc[mi] + coeff * ci if mi in acc else coeff * ci
         mi = _escape(cert, dict.fromkeys(new, 0))
         if mi is not None:
             raise SummabilityViolationError(

@@ -11,8 +11,8 @@ from itertools import takewhile
 
 from transseries import (ONE, X, ZERO, GridCertificate, PowerSeries,
                          PSJointCert, TransSeries, add, derive, from_terms,
-                         invert, make_monomial, mono_cmp, mono_inv, mono_pow,
-                         mul, sum_family)
+                         invert, make_monomial, mono_cmp, mono_inv, mono_mul,
+                         mono_pow, mul, sum_family)
 from transseries.series import _walk, compare_to_depth
 
 X_INV = mono_inv(X)
@@ -91,11 +91,22 @@ def series_of(*terms) -> TransSeries:
 
 def points_above(cert: GridCertificate, bound) -> dict:
     """{m: vs} over the grid points m >= bound of `cert`, taken from one
-    walk from the bases at or above the bound while its points are at or
-    above it; the walk is charged as `_escape` charges it."""
-    above = [b for b in cert.bases if mono_cmp(b, bound) >= 0]
-    return dict(takewhile(lambda p: mono_cmp(p[0], bound) >= 0,
-                          _walk(above, cert.ratios)))
+    walk of the certificate while its points are at or above the bound;
+    the walk is charged as `_escape` charges it."""
+    return dict(takewhile(lambda p: mono_cmp(p[0], bound) >= 0, _walk(cert)))
+
+
+def eager_product(a: GridCertificate, b: GridCertificate) -> GridCertificate:
+    """The product of two certificates with every base product formed and
+    sorted at once: the oracle of the bases a product pulls."""
+    return GridCertificate.of([mono_mul(u, w) for u in a.bases for w in b.bases],
+                              a.ratios + b.ratios)
+
+
+def eager_union(*certs: GridCertificate) -> GridCertificate:
+    """The union of certificates with every base sorted at once."""
+    return GridCertificate.of([b for c in certs for b in c.bases],
+                              [z for c in certs for z in c.ratios])
 
 
 def equal_below(s: TransSeries, t: TransSeries, cutoff) -> bool:

@@ -8,12 +8,14 @@ from math import factorial
 import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
-                         CompositionHandle, DomainError, PartialConstantError,
+                         CompositionHandle, DivisionByZeroSeries, DomainError,
+                         GridCertificate, KernelError, PartialConstantError,
                          PreconditionError, X, atom, compose, dagger,
                          dagger_support_closure, derive, exp_series,
                          faa_di_bruno_coeff, from_terms, invert, log_series,
                          make_monomial, mono_cmp, mono_inv, mono_mul,
-                         mono_pow, mono_series, mul, pow_series, ps_compose)
+                         mono_pow, mono_series, mul, pow_series, pre_log,
+                         ps_compose)
 from transseries.calculus import _image_grid
 from transseries.cli import main
 from transseries.monomial import dagger_terms, sort_monomials
@@ -507,3 +509,88 @@ def test_flatness_of_pre_logs():
                 f"pre-log support {n.render()} of {m.render()} is not flat"
             checked += 1
     assert checked >= 30
+
+
+# one-term operands c*m: c in +-1..4 and +-1/2, m of height at most one
+ONE_TERM_COEFFS = [Fraction(sign * k) for k in (1, 2, 3, 4) for sign in (1, -1)] \
+    + [Fraction(1, 2), Fraction(-1, 2)]
+ONE_TERM_MONOS = [ONE, X, X_INV, L1, mono_inv(L1), xpow(Fraction(1, 2)),
+                  mono_mul(X2, mono_inv(L1)), E_X, mono_inv(E_X),
+                  make_monomial({0: -1}, [(Fraction(1, 2), xpow(Fraction(1, 2)))])]
+ONE_TERM_POWERS = [Fraction(k) for k in (-3, -1, 2, 3)] \
+    + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+
+
+def _general(s, m):
+    """s plus a zero that gives its certificate a second base: the same
+    value, through the general constructions."""
+    w = mono_series(mono_mul(m, X_INV))
+    return s + (w - scale(w, 1))
+
+
+def _outcome(op, s):
+    try:
+        return op(s)
+    except KernelError as err:
+        return type(err), str(err)
+
+
+def _single(m, c):
+    """The certificate ({m}, ()) and the expansion {m: c} of one term."""
+    return GridCertificate.of([m]), {m: c}
+
+
+def test_one_term_operands_fold_to_their_closed_form():
+    from transseries.series import one_term
+    # (operation, its closed form on c*m as (certificate, terms), or None
+    # where the operation does not fold)
+    folds = [
+        (invert, lambda c, m: _single(mono_inv(m), 1 / c)),
+        (log_series, lambda c, m: (pre_log(m).cert, pre_log(m).expand(ONE))),
+        (exp_series, lambda c, m: _single(make_monomial({}, [(c, m)]), 1)
+         if m.is_large() else None),
+    ] + [(lambda s, r=r: pow_series(s, r), lambda c, m, r=r: _single(mono_pow(m, r), c ** r))
+         for r in ONE_TERM_POWERS]
+    folded = refused = 0
+    for c in ONE_TERM_COEFFS:
+        for m in ONE_TERM_MONOS:
+            s = from_terms([(c, m)])
+            assert one_term(s) == (c, m)
+            assert one_term(_general(s, m)) is None
+            for k, (op, closed) in enumerate(folds):
+                got, ref = _outcome(op, s), _outcome(op, _general(s, m))
+                if isinstance(ref, tuple):      # refused: as the general path refuses
+                    assert got == ref, (k, c, m.render())
+                    refused += 1
+                    continue
+                want = closed(c, m)
+                if want is None:
+                    continue
+                cert, terms = want
+                assert got.cert == cert, (k, c, m.render())
+                low = mono_mul(cert.bases[-1], X_INV) if cert.bases else ONE
+                assert got.expand(low) == terms == ref.expand(low), (k, c, m.render())
+                folded += 1
+    assert (folded, refused) == (620, 350)
+
+
+def test_one_term_refusals_keep_their_texts():
+    from transseries.series import one_term
+    assert one_term(ZERO) is None
+    assert one_term(mul(from_terms([(2, X)]), from_terms([(3, X_INV)]))) == (6, ONE)
+    with pytest.raises(DivisionByZeroSeries, match="^cannot invert the zero series$"):
+        invert(ZERO)
+    with pytest.raises(DivisionByZeroSeries, match="^cannot invert the zero series$"):
+        pow_series(ZERO, -1)
+    with pytest.raises(DomainError, match="^the zero series has no dominant decomposition$"):
+        log_series(ZERO)
+    with pytest.raises(PartialConstantError, match=r"^log\(2\) is irrational"):
+        log_series(from_terms([(2, X)]))
+    with pytest.raises(DomainError, match="^log of a series with non-positive"):
+        log_series(from_terms([(-1, X)]))
+    with pytest.raises(PartialConstantError, match=r"^exp\(1\) is irrational"):
+        exp_series(ONE_SERIES)
+    with pytest.raises(PartialConstantError, match=r"^2\^\(1/2\) is irrational$"):
+        pow_series(from_terms([(2, X)]), Fraction(1, 2))
+    with pytest.raises(DomainError, match=r"^negative base -4 with fractional exponent 1/2$"):
+        pow_series(from_terms([(-4, X)]), Fraction(1, 2))

@@ -348,6 +348,13 @@ def test_deep_nesting_is_a_parse_error():
     assert run_cli(["eval", " " + "-" * 401 + "x"])[0] == 3
 
 
+def test_a_large_integer_power_answers():
+    # twenty squarings of a two-term series: the products form only the
+    # bases the first terms need
+    assert run_cli(["eval", "(1+1/x)^1000000", "--terms", "3"]) == (
+        0, "1 + 1000000*x^-1 + 499999500000*x^-2 + O(x^-3)\n")
+
+
 def test_stdin_input(monkeypatch):
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO("1/(1 - 1/x)"))

@@ -1,6 +1,7 @@
 """Series engine: arithmetic, dominance, summability machinery."""
 
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -20,8 +21,8 @@ from transseries.series import (_escape, _term_search, _walk,
                                 compare_to_depth, depth_cutoff, pow_const,
                                 render_series, scale)
 
-from helpers import (assert_depth_equal, points_above, rand_finite_series,
-                     rand_grid_series, rng)
+from helpers import (assert_depth_equal, eager_product, eager_union,
+                     points_above, rand_finite_series, rand_grid_series, rng)
 from noetherian_oracle import check_product_noetherian
 
 X_INV = mono_inv(X)
@@ -586,7 +587,7 @@ def test_walk_matches_brute_force():
                st.sampled_from([0, 1, Fraction(5, 2), 3]))
     def check(bases, ratios, e):
         bound = xpow(-e)
-        ratios = sort_monomials(ratios)
+        bases, ratios = sort_monomials(bases), sort_monomials(ratios)
         want: dict = {}
         for v in itertools.product(*(range(int((e + 1) / WALK_RATIOS[z]) + 1)
                                      for z in ratios)):
@@ -597,11 +598,112 @@ def test_walk_matches_brute_force():
                 if mono_cmp(m, bound) >= 0:
                     want.setdefault(m, []).append((bi, v))
         got = itertools.takewhile(lambda p: mono_cmp(p[0], bound) >= 0,
-                                  _walk(bases, ratios))
+                                  _walk(GridCertificate.of(bases, ratios)))
         assert list(got) == [(m, [v for _, v in sorted(want[m])])
                              for m in sort_monomials(want)]
 
     check()
+
+
+# monomials of height at most one: certificate bases of any size, and
+# infinitesimal ratios from two comparability classes
+CERT_BASES = WALK_BASES + [E_X, mono_mul(X, mono_inv(E_X)),
+                           make_monomial({0: -1}, [(Fraction(1, 2), xpow(Fraction(1, 2)))])]
+CERT_RATIOS = list(WALK_RATIOS) + [mono_inv(E_X)]
+
+
+def test_pulled_bases_match_the_eager_oracle():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    certs = st.builds(GridCertificate.of,
+                      st.lists(st.sampled_from(CERT_BASES), min_size=1, max_size=3,
+                               unique=True),
+                      st.lists(st.sampled_from(CERT_RATIOS), max_size=2, unique=True))
+
+    @hyp.settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @hyp.given(certs, certs, certs)
+    def check(a, b, c):
+        ab, bc = eager_product(a, b), eager_product(b, c)
+        want = {"product": ab, "nested": eager_product(ab, c),
+                "union": eager_union(a, ab, c, bc)}
+
+        def pulled():
+            # fresh certificates that have formed nothing but their first
+            # bases; the nested product and the union share the product
+            ab, bc = a.product(b), b.product(c)
+            return {"product": ab, "nested": ab.product(c),
+                    "union": a.union(ab).union(c, bc)}
+
+        for name, cert in pulled().items():
+            assert (list(itertools.islice(_walk(cert), 30))
+                    == list(itertools.islice(_walk(want[name]), 30))), name
+        for name, cert in pulled().items():
+            assert cert.base(2) is (want[name].bases[2:3] or [None])[0], name
+            assert cert == want[name], name
+            assert (cert.bases, cert.ratios) == (want[name].bases, want[name].ratios)
+            assert cert.base(len(cert.bases)) is None
+
+    check()
+
+
+def test_a_long_union_chain_nests_no_union():
+    cert = GridCertificate.of([ONE])
+    for k in range(1, 2000):
+        cert = cert.union(GridCertificate.of([xpow(-k)]))
+    assert len(cert._parts) == 2000
+    assert cert.base(1999) is xpow(-1999)
+
+
+def test_a_pull_cut_by_the_recursion_limit_leaves_the_certificate_whole():
+    # pulling from a chain of 250 products takes about two frames a link;
+    # begun near the recursion limit it raises, and every product of the
+    # chain can still form all of its bases
+    chain = want = GridCertificate.of([ONE, X_INV])
+    for _ in range(250):
+        step = GridCertificate.of([ONE, X_INV])
+        chain, want = chain.product(step), eager_product(want, step)
+
+    def deep(n):
+        return chain.base(3) if n == 0 else deep(n - 1)
+
+    with pytest.raises(RecursionError):
+        deep(sys.getrecursionlimit() - 200)
+    assert chain.bases == want.bases == tuple(xpow(-k) for k in range(252))
+
+
+def _count_mono_mul(monkeypatch) -> list:
+    """A one-element list that counts the `mono_mul` calls from now on."""
+    import transseries.calculus as calculus
+    import transseries.monomial as monomial
+    import transseries.series as series
+    calls = [0]
+    inner = monomial.mono_mul
+
+    def counting(a, b):
+        calls[0] += 1
+        return inner(a, b)
+
+    for module in (monomial, series, calculus):
+        monkeypatch.setattr(module, "mono_mul", counting)
+    return calls
+
+
+def test_building_a_product_forms_one_base_product(monkeypatch):
+    s = from_terms([(k + 1, xpow(-k)) for k in range(30)])
+    t = from_terms([(1, xpow(Fraction(-k, 3))) for k in range(30)])
+    calls = _count_mono_mul(monkeypatch)
+    p = mul(s, t)
+    assert calls[0] == 1    # the grid maximum; all 900 are formed on demand
+    assert p.cert == eager_product(s.cert, t.cert)
+
+
+def test_a_large_power_renders_its_first_terms_from_few_bases(monkeypatch):
+    calls = _count_mono_mul(monkeypatch)
+    s = parse_series("(1+1/x)^4096")
+    built = calls[0]
+    assert built < 50
+    assert render_series(s, 3) == "1 + 4096*x^-1 + 8386560*x^-2 + O(x^-3)"
+    assert calls[0] - built < 1000
 
 
 def _traced_peak(fn) -> int:
