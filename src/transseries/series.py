@@ -83,7 +83,7 @@ class GridCertificate:
     `base(i)` forms the first i + 1 of them, `bases` all of them, once.
     Certificates compare by value."""
 
-    __slots__ = ("ratios", "_pulled", "_parts", "_next", "_heap")
+    __slots__ = ("ratios", "_pulled", "_parts", "_next", "_heap", "_last")
 
     def __init__(self, bases, ratios: tuple, parts=None, successors=None):
         # the ratios decrease, so all are infinitesimal if the first is
@@ -95,6 +95,7 @@ class GridCertificate:
         self._parts = parts         # the factors of a product, the parts of a union
         self._next = successors     # the heap rule while bases remain to form
         self._heap = None           # the pull's heap, from the first pull past base 0
+        self._last = None           # the index of the entry the last pull popped
 
     @staticmethod
     def of(bases: Iterable[Monomial] = (), ratios: Iterable[Monomial] = ()) -> "GridCertificate":
@@ -131,30 +132,30 @@ class GridCertificate:
     def base(self, i: int) -> Optional[Monomial]:
         """The (i+1)-th largest base, or None past the last.
 
-        A product or union pulls its next base from a heap of `_entry`s: a
-        popped entry pushes the entries its successor rule forms, none
-        larger than it, so equal monomials leave the heap together.  They
-        are formed before the heap changes: a pull that raises, at the
-        recursion limit deep in a factor, leaves the heap as it was."""
+        A product or union pulls its next base from a heap of `_entry`s.
+        Each popped entry pushes the entries its successor rule forms, all
+        smaller than it, when the next pull begins, as the lattice walk
+        does: so pulling base i reads only the first i + 1 bases of each
+        part, and a pull that raises, at the recursion limit deep in a
+        part, leaves the heap as it was.  Equal monomials leave the heap
+        together, and the pull skips the repeats."""
         pulled = self._pulled
         while i >= len(pulled):
             if self._next is None:
                 return None
+            if self._heap is None:
+                self._heap = []    # the start (index None) hands on the first entries
             heap = self._heap
-            if heap is None:
-                # the start entry is alone on the heap: no key compares it
-                heap = self._heap = [(None, None, pulled[0])]
-            while heap:
-                kids = self._next(self, heap[0][1])
-                m = heapq.heappop(heap)[2]
-                for kid in kids:
+            while True:
+                for kid in self._next(self, self._last):
                     heapq.heappush(heap, kid)
+                if not heap:
+                    self._pulled, self._next, self._heap = tuple(pulled), None, None
+                    return None
+                _, self._last, m = heapq.heappop(heap)
                 if m is not pulled[-1]:
                     pulled.append(m)
                     break
-            else:
-                self._pulled, self._next, self._heap = tuple(pulled), None, None
-                return None
         return pulled[i]
 
     @property
@@ -403,7 +404,7 @@ def from_terms(terms: Iterable) -> TransSeries:
     for coeff, m in terms:
         acc[m] = acc[m] + coeff if m in acc else coeff
     acc = {m: _canon(c) for m, c in acc.items() if c}
-    cert = GridCertificate.of(acc.keys())
+    cert = GridCertificate(sort_monomials(acc), ())
 
     def expander(cutoff):
         return {m: c for m, c in acc.items() if mono_cmp(m, cutoff) >= 0}
@@ -468,7 +469,12 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
 
 
 def mul(s: TransSeries, t: TransSeries) -> TransSeries:
-    """Cauchy product; every coefficient is the full finite convolution."""
+    """Cauchy product; every coefficient is the full finite convolution.
+    The product of two terms is one term."""
+    a = one_term(s)
+    b = None if a is None else one_term(t)
+    if b is not None:
+        return from_terms([(a.coeff * b.coeff, mono_mul(a.mono, b.mono))])
     cert = s.cert.product(t.cert)
     shrink = None    # the inverses of the factors' grid maxima
 

@@ -549,6 +549,7 @@ def test_one_term_operands_fold_to_their_closed_form():
         (log_series, lambda c, m: (pre_log(m).cert, pre_log(m).expand(ONE))),
         (exp_series, lambda c, m: _single(make_monomial({}, [(c, m)]), 1)
          if m.is_large() else None),
+        (lambda s: mul(s, from_terms([(-3, L1)])), lambda c, m: _single(mono_mul(m, L1), -3 * c)),
     ] + [(lambda s, r=r: pow_series(s, r), lambda c, m, r=r: _single(mono_pow(m, r), c ** r))
          for r in ONE_TERM_POWERS]
     folded = refused = 0
@@ -571,7 +572,7 @@ def test_one_term_operands_fold_to_their_closed_form():
                 low = mono_mul(cert.bases[-1], X_INV) if cert.bases else ONE
                 assert got.expand(low) == terms == ref.expand(low), (k, c, m.render())
                 folded += 1
-    assert (folded, refused) == (620, 350)
+    assert (folded, refused) == (720, 350)
 
 
 def test_one_term_refusals_keep_their_texts():

@@ -364,11 +364,11 @@ def test_integral_exponents_are_ints(monkeypatch):
         cert.bases
 
     monkeypatch.setattr(TransSeries, "__init__", forming)
-    # a power of one term is one term, so a two-term square keeps an
-    # integral power built by products among the inputs
+    # powers and products of one term are one term, so a two-term cube
+    # keeps integral powers built by products among the inputs
     for text in ["x^(3/2)*x^(1/2)*log(x)^-1", "exp(x/2 + x/2 + log(x)^2)*x^(1/3)",
                  "exp(3/2*x^(1/2))^2 + 1/(1 - 1/x)", "log(x^2 + x^(1/2))",
-                 "(exp(3/2*x^(1/2)) + x^(1/2))^2"]:
+                 "(exp(3/2*x^(1/2)) + x^(1/2))^3"]:
         s = parse_series(text)
         render_series(s, 6)
         render_series(derive(s), 6)
