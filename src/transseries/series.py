@@ -242,14 +242,14 @@ def _walk(cert: GridCertificate) -> Iterator[tuple]:
     has one parent, the point with its last raised coordinate lowered by
     one, so a point raised last at coordinate i pushes children only at
     coordinates i and above.  Base i + 1 joins the heap when base i leaves
-    it, so the walk forms only the bases at or above its last point.  The
-    ratios are infinitesimal and the bases decrease, so a parent is larger
-    than its children, and all lattice points of a grid point are on the
-    heap when it reaches the top.  The walk moves past a grid point when it
-    is resumed after yielding it: then each of the point's lattice points
-    costs one unit of LIMITS.expand_fuel, shared by all bases, and its
-    children are pushed.  So a caller that stops at the first point below a
-    bound pays for the points at or above it only.
+    it, so the walk forms the bases at or above its last point and one
+    more.  The ratios are infinitesimal and the bases decrease, so a parent
+    is larger than its children, and all lattice points of a grid point are
+    on the heap when it reaches the top.  The walk moves past a grid point
+    when it is resumed after yielding it: then each of the point's lattice
+    points costs one unit of LIMITS.expand_fuel, shared by all bases, and
+    its children are pushed.  So a caller that stops at the first point
+    below a bound pays for the points at or above it only.
     """
     ratios = cert.ratios
     start = (0,) * len(ratios)
@@ -471,10 +471,10 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
 def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     """Cauchy product; every coefficient is the full finite convolution.
     The product of two terms is one term."""
-    a = one_term(s)
-    b = None if a is None else one_term(t)
-    if b is not None:
-        return from_terms([(a.coeff * b.coeff, mono_mul(a.mono, b.mono))])
+    s1 = one_term(s)
+    t1 = None if s1 is None else one_term(t)
+    if t1 is not None:
+        return from_terms([(s1.coeff * t1.coeff, mono_mul(s1.mono, t1.mono))])
     cert = s.cert.product(t.cert)
     shrink = None    # the inverses of the factors' grid maxima
 
