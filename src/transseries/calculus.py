@@ -18,14 +18,14 @@ from typing import Sequence
 from .errors import (DomainError, PartialConstantError, PreconditionError,
                      ResourceError)
 from .limits import LIMITS
-from .monomial import (ONE, X, Monomial, atom, dagger_terms, deriv_terms,
-                       make_monomial, mono_cmp, mono_inv, mono_max, mono_mul,
-                       mono_pow, pre_log, sort_monomials)
+from .monomial import (ONE, X, Monomial, _canon, atom, dagger_terms,
+                       deriv_terms, make_monomial, mono_cmp, mono_inv, mono_max,
+                       mono_mul, mono_pow, pre_log, sort_monomials)
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      add, dominant_decompose, extend_strongly_linear,
-                     from_terms, geometric_substitute, invert, mono_series,
-                     mul, one_term, pow_const, scale, sum_family,
-                     _infinitesimal_bases, _level_cap)
+                     from_terms, geometric_substitute, holding, invert,
+                     mono_series, mul, one_term, pow_const, scale, sum_family,
+                     _audit_images, _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
 
@@ -83,10 +83,23 @@ def _image_grid(image, cert: GridCertificate) -> tuple:
 
 
 def derive(s: TransSeries) -> TransSeries:
-    """Strongly linear derivation; Leibniz holds to any depth."""
+    """Strongly linear derivation; Leibniz holds to any depth.  A series
+    that holds all its terms differentiates once, to a series that holds
+    its derivative's terms on the same grid, audited against it at once;
+    other series differentiate lazily."""
     dag, grid = _derivation_grid(s.cert, s.cert.bases + s.cert.ratios)
     if grid.is_trivial:
         return ZERO
+    if s._held is not None:
+        acc: dict = {}
+        source: dict = {}    # image monomial -> its first source
+        for m, c in s._held.items():
+            for ci, mi in deriv_terms(m):
+                source.setdefault(mi, m)
+                ci = c * _canon(ci)    # as the image from_terms(deriv_terms(m)) holds it
+                acc[mi] = acc[mi] + ci if mi in acc else ci
+        _audit_images(grid, source)
+        return holding(grid, {m: c for m, c in acc.items() if c})
     shrink = mono_inv(dag[0])
     return extend_strongly_linear(
         lambda m: from_terms(deriv_terms(m)), s, grid,
@@ -225,11 +238,14 @@ IDENTITY = SimpleNamespace(g=X_SERIES, apply=lambda s: s, mono_image=mono_series
 
 
 def compose(f: TransSeries, h) -> TransSeries:
-    """f o g, extended strongly linearly from monomial images."""
+    """f o g, extended strongly linearly from monomial images; f o x is f,
+    whose certificate is the image grid that the extension would build."""
     if isinstance(h, TransSeries):
         h = CompositionHandle(h)
     if f.cert.is_trivial:
         return ZERO
+    if one_term(h.g) == (1, X):
+        return f
 
     grid, rho = _image_grid(h.mono_image, f.cert)
     zmin = f.cert.ratios[-1] if f.cert.ratios else None

@@ -307,11 +307,12 @@ class TransSeries:
 
     `cert` bounds the support; `expand(cutoff)` returns the exact finite
     dict of all terms with monomial >= cutoff.  Values are immutable and
-    results are memoized at the deepest cutoff seen so far.  The memo is
+    results are memoized at the deepest cutoff seen so far, except in a
+    series that holds all its terms, which keeps no cutoff.  The memo is
     unsynchronized: a series is for use by one thread at a time.
     """
 
-    __slots__ = ("cert", "_expander", "_cutoff", "_cache", "_summands")
+    __slots__ = ("cert", "_expander", "_cutoff", "_cache", "_summands", "_held")
 
     def __init__(self, cert: GridCertificate, expander: Callable[[Monomial], dict]):
         self.cert = cert
@@ -319,6 +320,7 @@ class TransSeries:
         self._cutoff = None
         self._cache = None
         self._summands = None     # the children of a flat sum node
+        self._held = None         # all terms of a `holding` series
 
     # -- exact expansion ---------------------------------------------------
 
@@ -326,6 +328,8 @@ class TransSeries:
         """All terms with monomial >= cutoff, as {Monomial: coeff}, exact."""
         if self.cert.is_trivial:
             return {}
+        if self._held is not None:
+            return self._expander(cutoff)
         if self._cutoff is not None and mono_cmp(cutoff, self._cutoff) >= 0:
             return {m: c for m, c in self._cache.items()
                     if mono_cmp(m, cutoff) >= 0}
@@ -404,12 +408,16 @@ def from_terms(terms: Iterable) -> TransSeries:
     for coeff, m in terms:
         acc[m] = acc[m] + coeff if m in acc else coeff
     acc = {m: _canon(c) for m, c in acc.items() if c}
-    cert = GridCertificate(sort_monomials(acc), ())
+    return holding(GridCertificate(sort_monomials(acc), ()), acc)
 
-    def expander(cutoff):
-        return {m: c for m, c in acc.items() if mono_cmp(m, cutoff) >= 0}
 
-    return TransSeries(cert, expander)
+def holding(cert: GridCertificate, terms: dict) -> TransSeries:
+    """The finite series of the nonzero `terms` {Monomial: coeff}, on `cert`,
+    which must cover them; it holds them all, so it keeps no memo."""
+    out = TransSeries(cert, lambda cutoff: {
+        m: c for m, c in terms.items() if mono_cmp(m, cutoff) >= 0})
+    out._held = terms
+    return out
 
 
 ZERO = from_terms([])
@@ -430,9 +438,12 @@ def mono_series(m: Monomial) -> TransSeries:
 
 
 def scale(s: TransSeries, c) -> TransSeries:
+    """c*s; s itself when c is 1."""
     c = _canon(c)
     if not c:
         return ZERO
+    if c == 1:
+        return s
 
     def expander(cutoff):
         return {m: c * v for m, v in s.expand(cutoff).items()}
@@ -470,11 +481,19 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
 
 def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     """Cauchy product; every coefficient is the full finite convolution.
-    The product of two terms is one term."""
-    s1 = one_term(s)
-    t1 = None if s1 is None else one_term(t)
-    if t1 is not None:
+    The product of two terms is one term.  A product with one term c*m is
+    a shift, the other factor's terms each times c*m on the product
+    certificate, and `scale` when m is 1."""
+    s1, t1 = one_term(s), one_term(t)
+    if s1 is not None and t1 is not None:
         return from_terms([(s1.coeff * t1.coeff, mono_mul(s1.mono, t1.mono))])
+    if s1 is not None or t1 is not None:
+        (c, m), f = (s1, t) if t1 is None else (t1, s)
+        if m is ONE:
+            return scale(f, c)
+        shrink = mono_inv(m)
+        return TransSeries(s.cert.product(t.cert), lambda cutoff: {
+            mono_mul(u, m): a * c for u, a in f.expand(mono_mul(cutoff, shrink)).items()})
     cert = s.cert.product(t.cert)
     shrink = None    # the inverses of the factors' grid maxima
 
@@ -682,15 +701,21 @@ def extend_strongly_linear(image: Callable[[Monomial], TransSeries],
                 if mi not in checked:
                     new.setdefault(mi, m)
                 acc[mi] = acc[mi] + coeff * ci if mi in acc else coeff * ci
-        mi = _escape(cert, dict.fromkeys(new, 0))
-        if mi is not None:
-            raise SummabilityViolationError(
-                f"image monomial {mi.render()} of {new[mi].render()} "
-                f"escapes the declared image grid", witness=mi)
+        _audit_images(cert, new)
         checked.update(new)
         return acc
 
     return TransSeries(cert, expander)
+
+
+def _audit_images(cert: GridCertificate, source: dict) -> None:
+    """Refuse the largest image monomial of `source` {image monomial: its
+    first source monomial} that lies outside the grid `cert`."""
+    mi = _escape(cert, dict.fromkeys(source, 0))
+    if mi is not None:
+        raise SummabilityViolationError(
+            f"image monomial {mi.render()} of {source[mi].render()} "
+            f"escapes the declared image grid", witness=mi)
 
 
 # -- comparison and rendering --------------------------------------------------

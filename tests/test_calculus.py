@@ -20,7 +20,8 @@ from transseries.calculus import _image_grid
 from transseries.cli import main
 from transseries.monomial import dagger_terms, sort_monomials
 from transseries.parser import parse_series
-from transseries.series import add, depth_cutoff, scale, shown_terms
+from transseries.series import (TransSeries, add, depth_cutoff, one_term, scale,
+                                shown_terms)
 from transseries.taylor import is_flat, spec_condition_check
 
 from helpers import (assert_depth_equal, derive_n, from_coeffs,
@@ -521,6 +522,9 @@ ONE_TERM_POWERS = [Fraction(k) for k in (-3, -1, 2, 3)] \
     + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
 
 
+MINUS_3_L1 = from_terms([(-3, L1)])
+
+
 def _general(s, m):
     """s plus a zero that gives its certificate a second base: the same
     value, through the general constructions."""
@@ -541,7 +545,6 @@ def _single(m, c):
 
 
 def test_one_term_operands_fold_to_their_closed_form():
-    from transseries.series import one_term
     # (operation, its closed form on c*m as (certificate, terms), or None
     # where the operation does not fold)
     folds = [
@@ -549,7 +552,10 @@ def test_one_term_operands_fold_to_their_closed_form():
         (log_series, lambda c, m: (pre_log(m).cert, pre_log(m).expand(ONE))),
         (exp_series, lambda c, m: _single(make_monomial({}, [(c, m)]), 1)
          if m.is_large() else None),
-        (lambda s: mul(s, from_terms([(-3, L1)])), lambda c, m: _single(mono_mul(m, L1), -3 * c)),
+        # the general path multiplies two general operands: a product with
+        # one term is a shift, and that fold is checked below
+        (lambda s: mul(s, MINUS_3_L1 if one_term(s) else _general(MINUS_3_L1, L1)),
+         lambda c, m: _single(mono_mul(m, L1), -3 * c)),
     ] + [(lambda s, r=r: pow_series(s, r), lambda c, m, r=r: _single(mono_pow(m, r), c ** r))
          for r in ONE_TERM_POWERS]
     folded = refused = 0
@@ -576,7 +582,6 @@ def test_one_term_operands_fold_to_their_closed_form():
 
 
 def test_one_term_refusals_keep_their_texts():
-    from transseries.series import one_term
     assert one_term(ZERO) is None
     assert one_term(mul(from_terms([(2, X)]), from_terms([(3, X_INV)]))) == (6, ONE)
     with pytest.raises(DivisionByZeroSeries, match="^cannot invert the zero series$"):
@@ -595,3 +600,112 @@ def test_one_term_refusals_keep_their_texts():
         pow_series(from_terms([(2, X)]), Fraction(1, 2))
     with pytest.raises(DomainError, match=r"^negative base -4 with fractional exponent 1/2$"):
         pow_series(from_terms([(-4, X)]), Fraction(1, 2))
+
+
+# the f of the Taylor identity queries, and series on larger grids
+TAYLOR_FS = ["1/x", "log(x)", "exp(x)", "1/(1-1/x)", "x^2+3*x", "x^-2", "x^(3/2)",
+             "1/x-2*x^-3", "x/2+1+1/x", "1/(1-2/x)", "(1-1/x)/(1-2/x)"]
+GRID_TEXTS = ["exp(1/x)*log(x)/(1-1/x)", "exp(x + 1/x)/(1 - 1/log(x))",
+              "1/(1 - 2/x - 3/x^2)", "(1 + 3/x)^(1/2)", "log(x)/(1 - 1/log(x))"]
+
+
+def _fold_corpus():
+    return [parse_series(t) for t in TAYLOR_FS + GRID_TEXTS] \
+        + [rand_grid_series(rng(seed)) for seed in range(6)]
+
+
+def _assert_expansions_agree(got, ref, where) -> int:
+    """got and ref agree at the twelfth grid position of ref and, on a
+    finite grid, one monomial below the last base of got's certificate,
+    wherever ref answers, in value and type; the number of these cutoffs
+    where ref refuses and got answers."""
+    cert = got.cert
+    cutoffs = [depth_cutoff(ref, 12)[0] or ONE]
+    if cert.bases and not cert.ratios:
+        cutoffs.append(mono_mul(cert.bases[-1], X_INV))
+    answered = 0
+    for cutoff in cutoffs:
+        want = _outcome(ref.expand, cutoff)
+        if isinstance(want, tuple):
+            got.expand(cutoff)
+            answered += 1
+        else:
+            typed = {m: (c, type(c)) for m, c in got.expand(cutoff).items()}
+            assert typed == {m: (c, type(c)) for m, c in want.items()}, (where, cutoff.render())
+    return answered
+
+
+def _general_x():
+    """A handle that composes through the general path with the images of
+    x: its `g` is x plus a zero that gives it a second base."""
+    h = CompositionHandle(X_SERIES)
+    h.g = _general(X_SERIES, X)
+    return h
+
+
+def test_composing_with_x_returns_the_operand():
+    fs = _fold_corpus() + [from_terms([(c, m)]) for c in ONE_TERM_COEFFS
+                           for m in ONE_TERM_MONOS]
+    answered = 0
+    for f in fs:
+        assert compose(f, X_SERIES) is f and compose(f, CompositionHandle(X_SERIES)) is f
+        ref = compose(f, _general_x())
+        assert ref.cert == f.cert, f
+        answered += _assert_expansions_agree(f, ref, f)
+    assert compose(ZERO, X_SERIES) is ZERO
+    # at the twelfth grid position of exp(x + 1/x)/(1 - 1/log(x)) the
+    # general path expands f at exp(x)*x^-13, below all log(x)^-k*exp(x),
+    # and refuses
+    assert answered == 1
+
+
+def test_a_product_with_one_term_is_a_shift():
+    terms = [from_terms([(c, m)]) for c in ONE_TERM_COEFFS[::3] for m in ONE_TERM_MONOS]
+    checked = 0
+    for s in _fold_corpus():
+        general_s = _general(s, s.cert.base(0))
+        for t in terms:
+            if one_term(s) is not None:
+                continue
+            # the pair loop over two general operands
+            ref = mul(general_s, _general(t, t.cert.base(0)))
+            for got in (mul(s, t), mul(t, s)):
+                assert got.cert == s.cert.product(t.cert), (s, t)
+                _assert_expansions_agree(got, ref, (s, t))
+            checked += 1
+    assert checked == 15 * len(terms)
+
+
+def _lazy(s):
+    """s as a node that does not hold its terms, so that `derive` takes
+    the lazy strongly linear path on the same certificate."""
+    return TransSeries(s.cert, s.expand)
+
+
+def test_a_held_series_differentiates_once():
+    held = [from_terms([(c, m)]) for c in ONE_TERM_COEFFS[::3] for m in ONE_TERM_MONOS]
+    held += [parse_series(t) for t in ("1/x", "log(x)", "exp(x)", "x^-2", "x^(3/2)")]
+    held += [rand_finite_series(rng(seed), 4, allow_exp=True) for seed in range(12)]
+    for f in held:
+        got, ref = f, _lazy(f)
+        for k in range(1, 4):
+            got, ref = derive(got), derive(ref)
+            assert got._held is not None or got is ZERO, (f, k)
+            assert ref._held is None or ref is ZERO, (f, k)
+            assert got.cert == ref.cert, (f, k)
+            _assert_expansions_agree(got, ref, (f, k))
+    # a product that is not expanded yet stays lazy
+    assert derive(mul(parse_series("1+1/x"), parse_series("1+2/x")))._held is None
+
+
+def test_a_held_derivative_is_audited_against_its_grid(monkeypatch):
+    from transseries import SummabilityViolationError, calculus
+    # a grid without the base x: the derivative 2*x of x^2 escapes it
+    monkeypatch.setattr(calculus, "_derivation_grid",
+                        lambda cert, gens: ((X_INV,), GridCertificate.of([X_INV])))
+    f = from_terms([(1, X2)])
+    message = "^image monomial x of x\\^2 escapes the declared image grid$"
+    with pytest.raises(SummabilityViolationError, match=message):
+        derive(f)
+    with pytest.raises(SummabilityViolationError, match=message):
+        derive(_lazy(f)).expand(ONE)

@@ -363,21 +363,64 @@ def test_stdin_input(monkeypatch):
     assert out == "1 + x^-1 + x^-2 + O(x^-3)\n"
 
 
+def _nested_quotients(depth):
+    """1/(1+1/(1+...1/(1+x))) with `depth` quotients."""
+    deep = "x"
+    for _ in range(depth):
+        deep = f"1/(1+{deep})"
+    return deep
+
+
+def _nested_quotient_coeffs(depth, n):
+    """The first n coefficients, in powers of t = 1/x, of the nested
+    quotients: the continued fraction over power series in t truncated
+    after t^(n-1), with Fraction coefficients."""
+    f = [Fraction(0)] + [Fraction((-1) ** (k + 1)) for k in range(1, n)]  # t/(1+t)
+    for _ in range(depth - 1):
+        a = [1 + f[0]] + f[1:]
+        q = []
+        for k in range(n):
+            q.append(((k == 0) - sum(a[j] * q[k - j] for j in range(1, k + 1))) / a[0])
+        f = q
+    return f
+
+
+def test_sixty_nested_quotients_answer():
+    # a product with the one term 1 is a scaling, so each quotient costs
+    # few enough stack frames that 60 of them answer
+    deep = _nested_quotients(60)
+    c = _nested_quotient_coeffs(60, 3)
+    assert c[1] < 0 < c[2]
+    assert run_cli(["eval", deep, "--terms", "3"]) == (
+        0, f"{c[0]} - {-c[1]}*x^-1 + {c[2]}*x^-2 + O(x^-3)\n")
+    code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
+    terms = json.loads(out)["terms"]
+    assert code == 0 and [t["monomial"] for t in terms] == ["1", "x^-1", "x^-2"]
+    assert [Fraction(t["coeff"]) for t in terms] == c
+
+
+def test_a_far_bound_at_x_answers():
+    # composing with x is the identity, so the deformation walks no image
+    # grid: exp(sqrt(x+1)) = exp(sqrt(x)) * exp(t/2 - t^3/8 + ...) for
+    # t = x^(-1/2), that is exp(sqrt(x)) * (1 + t/2 + t^2/8 - 5/48*t^3 + ...)
+    side = ("exp(x^(1/2)) + 1/2*x^(-1/2)*exp(x^(1/2)) + 1/8*x^-1*exp(x^(1/2)) "
+            "- 5/48*x^(-3/2)*exp(x^(1/2)) + O(x^-2*exp(x^(1/2)))")
+    assert run_cli(["taylor", "exp(1/x) + exp(x^(1/2))", "x", "1", "--terms", "4"]) == (
+        0, f"locus: certified_convergent\nlhs: {side}\nrhs: {side}\nEQUAL\n")
+
+
 def test_deep_quotients_are_a_resource_error():
-    # 60 and 99 nested quotients stay inside the parser's cap of 100 levels
-    # but exhaust Python's stack while the series is built or expanded: one
+    # 99 nested quotients stay inside the parser's cap of 100 levels but
+    # exhaust Python's stack while the series is built or expanded: one
     # refusal line, in text and under --json
     message = "expression nests too deeply for the recursion limit"
-    for depth in (60, 99):
-        deep = "x"
-        for _ in range(depth):
-            deep = f"1/(1+{deep})"
-        assert run_cli(["eval", deep, "--terms", "3"]) == (
-            3, f"error: ResourceError: {message}\n")
-        code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
-        assert code == 3 and out.count("\n") == 1
-        assert json.loads(out) == {"error": {
-            "type": "ResourceError", "offset": None, "message": message}}
+    deep = _nested_quotients(99)
+    assert run_cli(["eval", deep, "--terms", "3"]) == (
+        3, f"error: ResourceError: {message}\n")
+    code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
+    assert code == 3 and out.count("\n") == 1
+    assert json.loads(out) == {"error": {
+        "type": "ResourceError", "offset": None, "message": message}}
 
 
 def test_long_sums_are_one_flat_sum():

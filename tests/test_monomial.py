@@ -13,7 +13,7 @@ from transseries import (ONE, ResourceError, X, atom, configure,
                          make_monomial, mono_cmp, mono_inv, mono_mul, mono_pow,
                          pre_log)
 from transseries.monomial import dagger_terms, pre_log_terms, sort_monomials
-from transseries.series import TransSeries, from_terms
+from transseries.series import from_terms
 
 from helpers import equal_below, rng, rand_monomial
 
@@ -341,31 +341,51 @@ def test_comparison_atoms_are_not_bound_checked():
     assert equal_below(pre_log(x_e_x), from_terms([(1, X), (1, L1)]), ONE)
 
 
+def _typed_positions(log_powers, exp_terms, typ) -> set:
+    """The positions, ("log", atom index) or ("exp", argument monomial),
+    whose exponent or exp coefficient is of type `typ` (or not, for
+    typ=None: the others)."""
+    items = [(("log", k), r) for k, r in log_powers] + [(("exp", u), c) for c, u in exp_terms]
+    return {pos for pos, r in items if (type(r) is int) == (typ is int)}
+
+
+def _operands(frame) -> list:
+    """The (log powers, exp terms) that the construction running in
+    `frame` combines, or None for another caller of `_intern`."""
+    name, local = frame.f_code.co_name, frame.f_locals
+    if name in ("mono_mul", "mono_inv", "mono_pow"):
+        return [(m.log_powers, m.exp_terms) for m in
+                ((local["a"], local["b"]) if name == "mono_mul" else (local["a"],))]
+    if name == "make_monomial" and isinstance(local["exp_terms"], (list, tuple)):
+        return [(local["log_powers"].items(), local["exp_terms"])]
+    return None
+
+
 def test_integral_exponents_are_ints(monkeypatch):
     # every monomial these computations intern is checked, also those no
-    # series keeps alive, so the results of `_intern` are recorded
+    # series keeps alive, so the results of `_intern` are recorded, with the
+    # constructions that made an integral exponent out of non-integral ones
+    import sys
     from transseries import compose, derive, monomial, render_series
     from transseries.parser import parse_series
-    interned = {}
+    interned, covered = {}, set()
     intern = monomial._intern
 
     def recording(*args, **kwargs):
         m = intern(*args, **kwargs)
         interned[id(m)] = m
+        frame = sys._getframe(1)
+        operands = _operands(frame)
+        if operands is not None:
+            ints = _typed_positions(m.log_powers, m.exp_terms, int)
+            others = set().union(*(_typed_positions(*o, None) for o in operands))
+            # negation keeps each exponent's type: an inverse counts when
+            # its operand holds both kinds
+            if ints & others or (frame.f_code.co_name == "mono_inv" and ints and others):
+                covered.add(frame.f_code.co_name)
         return m
 
     monkeypatch.setattr(monomial, "_intern", recording)
-    # a product forms its bases only as a walk reaches them; here every
-    # series forms all of them when it is built, as eager products did
-    init = TransSeries.__init__
-
-    def forming(node, cert, expander):
-        init(node, cert, expander)
-        cert.bases
-
-    monkeypatch.setattr(TransSeries, "__init__", forming)
-    # powers and products of one term are one term, so a two-term cube
-    # keeps integral powers built by products among the inputs
     for text in ["x^(3/2)*x^(1/2)*log(x)^-1", "exp(x/2 + x/2 + log(x)^2)*x^(1/3)",
                  "exp(3/2*x^(1/2))^2 + 1/(1 - 1/x)", "log(x^2 + x^(1/2))",
                  "(exp(3/2*x^(1/2)) + x^(1/2))^3"]:
@@ -374,9 +394,7 @@ def test_integral_exponents_are_ints(monkeypatch):
         render_series(derive(s), 6)
         render_series(compose(s, parse_series("x^(3/2) + x")), 4)
     assert mono_pow(mono_pow(X, Fraction(2, 3)), 3).log_powers == ((0, 2),)
-    # the count the first four inputs interned with eager products and no
-    # one-term folds
-    assert len(interned) >= 175, len(interned)
+    assert covered == {"mono_mul", "mono_inv", "mono_pow", "make_monomial"}, covered
     for m in interned.values():
         for r in [r for _, r in m.log_powers] + [c for c, _ in m.exp_terms]:
             assert type(r) is (int if r.denominator == 1 else Fraction), m.render()

@@ -767,11 +767,14 @@ def test_level_cap_threshold_in_compose(monkeypatch):
     from transseries.calculus import compose
     from transseries.limits import LIMITS
     monkeypatch.setattr(LIMITS, "level_fuel", 5)
-    # the ratio x^-1 maps to x^-1: levels x^0 .. x^-4 lie above x^-4
-    got = compose(geom(), mono_series(X)).expand(xpow(-4))
-    assert got == {xpow(-k): 1 for k in range(5)}
-    with pytest.raises(BudgetExceededError):
-        compose(geom(), mono_series(X)).expand(xpow(-5))
+    # composing with x is the identity and walks no level
+    f = geom()
+    assert compose(f, mono_series(X)) is f
+    # the ratio x^-1 maps to x^-1/2: levels x^0 .. x^-4 lie above x^-4
+    got = compose(geom(), from_terms([(2, X)])).expand(xpow(-4))
+    assert got == {xpow(-k): Fraction(1, 2 ** k) for k in range(5)}
+    with pytest.raises(BudgetExceededError, match=r"^level bound above x\^-5 exceeded 5 levels$"):
+        compose(geom(), from_terms([(2, X)])).expand(xpow(-5))
 
 
 # -- the term search -------------------------------------------------------------
