@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .errors import (DomainError, PartialConstantError, PreconditionError,
                      ResourceError)
-from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, _canon, atom, dagger_terms,
                        deriv_terms, make_monomial, mono_cmp, mono_inv, mono_max,
                        mono_mul, mono_pow, pre_log, sort_monomials)
@@ -28,6 +27,7 @@ from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
                      _audit_images, _infinitesimal_bases, _level_cap)
 
 X_SERIES = mono_series(X)
+FAA_ORDER_BOUND = 6                # the highest order faa_di_bruno_coeff assembles
 
 
 def dagger(m: Monomial) -> TransSeries:
@@ -302,9 +302,8 @@ def faa_di_bruno_coeff(composed_derivs: Sequence[TransSeries],
     derivative of the composite divided by k!: coefficient k of P o Q for
     P_n = (f^{(n)} o g)/n!, Q_0 = 0 and Q_j = g^{(j)}/j!.
     """
-    if k > LIMITS.faa_order_bound:
-        raise ResourceError(
-            f"Faà di Bruno order {k} exceeds bound {LIMITS.faa_order_bound}")
+    if k > FAA_ORDER_BOUND:
+        raise ResourceError(f"Faà di Bruno order {k} exceeds bound {FAA_ORDER_BOUND}")
     if k == 0:
         return composed_derivs[0]
     return _composition_coeff(

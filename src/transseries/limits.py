@@ -1,8 +1,9 @@
 """Tunable structural bounds and fuel budgets.
 
-The bounds and budgets never change a computed value. They only decide how
-far semi-decidable searches are pushed before the engine raises an honest
-resource error, and where structural recursion is cut off.
+Each limit only decides when the engine refuses: lowering one can turn an
+answer into an honest resource error or an `inconclusive` verdict, never
+into another answer.  The thresholds that verdicts are decided by are
+constants beside their readers, not limits.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ class Limits:
     # structural bounds
     height_bound: int = 4          # max exponential height of a monomial
     log_depth_bound: int = 4       # max iterated-log atom index
-    faa_order_bound: int = 6       # highest Faà di Bruno order
 
-    # certificate / verdict parameters
-    divergence_window: int = 5     # consecutive non-shrinking terms needed
+    # verdict search
     support_prefix: int = 20       # support monomials scanned for witnesses
-    cut_prefix: int = 12           # degrees scanned by cut_member
 
     # fuel budgets
     expand_fuel: int = 200_000     # lattice points one grid walk moves past

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 from .errors import (BudgetExceededError, EvaluationRefusedError,
                      PreconditionError, SummabilityViolationError)
-from .limits import LIMITS
 from .monomial import (ONE, Monomial, mono_cmp, mono_mul, mono_pow,
                        sort_monomials)
 from .calculus import (DERIVATION, _composition_coeff, _derivation_grid,
@@ -152,6 +151,9 @@ def _taylor_coefficients(x, d: Callable, at: Callable) -> Callable[[int], TransS
 
 # -- cuts -----------------------------------------------------------------------
 
+CUT_PREFIX = 12                 # degrees that cut_member scans
+DIVERGENCE_WINDOW = 5           # consecutive non-shrinking terms that certify divergence
+
 
 @dataclass(frozen=True)
 class CutSpec:
@@ -205,15 +207,16 @@ def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
 
     Member: every cross-degree pair of per-degree grid maxima descends in
     the cut ordering.  Non-member: verified dominant terms are pairwise
-    incomparable across all scanned degrees.  Otherwise inconclusive.
+    incomparable across all scanned degrees, each of which a probe decided.
+    Otherwise inconclusive.
     """
-    prefix = LIMITS.cut_prefix
+    prefix = CUT_PREFIX
     if s.variant == "all":
         return CutVerdict("member", (), prefix)
     if s.variant == "empty":
         if p.is_finite:
             return CutVerdict("member", (), prefix)
-        wits = _verified_dominants(p, prefix)
+        wits, _ = _verified_dominants(p, prefix)
         if len(wits) >= 2:
             (k1, d1), (k2, d2) = wits[0], wits[1]
             return CutVerdict("non_member", (((d1, k1), (d2, k2)),), prefix)
@@ -240,8 +243,8 @@ def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
     if ok:
         return CutVerdict("member", tuple(maxima), prefix)
 
-    doms = _verified_dominants(p, prefix)
-    if len(doms) >= 2:
+    doms, decided = _verified_dominants(p, prefix)
+    if decided and len(doms) >= 2:
         bad_pairs = []
         all_bad = True
         for (i, di), (j, dj) in itertools.combinations(doms, 2):
@@ -255,16 +258,19 @@ def cut_member(p: PowerSeries, s: CutSpec) -> CutVerdict:
     return CutVerdict("inconclusive", (), prefix)
 
 
-def _verified_dominants(p: PowerSeries, prefix: int) -> list:
-    out = []
+def _verified_dominants(p: PowerSeries, prefix: int) -> tuple:
+    """(k, dominant monomial of P_k) for each nonzero P_k up to the prefix,
+    and whether every probe decided: a refused probe leaves a hole."""
+    out, decided = [], True
     for k in range(p.last_index(prefix) + 1):
         try:
             lt = p.coeff(k).leading_term(fuel=PROBE_FUEL)
         except BudgetExceededError:
+            decided = False
             continue
         if lt is not None:
             out.append((k, lt.mono))
-    return out
+    return out, decided
 
 
 # -- convergence ----------------------------------------------------------------
@@ -289,7 +295,7 @@ def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:
     algebra of the cut above the dominant monomial of delta.  Divergence
     needs a verified window of non-shrinking dominant terms.
     """
-    prefix = LIMITS.cut_prefix
+    prefix = CUT_PREFIX
     try:
         lt = delta.leading_term()
     except BudgetExceededError:
@@ -306,8 +312,8 @@ def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:
         return ConvReport("certified_convergent", verdict.witnesses, prefix,
                           f"member of the cut algebra above {dd.render()}")
 
-    doms = _verified_dominants(p, prefix)
-    window = LIMITS.divergence_window
+    # the run needs consecutive degrees, so a refused probe only breaks it
+    doms, _ = _verified_dominants(p, prefix)
     run = []
     for (i, di), (j, dj) in zip(doms, doms[1:]):
         if j != i + 1:
@@ -316,7 +322,7 @@ def conv_contains(p: PowerSeries, delta: TransSeries) -> ConvReport:
         ratio = mono_mul(mono_mul(dj, di.inv()), dd)
         if mono_cmp(ratio, ONE) >= 0:
             run.append((di, dj))
-            if len(run) >= window:
+            if len(run) >= DIVERGENCE_WINDOW:
                 return ConvReport(
                     "certified_divergent", tuple(run), prefix,
                     "dominant terms of P_k delta^k stopped shrinking")

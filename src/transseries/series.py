@@ -300,6 +300,8 @@ def _escape(cert: GridCertificate, wanted: dict) -> Optional[Monomial]:
 # term fuel of the quick probes for one or two leading terms: well below
 # LIMITS.term_fuel, so that a probe that cannot decide fails fast
 PROBE_FUEL = 64
+# summands past the level cap whose silence sum_lazy checks at each expansion
+SILENT_SUMMANDS = 6
 
 
 class TransSeries:
@@ -646,9 +648,9 @@ def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSer
 
     def expander(cutoff):
         cap = _level_cap(gmax, zmax, cutoff) - 1
-        # window past the cap: those summands must be provably silent
-        # above the cutoff, else the level contract was violated
-        while len(consumed) <= cap + LIMITS.divergence_window + 1:
+        # the summands past the cap must be provably silent above the
+        # cutoff, else the level contract was violated
+        while len(consumed) <= cap + SILENT_SUMMANDS:
             if len(consumed) > LIMITS.level_fuel:
                 raise BudgetExceededError("sum_lazy pulled too many summands")
             series = next(it, None)

@@ -2,6 +2,7 @@
 public function takes a per-call override of its own besides the few that
 callers set."""
 
+import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -10,11 +11,13 @@ import pytest
 import transseries
 from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          CompositionHandle, CutSpec, GridCertificate,
-                         LocusSpec, IDENTITY, PartialConstantError,
-                         PowerSeries, PSJointCert, TransSeries, X, compose,
-                         configure, conv_contains, cut_member, locus_contains,
-                         mono_inv, mono_pow, mono_series)
+                         KernelError, Limits, LocusSpec, IDENTITY,
+                         PartialConstantError, PowerSeries, PSJointCert,
+                         TransSeries, X, compose, configure, conv_contains,
+                         cut_member, locus_contains, mono_inv, mono_pow,
+                         mono_series, monomial_geometric)
 from transseries.parser import parse_series
+from transseries.powerseries import CUT_PREFIX
 from transseries.series import _escape, _infinitesimal_bases
 
 from helpers import points_above
@@ -93,17 +96,16 @@ def test_expand_fuel_bounds_the_term_search(monkeypatch):
         geom.first_terms(4)
 
 
-def test_cut_prefix_sets_the_scanned_degrees(monkeypatch):
+def test_cut_prefix_sets_the_scanned_degrees():
     ones = PowerSeries(lambda k: ONE_SERIES, joint=PSJointCert(GridCertificate.of([ONE]),
                                                                frozenset([ONE])))
     delta = mono_series(X_INV)
-    assert cut_member(ones, CutSpec.above(X_INV)).checked_prefix == 12
-    monkeypatch.setattr(LIMITS, "cut_prefix", 7)
     verdict = cut_member(ones, CutSpec.above(X_INV))
-    assert verdict.kind == "member" and verdict.checked_prefix == 7
-    assert len(verdict.witnesses) == 8        # grid maxima of degrees 0..7
+    assert CUT_PREFIX == 12
+    assert verdict.kind == "member" and verdict.checked_prefix == 12
+    assert len(verdict.witnesses) == 13       # grid maxima of degrees 0..12
     report = conv_contains(ones, delta)
-    assert report.convergent and report.checked_prefix == 7
+    assert report.convergent and report.checked_prefix == 12
 
 
 def test_support_prefix_sets_the_locus_prefix(monkeypatch):
@@ -174,4 +176,112 @@ def test_unknown_limit_is_refused_at_once():
     with pytest.raises(TypeError):
         configure(height_bound=2, backend="exact")
     assert vars(LIMITS) == before
+    # the verdict thresholds are constants beside their readers, not limits
+    for name in ("cut_prefix", "divergence_window", "faa_order_bound"):
+        try:
+            with pytest.raises(TypeError):
+                configure(height_bound=2, **{name: 1})
+        finally:
+            after = configure(**before)
+        assert after == before
     assert parse_series("2").leading_term().coeff == 2
+
+
+# -- a limit decides refusals only ---------------------------------------------------
+
+
+def _hole_family(p1: TransSeries) -> PowerSeries:
+    """P_k = x^k, except P_1, on the joint certificate ({1, x^-70}, {x})."""
+    grid = GridCertificate.of([ONE, xpow(-70)])
+    return PowerSeries(lambda k: p1 if k == 1 else mono_series(xpow(k)),
+                       joint=PSJointCert(grid, (X,)))
+
+
+def _masked(e: int) -> TransSeries:
+    """x^e written so that a leading-term probe must walk past x^e."""
+    return parse_series(f"x^{e} + 1/(1-1/x) - 1/(1-1/x)")
+
+
+def test_a_refused_probe_is_no_evidence():
+    # the x^k are pairwise bad in the cut above x^-1, but P_1 = x^-70 is not
+    # bad against P_0 = 1: when the 64-position probe cannot find x^-70, the
+    # scan has a hole and the verdict is inconclusive, as when it can
+    cut = CutSpec.above(X_INV)
+    assert cut_member(_hole_family(_masked(-70)), cut).kind == "inconclusive"
+    assert cut_member(_hole_family(mono_series(xpow(-70))), cut).kind == "inconclusive"
+    # x^-5 is in the probe's reach until expand_fuel cuts the walk short
+    for fuel in (LIMITS.expand_fuel, 5, 3):
+        p = _hole_family(_masked(-5))
+        previous = configure(expand_fuel=fuel)
+        try:
+            assert cut_member(p, cut).kind == "inconclusive", fuel
+        finally:
+            configure(**previous)
+
+
+# the cutcheck families of the cli_session workload: sum (x^-k)^j X^j in the
+# cut above x^-m, and at delta = x^-m
+GEOMETRIC = [(k, m) for k in (1, 2, 3) for m in (-3, -2, -1, 1, 2, 3)]
+# the CERTIFIED and SHARPNESS f's of the taylor_identity workload
+LOCUS_FS = ["1/x", "log(x)", "exp(x)", "1/(1-1/x)", "x^2+3*x", "x^-2", "x^(3/2)",
+            "1/x-2*x^-3", "x/2+1+1/x", "exp(x^2)", "exp(-x)", "exp(x)+x", "exp(2*x)"]
+LOCUS_DELTAS = ["1", "1/x", "x"]
+
+
+def _cut(p: PowerSeries, s: CutSpec):
+    return lambda: cut_member(p, s).kind
+
+
+def _conv(p: PowerSeries, delta: TransSeries):
+    return lambda: conv_contains(p, delta).verdict
+
+
+def _locus(spec: LocusSpec, f: TransSeries):
+    return lambda: locus_contains(spec, f).verdict
+
+
+def _corpus() -> dict:
+    """label -> build: build() makes the inputs under the active limits and
+    returns a thunk that decides one verdict on them."""
+    out = {}
+    for k, m in GEOMETRIC:
+        out[f"cut x^-{k} above x^{m}"] = lambda k=k, m=m: _cut(
+            monomial_geometric(xpow(-k)), CutSpec.above(xpow(m)))
+        out[f"conv x^-{k} at x^{m}"] = lambda k=k, m=m: _conv(
+            monomial_geometric(xpow(-k)), mono_series(xpow(m)))
+    # sum x^j X^j diverges at delta = 1/x: it is in no cut algebra above x^-1
+    out["cut x above x^-1"] = lambda: _cut(monomial_geometric(X), CutSpec.above(X_INV))
+    out["conv x at x^-1"] = lambda: _conv(monomial_geometric(X), mono_series(X_INV))
+    for e in (-70, -5):
+        out[f"cut hole x^{e}"] = lambda e=e: _cut(_hole_family(_masked(e)), CutSpec.above(X_INV))
+        out[f"conv hole x^{e}"] = lambda e=e: _conv(_hole_family(_masked(e)), mono_series(X_INV))
+    for f in LOCUS_FS:
+        for d in LOCUS_DELTAS:
+            out[f"locus {f} at {d}"] = lambda f=f, d=d: _locus(
+                LocusSpec(IDENTITY, parse_series(d)), parse_series(f))
+    return out
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Limits)])
+def test_no_limit_weakens_a_verdict(name):
+    # a lowered limit may turn a verdict into `inconclusive` or a refusal,
+    # never into another verdict; the inputs are built under the defaults
+    # and anew for each setting, so that no memo of one run feeds the next
+    default = {label: build()() for label, build in CORPUS.items()}
+    wrong = []
+    for value in (0, 1, 2, 3, 5):
+        for label, build in CORPUS.items():
+            decide = build()
+            previous = configure(**{name: value})
+            try:
+                got = decide()
+            except KernelError:
+                continue
+            finally:
+                configure(**previous)
+            if got not in (default[label], "inconclusive"):
+                wrong.append((value, label, default[label], got))
+    assert not wrong, wrong

@@ -479,7 +479,7 @@ def test_sum_lazy_refuses_an_empty_ratio_set():
 def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
     from itertools import count
     from transseries.limits import LIMITS
-    window = LIMITS.divergence_window
+    from transseries.series import SILENT_SUMMANDS
     pulled = []
 
     def summands():
@@ -487,14 +487,15 @@ def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
             pulled.append(k)
             yield mono_series(xpow(-k))
 
-    # at cutoff x^-3 levels 0..3 reach (cap 3), then the window and one more
+    # at cutoff x^-3 levels 0..3 reach (cap 3), then the silent summands
+    assert SILENT_SUMMANDS == 6
     s = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))
     assert s.expand(xpow(-3)) == {xpow(-k): 1 for k in range(4)}
-    assert len(pulled) == 3 + window + 2
-    # a cutoff x^-c needs c + window + 2 summands; the fuel L allows L + 1
+    assert len(pulled) == 3 + 1 + SILENT_SUMMANDS
+    # a cutoff x^-c needs c + 1 + SILENT_SUMMANDS summands; the fuel L allows L + 1
     fuel = 10
     monkeypatch.setattr(LIMITS, "level_fuel", fuel)
-    c = fuel - 1 - window
+    c = fuel - SILENT_SUMMANDS
     fits = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))
     assert fits.expand(xpow(-c)) == {xpow(-k): 1 for k in range(c + 1)}
     over = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))

@@ -7,11 +7,14 @@
 - every public method, staticmethod, classmethod and property of those
   classes is read by the kernel or the benchmark outside those
   constructions, so a member that only tests read lives in the tests;
+- every field of `Limits` is read there too, so each limit bounds some
+  query;
 - every optional parameter of those functions and methods is passed by
   some call there, apart from the cut-pullback parameters listed below;
 - every name a kernel or test module imports is read in that module."""
 
 import ast
+import dataclasses
 import inspect
 import math
 from pathlib import Path
@@ -135,6 +138,15 @@ def test_every_public_member_is_read():
     read = _read_attributes()
     unread = sorted(f"{cls}.{attr}" for cls, attr in _public_members()
                     if attr not in read)
+    assert not unread, unread
+
+
+def test_every_limit_is_read():
+    # a limit that only the paper's constructions read, or nothing reads,
+    # bounds no query; it becomes a constant beside its reader
+    read = _read_attributes()
+    unread = sorted(f.name for f in dataclasses.fields(transseries.Limits)
+                    if f.name not in read)
     assert not unread, unread
 
 
