@@ -34,7 +34,9 @@ class PartialConstantError(DomainError):
 
 
 class ResourceError(KernelError):
-    """A configured structural bound (height, depth, order cap) was hit."""
+    """A bound was hit: a `Limits` bound (height, log depth), a constant cap
+    (the Faà di Bruno order, the fuel budgets below), or Python's recursion
+    or integer-digit limit."""
 
 
 class BudgetExceededError(ResourceError):

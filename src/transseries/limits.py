@@ -1,8 +1,9 @@
-"""Tunable structural bounds and fuel budgets.
+"""The structural bounds a caller can set for one query.
 
 Each limit only decides when the engine refuses: lowering one can turn an
 answer into an honest resource error or an `inconclusive` verdict, never
-into another answer.  The thresholds that verdicts are decided by are
+into another answer.  The fuel budgets that stop the semi-decision
+procedures, and the thresholds that verdicts are decided by, are
 constants beside their readers, not limits.
 """
 
@@ -13,17 +14,8 @@ from dataclasses import dataclass
 
 @dataclass
 class Limits:
-    # structural bounds
     height_bound: int = 4          # max exponential height of a monomial
     log_depth_bound: int = 4       # max iterated-log atom index
-
-    # verdict search
-    support_prefix: int = 20       # support monomials scanned for witnesses
-
-    # fuel budgets
-    expand_fuel: int = 200_000     # lattice points one grid walk moves past
-    term_fuel: int = 512           # candidate monomials walked per term search
-    level_fuel: int = 4_096        # level-bound iterations in lazy sums
 
 
 LIMITS = Limits()

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .errors import (BudgetExceededError, DivisionByZeroSeries, DomainError,
                      PartialConstantError, PreconditionError,
                      SummabilityViolationError)
-from .limits import LIMITS
 from .monomial import (ONE, Monomial, _canon, format_term_sum, mono_cmp,
                        mono_inv, mono_max, mono_mul, sort_monomials)
 
@@ -233,6 +232,10 @@ def _union_successors(cert: GridCertificate, index) -> list:
     return [] if m is None else [_entry(m, (k, i + 1))]
 
 
+# lattice points one grid walk moves past before it refuses
+EXPAND_FUEL = 200_000
+
+
 def _walk(cert: GridCertificate) -> Iterator[tuple]:
     """The grid points {b * z^v : b in bases, v in N^n} of `cert` in
     strictly decreasing order, each once, as (m, vs): vs are the lattice
@@ -247,7 +250,7 @@ def _walk(cert: GridCertificate) -> Iterator[tuple]:
     is larger than its children, and all lattice points of a grid point are
     on the heap when it reaches the top.  The walk moves past a grid point
     when it is resumed after yielding it: then each of the point's lattice
-    points costs one unit of LIMITS.expand_fuel, shared by all bases, and
+    points costs one unit of EXPAND_FUEL, shared by all bases, and
     its children are pushed.  So a caller that stops at the first point
     below a bound pays for the points at or above it only.
     """
@@ -255,7 +258,7 @@ def _walk(cert: GridCertificate) -> Iterator[tuple]:
     start = (0,) * len(ratios)
     b = cert.base(0)
     heap = [] if b is None else [(_HEAP_KEY(b), 0, start, 0, b)]
-    fuel, walked = LIMITS.expand_fuel, 0
+    fuel, walked = EXPAND_FUEL, 0
     while heap:
         top = heap[0][4]
         group = []
@@ -297,8 +300,10 @@ def _escape(cert: GridCertificate, wanted: dict) -> Optional[Monomial]:
 # -- the series type ----------------------------------------------------------
 
 
+# candidate monomials one term search walks by default
+TERM_FUEL = 512
 # term fuel of the quick probes for one or two leading terms: well below
-# LIMITS.term_fuel, so that a probe that cannot decide fails fast
+# TERM_FUEL, so that a probe that cannot decide fails fast
 PROBE_FUEL = 64
 # summands past the level cap whose silence sum_lazy checks at each expansion
 SILENT_SUMMANDS = 6
@@ -351,14 +356,16 @@ class TransSeries:
 
         A grid position holds at most one term, so the search expands at
         position n, then n - j positions past an expansion holding j terms,
-        through at most `fuel` positions (LIMITS.term_fuel by default).  Raises
+        through at most `fuel` positions (TERM_FUEL by default).  Raises
         BudgetExceededError if those positions hold fewer than n terms and
         the grid goes on (supports with long zero-coefficient grid
-        prefixes).
+        prefixes); a negative fuel is refused.
         """
+        fuel = TERM_FUEL if fuel is None else fuel
+        if fuel < 0:
+            raise PreconditionError(f"term fuel {fuel} is negative")
         if n <= 0 or self.cert.is_trivial:
             return []
-        fuel = LIMITS.term_fuel if fuel is None else fuel
         d, walker = _term_search(self, n, fuel)
         if len(d) < n and next(walker, None) is not None:
             raise BudgetExceededError(
@@ -549,17 +556,21 @@ def _infinitesimal_bases(cert: GridCertificate, dom: Monomial) -> tuple:
     return sort_monomials(out)
 
 
+# level-bound iterations, and summands sum_lazy pulls, before a refusal
+LEVEL_FUEL = 4_096
+
+
 def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
     """The number of j >= 0 with start*rho^j >= cutoff, for infinitesimal
-    rho; BudgetExceededError once it would exceed LIMITS.level_fuel."""
+    rho; BudgetExceededError once it would exceed LEVEL_FUEL."""
     count = 0
     bound = start
     while mono_cmp(bound, cutoff) >= 0:
         count += 1
-        if count > LIMITS.level_fuel:
+        if count > LEVEL_FUEL:
             raise BudgetExceededError(
                 f"level bound above {cutoff.render()} exceeded "
-                f"{LIMITS.level_fuel} levels")
+                f"{LEVEL_FUEL} levels")
         bound = mono_mul(bound, rho)
     return count
 
@@ -648,10 +659,11 @@ def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSer
 
     def expander(cutoff):
         cap = _level_cap(gmax, zmax, cutoff) - 1
-        # the summands past the cap must be provably silent above the
-        # cutoff, else the level contract was violated
+        # the summands past the cap must be silent above the cutoff: a term
+        # there needs more ratio factors than any grid point at or above
+        # the cutoff has, so the audit refuses it
         while len(consumed) <= cap + SILENT_SUMMANDS:
-            if len(consumed) > LIMITS.level_fuel:
+            if len(consumed) > LEVEL_FUEL:
                 raise BudgetExceededError("sum_lazy pulled too many summands")
             series = next(it, None)
             if series is None:
@@ -659,7 +671,7 @@ def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSer
             consumed.append(series)
         acc: dict = {}
         new: dict = {}    # unchecked monomial -> the ratio factors it needs
-        for level, series in enumerate(consumed[:cap + 1]):
+        for level, series in enumerate(consumed):
             for m, c in series.expand(cutoff).items():
                 if checked.get(m, -1) < level:
                     new[m] = level
@@ -670,13 +682,6 @@ def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSer
                 f"monomial {m.render()} of the level-{new[m]} summand "
                 f"is outside the declared grid", witness=m)
         checked.update(new)
-        for level in range(cap + 1, len(consumed)):
-            stray = consumed[level].expand(cutoff)
-            if stray:
-                raise SummabilityViolationError(
-                    f"level-{level} summand reaches above the cutoff "
-                    f"bound with {next(iter(stray)).render()}",
-                    witness=next(iter(stray)))
         return acc
 
     return TransSeries(cert, expander)

@@ -20,7 +20,6 @@ from .calculus import (X_SERIES, CompositionHandle, compose, dagger,
                        dagger_support_closure, derive, log_series)
 from .errors import (BudgetExceededError, DomainError, PartialConstantError,
                      PreconditionError)
-from .limits import LIMITS
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
                        mono_inv, mono_mul)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
@@ -30,6 +29,8 @@ from .series import (PROBE_FUEL, TransSeries, add, compare_to_depth,
                      from_terms, mul, _terms_to_depth)
 
 X_INV = mono_inv(X)
+# support monomials scanned for a witness of the dichotomy or of divergence
+SUPPORT_PREFIX = 20
 
 
 @dataclass
@@ -52,16 +53,15 @@ def spec_condition_check(m: Monomial) -> dict:
 
     Flat monomials must have every derivative-support dagger at or below
     x^{-1}; non-flat ones must keep the dagger's archimedean class.  The
-    first LIMITS.support_prefix support monomials are checked.
+    first SUPPORT_PREFIX support monomials are checked.
     """
-    prefix = LIMITS.support_prefix
     if m is ONE:
         raise PreconditionError("the dichotomy concerns monomials != 1")
     flat = is_flat(m)
     dlt = dagger(m).leading_term()
     mprime = from_terms(deriv_terms(m))
     # a finite series' certificate bases are its nonzero support, decreasing
-    supp = mprime.cert.bases[:prefix]
+    supp = mprime.cert.bases[:SUPPORT_PREFIX]
     for n in supp:
         if flat:
             ok = is_flat(n)
@@ -82,7 +82,7 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
     delta.  Divergent: a verified non-flat support monomial violating the
     bound.  Inconclusive otherwise.
     """
-    prefix = LIMITS.support_prefix
+    prefix = SUPPORT_PREFIX
     op, delta = spec.op, spec.delta
     lt_d = delta.leading_term()
     if lt_d is None:

@@ -12,7 +12,7 @@ import pytest
 
 from transseries import ParseError, PartialConstantError, X, make_monomial, parse
 from transseries.cli import build_parser, main
-from transseries.limits import LIMITS, configure
+from transseries.limits import LIMITS
 from transseries.parser import Binary, Num, Power, Unary, Var, parse_series
 from transseries.series import compare_to_depth, render_series
 from transseries.monomial import _INTERN, mono_pow
@@ -614,18 +614,15 @@ def test_huge_terms_on_a_finite_series(argv, text, json_terms, terms):
 
 @pytest.mark.parametrize("argv", [["eval", "1/(1-1/x)"], ["taylor", "1/x", "x", "1"]],
                          ids=lambda argv: argv[0])
-def test_huge_terms_on_an_infinite_grid_is_refused(argv):
-    previous = configure(expand_fuel=2_000)
-    try:
-        code, out = run_cli(argv + ["--terms", HUGE_TERMS[0]])
-        assert code == 3
-        assert out.startswith("error: BudgetExceededError: grid walk past ")
-        assert "exceeded 2000 lattice points" in out
-        code, out = run_cli(argv + ["--terms", HUGE_TERMS[0], "--json"])
-        assert code == 3
-        assert json.loads(out)["error"]["type"] == "BudgetExceededError"
-    finally:
-        configure(**previous)
+def test_huge_terms_on_an_infinite_grid_is_refused(argv, monkeypatch):
+    monkeypatch.setattr("transseries.series.EXPAND_FUEL", 2_000)
+    code, out = run_cli(argv + ["--terms", HUGE_TERMS[0]])
+    assert code == 3
+    assert out.startswith("error: BudgetExceededError: grid walk past ")
+    assert "exceeded 2000 lattice points" in out
+    code, out = run_cli(argv + ["--terms", HUGE_TERMS[0], "--json"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "BudgetExceededError"
 
 
 def test_huge_depth_in_the_library():

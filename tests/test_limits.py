@@ -1,6 +1,6 @@
-"""Budgets: every search bound is read from `transseries.limits`, and no
-public function takes a per-call override of its own besides the few that
-callers set."""
+"""Budgets: the structural bounds are the `Limits` fields, the fuel budgets
+are constants beside the loops they stop, and no public function takes a
+per-call override of its own besides the few that callers set."""
 
 import dataclasses
 import inspect
@@ -17,6 +17,7 @@ from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          cut_member, locus_contains, mono_inv, mono_pow,
                          mono_series, monomial_geometric)
 from transseries.parser import parse_series
+from transseries import series, taylor
 from transseries.powerseries import CUT_PREFIX
 from transseries.series import _escape, _infinitesimal_bases
 
@@ -58,16 +59,16 @@ def test_budgets_are_not_per_call_parameters():
 def test_expand_fuel_bounds_the_region_walks(monkeypatch):
     cert = GridCertificate.of([X], [X_INV])
     # x, 1, x^-1 and x^-2 lie at or above x^-2; the first three strictly
-    monkeypatch.setattr(LIMITS, "expand_fuel", 4)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 4)
     assert set(points_above(cert, xpow(-2))) == {X, ONE, X_INV, xpow(-2)}
     assert _escape(cert, {xpow(-2): 0}) is None
-    monkeypatch.setattr(LIMITS, "expand_fuel", 3)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 3)
     assert _infinitesimal_bases(cert, xpow(-2)) == (xpow(-2),)
     with pytest.raises(BudgetExceededError):
         points_above(cert, xpow(-2))
     with pytest.raises(BudgetExceededError):
         _escape(cert, {xpow(-2): 0})
-    monkeypatch.setattr(LIMITS, "expand_fuel", 2)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 2)
     with pytest.raises(BudgetExceededError):
         _infinitesimal_bases(cert, xpow(-2))
 
@@ -76,10 +77,10 @@ def test_expand_fuel_is_shared_by_the_bases_of_one_walk(monkeypatch):
     # three lattice points at or above x^-2 from each base: 1, x^-1, x^-2
     # and x^(1/2), x^(-1/2), x^(-3/2)
     cert = GridCertificate.of([ONE, xpow(Fraction(1, 2))], [X_INV])
-    monkeypatch.setattr(LIMITS, "expand_fuel", 6)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 6)
     assert len(points_above(cert, xpow(-2))) == 6
     assert _escape(cert, {xpow(-2): 2}) is None
-    monkeypatch.setattr(LIMITS, "expand_fuel", 5)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 5)
     with pytest.raises(BudgetExceededError):
         points_above(cert, xpow(-2))
     with pytest.raises(BudgetExceededError):
@@ -89,9 +90,9 @@ def test_expand_fuel_is_shared_by_the_bases_of_one_walk(monkeypatch):
 def test_expand_fuel_bounds_the_term_search(monkeypatch):
     # the search stops at x^-3, the fourth grid point, having walked past three
     geom = parse_series("1/(1 - 1/x)")
-    monkeypatch.setattr(LIMITS, "expand_fuel", 3)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 3)
     assert len(geom.first_terms(4)) == 4
-    monkeypatch.setattr(LIMITS, "expand_fuel", 2)
+    monkeypatch.setattr(series, "EXPAND_FUEL", 2)
     with pytest.raises(BudgetExceededError, match="exceeded 2 lattice points"):
         geom.first_terms(4)
 
@@ -112,23 +113,20 @@ def test_support_prefix_sets_the_locus_prefix(monkeypatch):
     spec = LocusSpec(IDENTITY, mono_series(X_INV))
     f = mono_series(X)
     assert locus_contains(spec, f).checked_prefix == 20
-    monkeypatch.setattr(LIMITS, "support_prefix", 5)
+    monkeypatch.setattr(taylor, "SUPPORT_PREFIX", 5)
     report = locus_contains(spec, f)
     assert report.convergent and report.checked_prefix == 5
 
 
-def test_support_prefix_is_the_number_of_scanned_support_positions():
+def test_support_prefix_is_the_number_of_scanned_support_positions(monkeypatch):
     # exp(x) fails the generator check at delta = 1; its support witness is
     # its first grid position, so a prefix of 0 scans none and finds none
     e_x = parse_series("exp(x)")
     spec = LocusSpec(IDENTITY, ONE_SERIES)
     verdicts = {}
     for prefix in (0, 1):
-        previous = configure(support_prefix=prefix)
-        try:
-            verdicts[prefix] = locus_contains(spec, e_x)
-        finally:
-            configure(**previous)
+        monkeypatch.setattr(taylor, "SUPPORT_PREFIX", prefix)
+        verdicts[prefix] = locus_contains(spec, e_x)
     assert verdicts[0].verdict == "inconclusive"
     assert verdicts[0].checked_prefix == 0
     assert "no support witness" in verdicts[0].detail
@@ -142,7 +140,7 @@ def test_backend_setting_is_restored():
     # refused before, during and after a configure/restore cycle
     with pytest.raises(PartialConstantError):
         parse_series("exp(1)")
-    previous = configure(term_fuel=64)
+    previous = configure(height_bound=2)
     try:
         with pytest.raises(PartialConstantError):
             parse_series("exp(1)")
@@ -156,7 +154,7 @@ def test_backend_setting_is_restored():
 def test_composition_handle_keeps_its_field():
     # a handle built under changed limits and used after they are restored
     # still composes over the exact rationals
-    previous = configure(term_fuel=64)
+    previous = configure(height_bound=2)
     try:
         h = CompositionHandle(parse_series("x+1"))
     finally:
@@ -176,8 +174,10 @@ def test_unknown_limit_is_refused_at_once():
     with pytest.raises(TypeError):
         configure(height_bound=2, backend="exact")
     assert vars(LIMITS) == before
-    # the verdict thresholds are constants beside their readers, not limits
-    for name in ("cut_prefix", "divergence_window", "faa_order_bound"):
+    # the verdict thresholds and the fuel budgets are constants beside their
+    # readers, not limits
+    for name in ("cut_prefix", "divergence_window", "faa_order_bound", "support_prefix",
+                 "expand_fuel", "term_fuel", "level_fuel"):
         try:
             with pytest.raises(TypeError):
                 configure(height_bound=2, **{name: 1})
@@ -202,21 +202,18 @@ def _masked(e: int) -> TransSeries:
     return parse_series(f"x^{e} + 1/(1-1/x) - 1/(1-1/x)")
 
 
-def test_a_refused_probe_is_no_evidence():
+def test_a_refused_probe_is_no_evidence(monkeypatch):
     # the x^k are pairwise bad in the cut above x^-1, but P_1 = x^-70 is not
     # bad against P_0 = 1: when the 64-position probe cannot find x^-70, the
     # scan has a hole and the verdict is inconclusive, as when it can
     cut = CutSpec.above(X_INV)
     assert cut_member(_hole_family(_masked(-70)), cut).kind == "inconclusive"
     assert cut_member(_hole_family(mono_series(xpow(-70))), cut).kind == "inconclusive"
-    # x^-5 is in the probe's reach until expand_fuel cuts the walk short
-    for fuel in (LIMITS.expand_fuel, 5, 3):
+    # x^-5 is in the probe's reach until EXPAND_FUEL cuts the walk short
+    for fuel in (series.EXPAND_FUEL, 5, 3):
         p = _hole_family(_masked(-5))
-        previous = configure(expand_fuel=fuel)
-        try:
-            assert cut_member(p, cut).kind == "inconclusive", fuel
-        finally:
-            configure(**previous)
+        monkeypatch.setattr(series, "EXPAND_FUEL", fuel)
+        assert cut_member(p, cut).kind == "inconclusive", fuel
 
 
 # the cutcheck families of the cli_session workload: sum (x^-k)^j X^j in the
@@ -265,9 +262,18 @@ def _corpus() -> dict:
 CORPUS = _corpus()
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Limits)])
+# every budget, by the name of the object and attribute that hold it: the
+# Limits fields and the constants beside the loops they stop
+BUDGETS = {**{f.name: (LIMITS, f.name) for f in dataclasses.fields(Limits)},
+           "support_prefix": (taylor, "SUPPORT_PREFIX"),
+           "expand_fuel": (series, "EXPAND_FUEL"),
+           "term_fuel": (series, "TERM_FUEL"),
+           "level_fuel": (series, "LEVEL_FUEL")}
+
+
+@pytest.mark.parametrize("name", list(BUDGETS))
 def test_no_limit_weakens_a_verdict(name):
-    # a lowered limit may turn a verdict into `inconclusive` or a refusal,
+    # a lowered budget may turn a verdict into `inconclusive` or a refusal,
     # never into another verdict; the inputs are built under the defaults
     # and anew for each setting, so that no memo of one run feeds the next
     default = {label: build()() for label, build in CORPUS.items()}
@@ -275,13 +281,12 @@ def test_no_limit_weakens_a_verdict(name):
     for value in (0, 1, 2, 3, 5):
         for label, build in CORPUS.items():
             decide = build()
-            previous = configure(**{name: value})
-            try:
-                got = decide()
-            except KernelError:
-                continue
-            finally:
-                configure(**previous)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(*BUDGETS[name], value)
+                try:
+                    got = decide()
+                except KernelError:
+                    continue
             if got not in (default[label], "inconclusive"):
                 wrong.append((value, label, default[label], got))
     assert not wrong, wrong

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
+from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          DivisionByZeroSeries, compose, derive,
                          DomainError, GridCertificate, PreconditionError,
                          SummabilityViolationError, TransSeries, X, atom,
@@ -17,7 +17,7 @@ from transseries import (LIMITS, ONE, ONE_SERIES, ZERO, BudgetExceededError,
                          mono_series, mul, sum_family, sum_lazy)
 from transseries.monomial import _canon, sort_monomials
 from transseries.parser import parse_series
-from transseries.series import (_escape, _term_search, _walk,
+from transseries.series import (TERM_FUEL, _escape, _term_search, _walk,
                                 compare_to_depth, depth_cutoff, pow_const,
                                 render_series, scale)
 
@@ -454,7 +454,7 @@ def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
     # still does breaks the level contract
     s = sum_lazy([ONE_SERIES, ZERO, ZERO, ONE_SERIES], GridCertificate.of([ONE], [X_INV]))
     with pytest.raises(SummabilityViolationError,
-                       match="level-3 summand reaches above the cutoff bound with 1"
+                       match="monomial 1 of the level-3 summand is outside the declared grid"
                        ) as exc:
         s.expand(X_INV)
     assert exc.value.witness is ONE
@@ -462,9 +462,8 @@ def test_sum_lazy_refuses_a_stray_level_above_the_cutoff():
 
 def test_sum_lazy_pulls_at_most_level_fuel_summands(monkeypatch):
     from itertools import repeat
-    from transseries.limits import LIMITS
     s = sum_lazy(repeat(ZERO), GridCertificate.of([ONE], [X_INV]))
-    monkeypatch.setattr(LIMITS, "level_fuel", 3)
+    monkeypatch.setattr("transseries.series.LEVEL_FUEL", 3)
     with pytest.raises(BudgetExceededError, match="pulled too many summands"):
         s.expand(ONE)
 
@@ -478,7 +477,6 @@ def test_sum_lazy_refuses_an_empty_ratio_set():
 
 def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
     from itertools import count
-    from transseries.limits import LIMITS
     from transseries.series import SILENT_SUMMANDS
     pulled = []
 
@@ -494,7 +492,7 @@ def test_sum_lazy_pull_count_and_budget_threshold(monkeypatch):
     assert len(pulled) == 3 + 1 + SILENT_SUMMANDS
     # a cutoff x^-c needs c + 1 + SILENT_SUMMANDS summands; the fuel L allows L + 1
     fuel = 10
-    monkeypatch.setattr(LIMITS, "level_fuel", fuel)
+    monkeypatch.setattr("transseries.series.LEVEL_FUEL", fuel)
     c = fuel - SILENT_SUMMANDS
     fits = sum_lazy(summands(), GridCertificate.of([ONE], [X_INV]))
     assert fits.expand(xpow(-c)) == {xpow(-k): 1 for k in range(c + 1)}
@@ -730,7 +728,7 @@ def test_refusing_escape_keeps_only_the_frontier(ratios, monkeypatch):
 
     peaks = []
     for fuel in (2_000, 8_000):
-        monkeypatch.setattr(LIMITS, "expand_fuel", fuel)
+        monkeypatch.setattr("transseries.series.EXPAND_FUEL", fuel)
         peaks.append(_traced_peak(refuse))
     assert max(peaks) < 1_000_000, peaks
     assert peaks[1] < peaks[0] + 250_000, peaks
@@ -743,19 +741,17 @@ def test_depth_cutoff_keeps_only_the_last_candidate():
 
 
 def test_level_cap_counts_levels_up_to_the_fuel(monkeypatch):
-    from transseries.limits import LIMITS
     from transseries.series import _level_cap
     assert _level_cap(ONE, X_INV, xpow(-3)) == 4
     assert _level_cap(X_INV, X_INV, ONE) == 0
-    monkeypatch.setattr(LIMITS, "level_fuel", 5)
+    monkeypatch.setattr("transseries.series.LEVEL_FUEL", 5)
     assert _level_cap(ONE, X_INV, xpow(-4)) == 5
     with pytest.raises(BudgetExceededError):
         _level_cap(ONE, X_INV, xpow(-5))
 
 
 def test_level_cap_threshold_in_geometric_substitute(monkeypatch):
-    from transseries.limits import LIMITS
-    monkeypatch.setattr(LIMITS, "level_fuel", 5)
+    monkeypatch.setattr("transseries.series.LEVEL_FUEL", 5)
     eps = mono_series(X_INV)
     # powers eps^1 .. eps^5 reach x^-5: five levels, exactly the fuel
     got = geometric_substitute(lambda k: 1, eps).expand(xpow(-5))
@@ -766,8 +762,7 @@ def test_level_cap_threshold_in_geometric_substitute(monkeypatch):
 
 def test_level_cap_threshold_in_compose(monkeypatch):
     from transseries.calculus import compose
-    from transseries.limits import LIMITS
-    monkeypatch.setattr(LIMITS, "level_fuel", 5)
+    monkeypatch.setattr("transseries.series.LEVEL_FUEL", 5)
     # composing with x is the identity and walks no level
     f = geom()
     assert compose(f, mono_series(X)) is f
@@ -836,6 +831,18 @@ def test_first_terms_fuel_below_n():
         from_terms([(1, X), (2, ONE), (3, X_INV)]).first_terms(5, fuel=2)
 
 
+def test_first_terms_refuses_a_negative_fuel():
+    # a fuel of 0 walks no position and runs out; a negative one names no
+    # budget and is refused, as a negative depth is
+    with pytest.raises(BudgetExceededError, match="within 0 candidate monomials"):
+        geom().first_terms(2, fuel=0)
+    for s in (geom(), ZERO, parse_series("1/(1-1/x)")):
+        with pytest.raises(PreconditionError, match="^term fuel -1 is negative$"):
+            s.first_terms(2, fuel=-1)
+        with pytest.raises(PreconditionError, match="^term fuel -1 is negative$"):
+            s.leading_term(fuel=-1)
+
+
 def _cancelling_composites():
     """Series whose grids are infinite but whose coefficients are zero past
     the first few positions: 1/(1-5/x) and (1-1/x)/(1-5/x) at x + 5 are
@@ -891,7 +898,7 @@ def test_term_search_matches_the_one_position_search():
 
     for seed in range(50):
         check(rand_grid_series(rng(900 + seed)),
-              lambda want: (want, 2 * want + 6, LIMITS.term_fuel))
+              lambda want: (want, 2 * want + 6, TERM_FUEL))
     # the composites cost about k^3.3 per expansion at grid position k
     for s in _cancelling_composites():
         check(s, lambda want: (want, 2 * want + 6))
@@ -899,7 +906,7 @@ def test_term_search_matches_the_one_position_search():
 
 def test_first_terms_refuses_within_a_lowered_term_fuel(monkeypatch):
     s = _cancelling_composites()[0]
-    monkeypatch.setattr(LIMITS, "term_fuel", 20)
+    monkeypatch.setattr("transseries.series.TERM_FUEL", 20)
     assert [t.mono for t in s.first_terms(2)] == [ONE, X_INV]
     with pytest.raises(BudgetExceededError,
                        match="^could not locate 3 terms within 20 candidate monomials$"):

@@ -8,7 +8,7 @@
   classes is read by the kernel or the benchmark outside those
   constructions, so a member that only tests read lives in the tests;
 - every field of `Limits` is read there too, so each limit bounds some
-  query;
+  query, and set there, so each has more than one value in use;
 - every optional parameter of those functions and methods is passed by
   some call there, apart from the cut-pullback parameters listed below;
 - every name a kernel or test module imports is read in that module."""
@@ -148,6 +148,29 @@ def test_every_limit_is_read():
     unread = sorted(f.name for f in dataclasses.fields(transseries.Limits)
                     if f.name not in read)
     assert not unread, unread
+
+
+def _limits_set(tree: ast.AST) -> set:
+    """The limit names a module sets: the keywords of its `configure`
+    calls and, when it has one, the string keys of its dict literals (a
+    call can pass them with **)."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "configure"]
+    if not calls:
+        return set()
+    return {k.arg for call in calls for k in call.keywords} | {
+        key.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+        for key in node.keys if isinstance(key, ast.Constant)}
+
+
+def test_every_limit_has_a_setter():
+    # a limit that no caller outside the tests sets has one value in use;
+    # it becomes a constant beside the loop it stops
+    paths = [*(ROOT / "src" / "transseries").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    set_ = set().union(*(_limits_set(ast.parse(path.read_text())) for path in paths))
+    unset = sorted(f.name for f in dataclasses.fields(transseries.Limits)
+                   if f.name not in set_)
+    assert not unset, unset
 
 
 def _optional_parameters(callee: str, fn, bound: bool) -> set:
