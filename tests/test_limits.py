@@ -16,8 +16,8 @@ from transseries import (LIMITS, ONE, ONE_SERIES, BudgetExceededError,
                          TransSeries, X, compose, configure, conv_contains,
                          cut_member, locus_contains, mono_inv, mono_pow,
                          mono_series, monomial_geometric)
-from transseries.parser import parse_series
 from transseries import series, taylor
+from transseries.parser import parse_series
 from transseries.powerseries import CUT_PREFIX
 from transseries.series import _escape, _infinitesimal_bases
 
