@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -447,15 +448,18 @@ def mono_series(m: Monomial) -> TransSeries:
 
 
 def scale(s: TransSeries, c) -> TransSeries:
-    """c*s; s itself when c is 1."""
+    """c*s; s itself when c is 1, and a series that holds its terms when
+    s does."""
     c = _canon(c)
     if not c:
         return ZERO
     if c == 1:
         return s
+    if s._held is not None:
+        return holding(s.cert, {m: _canon(c * v) for m, v in s._held.items()})
 
     def expander(cutoff):
-        return {m: c * v for m, v in s.expand(cutoff).items()}
+        return {m: _canon(c * v) for m, v in s.expand(cutoff).items()}
 
     return TransSeries(s.cert, expander)
 
@@ -467,7 +471,9 @@ def add(s: TransSeries, t: TransSeries) -> TransSeries:
 def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
     """Sum of a finite family (regrouping-invariant) as one flat sum node: a
     summand that is a sum node contributes its own summands, so neither wide
-    sums nor long chains of `add` cost recursion depth in expansion."""
+    sums nor long chains of `add` cost recursion depth in expansion.  A sum
+    of series that hold their terms holds its terms, on the same union
+    certificate."""
     fam = list(fam)
     if not fam:
         return ZERO
@@ -475,6 +481,14 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
         return fam[0]
     cert = fam[0].cert.union(*(s.cert for s in fam[1:]))
     summands = [u for s in fam for u in (s._summands or (s,))]
+    if all(s._held is not None for s in summands):
+        acc: dict = {}
+        for s in summands:
+            for m, c in s._held.items():
+                acc[m] = acc[m] + c if m in acc else c
+        out = holding(cert, {m: _canon(c) for m, c in acc.items() if c})
+        out._summands = summands
+        return out
 
     def expander(cutoff):
         acc: dict = {}
@@ -492,7 +506,14 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     """Cauchy product; every coefficient is the full finite convolution.
     The product of two terms is one term.  A product with one term c*m is
     a shift, the other factor's terms each times c*m on the product
-    certificate, and `scale` when m is 1."""
+    certificate, and `scale` when m is 1.
+
+    The general product convolves integers: it writes each factor's
+    expansion as int numerators over one common denominator and divides
+    each result once.  It sorts the right expansion, decreasing; u*v
+    falls as v does, so each row of the left one ends at its first
+    product below the cutoff and forms the pairs it keeps and one more.
+    The terms come in the order of the full pair loop."""
     s1, t1 = one_term(s), one_term(t)
     if s1 is not None and t1 is not None:
         return from_terms([(s1.coeff * t1.coeff, mono_mul(s1.mono, t1.mono))])
@@ -502,7 +523,8 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
             return scale(f, c)
         shrink = mono_inv(m)
         return TransSeries(s.cert.product(t.cert), lambda cutoff: {
-            mono_mul(u, m): a * c for u, a in f.expand(mono_mul(cutoff, shrink)).items()})
+            mono_mul(u, m): _canon(a * c)
+            for u, a in f.expand(mono_mul(cutoff, shrink)).items()})
     cert = s.cert.product(t.cert)
     shrink = None    # the inverses of the factors' grid maxima
 
@@ -513,13 +535,31 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
             shrink = (mono_inv(t.cert.grid_max()), mono_inv(s.cert.grid_max()))
         left = s.expand(mono_mul(cutoff, shrink[0]))
         right = t.expand(mono_mul(cutoff, shrink[1]))
+        dl = math.lcm(*(a.denominator for a in left.values()))
+        dr = math.lcm(*(b.denominator for b in right.values()))
+        place = {v: j for j, v in enumerate(right)}
+        row = [(v, right[v].numerator * (dr // right[v].denominator), place[v])
+               for v in sort_monomials(right)]
         acc: dict = {}
         for u, a in left.items():
-            for v, b in right.items():
+            a = a.numerator * (dl // a.denominator)
+            fresh = []
+            for v, b, j in row:
                 w = mono_mul(u, v)
-                if mono_cmp(w, cutoff) >= 0:
-                    acc[w] = acc[w] + a * b if w in acc else a * b
-        return acc
+                if mono_cmp(w, cutoff) < 0:
+                    break
+                if w in acc:
+                    acc[w] += a * b
+                else:
+                    fresh.append((j, w, a * b))
+            # new monomials join in the right expansion's order, so the
+            # terms keep the full pair loop's order, which a witness scan
+            # reads; j is unique in a row, so no monomials are compared
+            fresh.sort()
+            for _, w, n in fresh:
+                acc[w] = n
+        d = dl * dr
+        return acc if d == 1 else {w: _canon(Fraction(n, d)) for w, n in acc.items()}
 
     return TransSeries(cert, expander)
 

@@ -21,7 +21,7 @@ from transseries.cli import main
 from transseries.monomial import dagger_terms, sort_monomials
 from transseries.parser import parse_series
 from transseries.series import (TransSeries, add, depth_cutoff, one_term, scale,
-                                shown_terms)
+                                shown_terms, sum_family)
 from transseries.taylor import is_flat, spec_condition_check
 
 from helpers import (assert_depth_equal, derive_n, from_coeffs,
@@ -696,6 +696,33 @@ def test_a_held_series_differentiates_once():
             _assert_expansions_agree(got, ref, (f, k))
     # a product that is not expanded yet stays lazy
     assert derive(mul(parse_series("1+1/x"), parse_series("1+2/x")))._held is None
+
+
+def test_a_held_sum_differentiates_once():
+    # the Taylor f's written as sums and differences of held terms
+    for text, parts in (("x^2+3*x", ["x^2", "3*x"]), ("x/2+1+1/x", ["x/2", "1", "1/x"]),
+                        ("1/x-2*x^-3", ["1/x", "-2*x^-3"])):
+        f = parse_series(text)
+        held = [parse_series(p) for p in parts]
+        assert f._held is not None, text
+        # the union certificate of the lazy sum, so every grid position stays
+        assert f.cert == sum_family([_lazy(p) for p in held]).cert, text
+        got, ref = derive(f), derive(_lazy(f))
+        assert got._held is not None and ref._held is None, text
+        assert got.cert == ref.cert, text
+        _assert_expansions_agree(got, ref, text)
+    # summands that cancel leave no term, and an integral sum is an int
+    s = sum_family([parse_series("x/2 + 1/3"), parse_series("x/2 - 1/3")])
+    assert s._held == {X: 1} and type(s._held[X]) is int
+    # one summand that does not hold its terms keeps the sum lazy
+    assert sum_family([X_SERIES, _lazy(ONE_SERIES)])._held is None
+    # an enclosing sum flattens a held sum, so a term that cancels inside
+    # and comes back keeps its place, as in the lazy sum
+    inner = [parse_series(t) for t in ("exp(x)", "x", "-exp(x)")]
+    held = sum_family([sum_family(inner), parse_series("exp(x)")])
+    lazy = sum_family([sum_family([_lazy(p) for p in inner]), _lazy(parse_series("exp(x)"))])
+    assert held._held is not None
+    assert list(held.expand(X_INV)) == list(lazy.expand(X_INV)) == [E_X, X]
 
 
 def test_a_held_derivative_is_audited_against_its_grid(monkeypatch):

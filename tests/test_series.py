@@ -4,6 +4,7 @@ import itertools
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -18,8 +19,8 @@ from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
 from transseries.monomial import _canon, sort_monomials
 from transseries.parser import parse_series
 from transseries.series import (TERM_FUEL, _escape, _term_search, _walk,
-                                compare_to_depth, depth_cutoff, pow_const,
-                                render_series, scale)
+                                compare_to_depth, depth_cutoff, one_term,
+                                pow_const, render_series, scale)
 
 from helpers import (assert_depth_equal, eager_product, eager_union,
                      points_above, rand_finite_series, rand_grid_series, rng)
@@ -165,6 +166,71 @@ def test_mul_coefficients_match_fiber_convolution():
             want = sum(sd[u] * td[v] for u, v in pairs)
             got = prod.expand(m).get(m, 0)
             assert got == want
+
+
+def _pair_loop(s, t, cutoff) -> dict:
+    """The terms of s*t at or above `cutoff` by the full double loop over
+    the factors' expansions, in Fraction arithmetic, integral values as
+    ints, in the order the loop first meets them."""
+    left = s.expand(mono_mul(cutoff, mono_inv(t.cert.grid_max())))
+    right = t.expand(mono_mul(cutoff, mono_inv(s.cert.grid_max())))
+    acc = {}
+    for u, a in left.items():
+        for v, b in right.items():
+            w = mono_mul(u, v)
+            if mono_cmp(w, cutoff) >= 0:
+                acc[w] = acc.get(w, Fraction(0)) + Fraction(a) * Fraction(b)
+    return {w: _canon(c) for w, c in acc.items() if c}
+
+
+def _kernel_factors() -> list:
+    """Factors with int and Fraction coefficients: factorial denominators,
+    coprime prime denominators, terms whose pair products cancel, finite
+    and infinite grids."""
+    primes = (2, 3, 5, 7, 11, 13)
+    out = [
+        from_terms([(Fraction(1, factorial(k)), xpow(-k)) for k in range(9)]),
+        from_terms([(Fraction(k + 1, p), xpow(-k)) for k, p in enumerate(primes)]),
+        from_terms([(Fraction(p, q), xpow(-k)) for k, (p, q)
+                    in enumerate(zip(primes, primes[1:] + primes[:1]))]),
+        # (a + b*z)(a - b*z) = a^2 - b^2*z^2 and (1 + z)(1 - z + z^2) = 1 + z^3
+        from_terms([(Fraction(2, 3), ONE), (Fraction(5, 7), X_INV)]),
+        from_terms([(Fraction(2, 3), ONE), (Fraction(-5, 7), X_INV)]),
+        from_terms([(1, ONE), (1, X_INV)]),
+        from_terms([(1, ONE), (-1, X_INV), (1, xpow(-2))]),
+        from_terms([(3, X), (-6, ONE), (Fraction(9, 2), X_INV)]),
+    ]
+    out += [parse_series(t) for t in ("exp(1/x)", "1/(1 - 2/x - 3/x^2)",
+                                      "(1 + 3/x)^(1/2)", "log(x)/(1 - 1/x)",
+                                      "exp(1/x)/(1 + 1/x)", "1/(3 - 1/x)")]
+    return out
+
+
+def test_integer_product_kernel_matches_the_pair_loop():
+    r = rng(36)
+    pool = _kernel_factors() + [rand_grid_series(rng(seed)) for seed in range(24)]
+    general = [f for f in pool if one_term(f) is None]
+    pairs = list(itertools.combinations_with_replacement(general[:14], 2))
+    pairs += [(r.choice(general), r.choice(general)) for _ in range(60)]
+    types = set()
+    for s, t in pairs:
+        p = mul(s, t)
+        # three cutoffs, each deeper than the last, on the same node
+        for depth in (3, 9, 20):
+            cutoff = depth_cutoff(p, depth)[0]
+            got = p.expand(cutoff)
+            want = _pair_loop(s, t, cutoff)
+            assert {w: (c, type(c)) for w, c in got.items()} == \
+                {w: (c, type(c)) for w, c in want.items()}, (s, t, depth)
+            # and in the pair loop's order, which a witness scan reads
+            assert list(got) == list(want), (s, t, depth)
+            types.update(map(type, got.values()))
+    assert types == {int, Fraction}
+    # pair products that cancel leave no term, and integral sums are ints
+    f = _kernel_factors()
+    assert mul(f[3], f[4]).expand(xpow(-3)) == {ONE: Fraction(4, 9), xpow(-2): Fraction(-25, 49)}
+    got = mul(f[5], f[6]).expand(xpow(-4))
+    assert got == {ONE: 1, xpow(-3): 1} and {type(c) for c in got.values()} == {int}
 
 
 def test_ring_axioms_randomized():
@@ -703,6 +769,19 @@ def test_a_large_power_renders_its_first_terms_from_few_bases(monkeypatch):
     assert built < 50
     assert render_series(s, 3) == "1 + 4096*x^-1 + 8386560*x^-2 + O(x^-3)"
     assert calls[0] - built < 1000
+
+
+def test_a_product_forms_the_pairs_it_keeps_and_one_more_per_row(monkeypatch):
+    # a row of the pair loop ends at its first product below the cutoff;
+    # forming every pair took 11,002 and 4,613 calls
+    power = parse_series("(1+1/x)^4096")
+    big = parse_series("exp(1/x)*log(x)/(1-1/x)")
+    calls = _count_mono_mul(monkeypatch)
+    render_series(power, 30)
+    assert calls[0] <= 8_000
+    calls[0] = 0
+    render_series(big, 64)
+    assert calls[0] <= 2_600
 
 
 def _traced_peak(fn) -> int:
