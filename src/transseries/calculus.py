@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import (DomainError, PartialConstantError, PreconditionError,
                      ResourceError)
-from .monomial import (ONE, X, Monomial, _canon, atom, dagger_terms,
+from .monomial import (ONE, X, Monomial, atom, dagger_terms,
                        deriv_terms, make_monomial, mono_cmp, mono_inv, mono_max,
                        mono_mul, mono_pow, pre_log, sort_monomials)
 from .series import (ONE_SERIES, ZERO, GridCertificate, TransSeries,
@@ -92,14 +92,12 @@ def derive(s: TransSeries) -> TransSeries:
         return ZERO
     if s._held is not None:
         acc: dict = {}
-        source: dict = {}    # image monomial -> its first source
         for m, c in s._held.items():
             for ci, mi in deriv_terms(m):
-                source.setdefault(mi, m)
-                ci = c * _canon(ci)    # as the image from_terms(deriv_terms(m)) holds it
-                acc[mi] = acc[mi] + ci if mi in acc else ci
-        _audit_images(grid, source)
-        return holding(grid, {m: c for m, c in acc.items() if c})
+                acc[mi] = acc[mi] + c * ci if mi in acc else c * ci
+        _audit_images(grid, acc, lambda mi: [
+            m for m in s._held if any(w is mi for _, w in deriv_terms(m))])
+        return holding(grid, acc)
     shrink = mono_inv(dag[0])
     return extend_strongly_linear(
         lambda m: from_terms(deriv_terms(m)), s, grid,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import KernelError, ParseError
-from .monomial import X, _canon, mono_pow
+from .monomial import X, mono_pow
 from .series import (TransSeries, const, invert, mono_series, mul, scale,
                      sum_family)
 from .calculus import X_SERIES, exp_series, log_series, pow_series
@@ -214,7 +214,7 @@ def elaborate(e: Expr) -> TransSeries:
     re-raised with the source offset appended."""
     try:
         if isinstance(e, Num):
-            return const(_canon(e.value))
+            return const(e.value)
         if isinstance(e, Var):
             return X_SERIES
         if isinstance(e, Unary):

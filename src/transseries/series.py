@@ -314,7 +314,11 @@ class TransSeries:
     """A well-based series over the log-exp monomial group.
 
     `cert` bounds the support; `expand(cutoff)` returns the exact finite
-    dict of all terms with monomial >= cutoff.  Values are immutable and
+    map {Monomial: coeff} of all terms with monomial >= cutoff.  An
+    expansion holds no zero, stores an integral coefficient as an int and
+    any other as a Fraction, and has no key order: a reader that names one
+    of its monomials names it by the monomial order.  The memo fill here
+    and `holding` keep this for every node.  Values are immutable and
     results are memoized at the deepest cutoff seen so far, except in a
     series that holds all its terms, which keeps no cutoff.  The memo is
     unsynchronized: a series is for use by one thread at a time.
@@ -341,7 +345,7 @@ class TransSeries:
         if self._cutoff is not None and mono_cmp(cutoff, self._cutoff) >= 0:
             return {m: c for m, c in self._cache.items()
                     if mono_cmp(m, cutoff) >= 0}
-        self._cache = {m: c for m, c in self._expander(cutoff).items() if c}
+        self._cache = {m: _canon(c) for m, c in self._expander(cutoff).items() if c}
         self._cutoff = cutoff
         return dict(self._cache)
 
@@ -412,18 +416,19 @@ class TransSeries:
 
 
 def from_terms(terms: Iterable) -> TransSeries:
-    """Finite series from (coeff, monomial) pairs; merges and drops zeros,
-    and stores an integral rational coefficient as an int."""
+    """Finite series from (coeff, monomial) pairs, merged; its certificate
+    bases are its nonzero support."""
     acc: dict = {}
     for coeff, m in terms:
         acc[m] = acc[m] + coeff if m in acc else coeff
-    acc = {m: _canon(c) for m, c in acc.items() if c}
-    return holding(GridCertificate(sort_monomials(acc), ()), acc)
+    return holding(GridCertificate(sort_monomials(m for m, c in acc.items() if c), ()), acc)
 
 
 def holding(cert: GridCertificate, terms: dict) -> TransSeries:
-    """The finite series of the nonzero `terms` {Monomial: coeff}, on `cert`,
-    which must cover them; it holds them all, so it keeps no memo."""
+    """The finite series of `terms` {Monomial: coeff}, on `cert`, which must
+    cover them; it holds them all, so it keeps no memo.  It drops the zeros
+    and stores an integral coefficient as an int, as an expansion does."""
+    terms = {m: _canon(c) for m, c in terms.items() if c}
     out = TransSeries(cert, lambda cutoff: {
         m: c for m, c in terms.items() if mono_cmp(m, cutoff) >= 0})
     out._held = terms
@@ -456,10 +461,10 @@ def scale(s: TransSeries, c) -> TransSeries:
     if c == 1:
         return s
     if s._held is not None:
-        return holding(s.cert, {m: _canon(c * v) for m, v in s._held.items()})
+        return holding(s.cert, {m: c * v for m, v in s._held.items()})
 
     def expander(cutoff):
-        return {m: _canon(c * v) for m, v in s.expand(cutoff).items()}
+        return {m: c * v for m, v in s.expand(cutoff).items()}
 
     return TransSeries(s.cert, expander)
 
@@ -470,9 +475,9 @@ def add(s: TransSeries, t: TransSeries) -> TransSeries:
 
 def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
     """Sum of a finite family (regrouping-invariant) as one flat sum node: a
-    summand that is a sum node contributes its own summands, so neither wide
-    sums nor long chains of `add` cost recursion depth in expansion.  A sum
-    of series that hold their terms holds its terms, on the same union
+    summand that is a lazy sum node contributes its own summands, so neither
+    wide sums nor long chains of `add` cost recursion depth in expansion.  A
+    sum of series that hold their terms holds its terms, on the same union
     certificate."""
     fam = list(fam)
     if not fam:
@@ -486,9 +491,7 @@ def sum_family(fam: Iterable[TransSeries]) -> TransSeries:
         for s in summands:
             for m, c in s._held.items():
                 acc[m] = acc[m] + c if m in acc else c
-        out = holding(cert, {m: _canon(c) for m, c in acc.items() if c})
-        out._summands = summands
-        return out
+        return holding(cert, acc)
 
     def expander(cutoff):
         acc: dict = {}
@@ -512,8 +515,7 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
     expansion as int numerators over one common denominator and divides
     each result once.  It sorts the right expansion, decreasing; u*v
     falls as v does, so each row of the left one ends at its first
-    product below the cutoff and forms the pairs it keeps and one more.
-    The terms come in the order of the full pair loop."""
+    product below the cutoff and forms the pairs it keeps and one more."""
     s1, t1 = one_term(s), one_term(t)
     if s1 is not None and t1 is not None:
         return from_terms([(s1.coeff * t1.coeff, mono_mul(s1.mono, t1.mono))])
@@ -523,7 +525,7 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
             return scale(f, c)
         shrink = mono_inv(m)
         return TransSeries(s.cert.product(t.cert), lambda cutoff: {
-            mono_mul(u, m): _canon(a * c)
+            mono_mul(u, m): a * c
             for u, a in f.expand(mono_mul(cutoff, shrink)).items()})
     cert = s.cert.product(t.cert)
     shrink = None    # the inverses of the factors' grid maxima
@@ -537,29 +539,18 @@ def mul(s: TransSeries, t: TransSeries) -> TransSeries:
         right = t.expand(mono_mul(cutoff, shrink[1]))
         dl = math.lcm(*(a.denominator for a in left.values()))
         dr = math.lcm(*(b.denominator for b in right.values()))
-        place = {v: j for j, v in enumerate(right)}
-        row = [(v, right[v].numerator * (dr // right[v].denominator), place[v])
+        row = [(v, right[v].numerator * (dr // right[v].denominator))
                for v in sort_monomials(right)]
         acc: dict = {}
         for u, a in left.items():
             a = a.numerator * (dl // a.denominator)
-            fresh = []
-            for v, b, j in row:
+            for v, b in row:
                 w = mono_mul(u, v)
                 if mono_cmp(w, cutoff) < 0:
                     break
-                if w in acc:
-                    acc[w] += a * b
-                else:
-                    fresh.append((j, w, a * b))
-            # new monomials join in the right expansion's order, so the
-            # terms keep the full pair loop's order, which a witness scan
-            # reads; j is unique in a row, so no monomials are compared
-            fresh.sort()
-            for _, w, n in fresh:
-                acc[w] = n
+                acc[w] = acc[w] + a * b if w in acc else a * b
         d = dl * dr
-        return acc if d == 1 else {w: _canon(Fraction(n, d)) for w, n in acc.items()}
+        return acc if d == 1 else {w: Fraction(n, d) for w, n in acc.items()}
 
     return TransSeries(cert, expander)
 
@@ -741,27 +732,30 @@ def extend_strongly_linear(image: Callable[[Monomial], TransSeries],
     checked: set = set()
 
     def expander(cutoff):
+        terms = s.expand(source_cutoff(cutoff))
+        images = {m: image(m).expand(cutoff) for m in terms}
         acc: dict = {}
-        new: dict = {}    # unchecked image monomial -> its first source
-        for m, coeff in s.expand(source_cutoff(cutoff)).items():
-            for mi, ci in image(m).expand(cutoff).items():
-                if mi not in checked:
-                    new.setdefault(mi, m)
+        for m, img in images.items():
+            coeff = terms[m]
+            for mi, ci in img.items():
                 acc[mi] = acc[mi] + coeff * ci if mi in acc else coeff * ci
-        _audit_images(cert, new)
+        new = [mi for mi in acc if mi not in checked]
+        _audit_images(cert, new, lambda mi: [m for m, img in images.items() if mi in img])
         checked.update(new)
         return acc
 
     return TransSeries(cert, expander)
 
 
-def _audit_images(cert: GridCertificate, source: dict) -> None:
-    """Refuse the largest image monomial of `source` {image monomial: its
-    first source monomial} that lies outside the grid `cert`."""
-    mi = _escape(cert, dict.fromkeys(source, 0))
+def _audit_images(cert: GridCertificate, images: Iterable[Monomial],
+                  sources: Callable[[Monomial], list]) -> None:
+    """Refuse the largest of the image monomials `images` that lies outside
+    the grid `cert`, naming the largest source monomial whose image holds
+    it; `sources(mi)` lists those, and only a refusal calls it."""
+    mi = _escape(cert, dict.fromkeys(images, 0))
     if mi is not None:
         raise SummabilityViolationError(
-            f"image monomial {mi.render()} of {source[mi].render()} "
+            f"image monomial {mi.render()} of {mono_max(sources(mi)).render()} "
             f"escapes the declared image grid", witness=mi)
 
 

@@ -21,7 +21,7 @@ from .calculus import (X_SERIES, CompositionHandle, compose, dagger,
 from .errors import (BudgetExceededError, DomainError, PartialConstantError,
                      PreconditionError)
 from .monomial import (ONE, X, Monomial, dagger_terms, deriv_terms, mono_cmp,
-                       mono_inv, mono_mul)
+                       mono_inv, mono_mul, sort_monomials)
 from .powerseries import (ConvReport, PowerSeries, PSJointCert,
                           lift_coefficientwise, _evaluate, _scaled_powers,
                           _taylor_coefficients)
@@ -79,8 +79,11 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
 
     Convergent: delta below the operator image of x and every certificate
     generator's transformed dagger shrinks below 1 after multiplying by
-    delta.  Divergent: a verified non-flat support monomial violating the
-    bound.  Inconclusive otherwise.
+    delta.  Divergent: the witness is the largest non-flat monomial among
+    the first SUPPORT_PREFIX grid positions of the support whose
+    transformed dagger does not shrink, or the largest non-flat one there
+    when delta is not below the operator image of x.  Inconclusive
+    otherwise.
     """
     prefix = SUPPORT_PREFIX
     op, delta = spec.op, spec.delta
@@ -112,9 +115,10 @@ def locus_contains(spec: LocusSpec, f: TransSeries) -> ConvReport:
                           "generator daggers shrink below 1 under the operator")
 
     # look for a sharpness witness in the first `prefix` grid positions of
-    # the support, those strictly above the next one unless the grid ends
+    # the support, those strictly above the next one unless the grid ends,
+    # largest first
     try:
-        supp = list(_terms_to_depth(f, prefix)[0])
+        supp = sort_monomials(_terms_to_depth(f, prefix)[0])
     except BudgetExceededError:
         supp = []
     for m in supp:

@@ -716,13 +716,14 @@ def test_a_held_sum_differentiates_once():
     assert s._held == {X: 1} and type(s._held[X]) is int
     # one summand that does not hold its terms keeps the sum lazy
     assert sum_family([X_SERIES, _lazy(ONE_SERIES)])._held is None
-    # an enclosing sum flattens a held sum, so a term that cancels inside
-    # and comes back keeps its place, as in the lazy sum
+    # a term that cancels inside a held sum and comes back in an enclosing
+    # one: the held and the lazy sum agree in value and in type
     inner = [parse_series(t) for t in ("exp(x)", "x", "-exp(x)")]
     held = sum_family([sum_family(inner), parse_series("exp(x)")])
     lazy = sum_family([sum_family([_lazy(p) for p in inner]), _lazy(parse_series("exp(x)"))])
     assert held._held is not None
-    assert list(held.expand(X_INV)) == list(lazy.expand(X_INV)) == [E_X, X]
+    for got in (held.expand(X_INV), lazy.expand(X_INV)):
+        assert {m: (c, type(c)) for m, c in got.items()} == {E_X: (1, int), X: (1, int)}
 
 
 def test_a_held_derivative_is_audited_against_its_grid(monkeypatch):
@@ -736,3 +737,19 @@ def test_a_held_derivative_is_audited_against_its_grid(monkeypatch):
         derive(f)
     with pytest.raises(SummabilityViolationError, match=message):
         derive(_lazy(f)).expand(ONE)
+    # two sources whose derivatives hold the escaping x: the refusal names
+    # the larger, x^2*log(x), in either order of the terms
+    grid = GridCertificate.of([mono_mul(X, L1)])
+    monkeypatch.setattr(calculus, "_derivation_grid", lambda cert, gens: ((X_INV,), grid))
+    message = "^image monomial x of x\\^2\\*log\\(x\\) escapes the declared image grid$"
+    for terms in ([(1, X2), (1, mono_mul(X2, L1))], [(1, mono_mul(X2, L1)), (1, X2)]):
+        with pytest.raises(SummabilityViolationError, match=message):
+            derive(from_terms(terms))
+        with pytest.raises(SummabilityViolationError, match=message):
+            derive(_lazy(from_terms(terms))).expand(ONE)
+
+
+def test_a_derivative_stores_an_integral_coefficient_as_an_int():
+    f = parse_series("x^2/2")
+    for got in (derive(f).expand(ONE), derive(_lazy(f)).expand(ONE)):
+        assert {m: (c, type(c)) for m, c in got.items()} == {X: (1, int)}

@@ -171,7 +171,7 @@ def test_mul_coefficients_match_fiber_convolution():
 def _pair_loop(s, t, cutoff) -> dict:
     """The terms of s*t at or above `cutoff` by the full double loop over
     the factors' expansions, in Fraction arithmetic, integral values as
-    ints, in the order the loop first meets them."""
+    ints."""
     left = s.expand(mono_mul(cutoff, mono_inv(t.cert.grid_max())))
     right = t.expand(mono_mul(cutoff, mono_inv(s.cert.grid_max())))
     acc = {}
@@ -222,8 +222,6 @@ def test_integer_product_kernel_matches_the_pair_loop():
             want = _pair_loop(s, t, cutoff)
             assert {w: (c, type(c)) for w, c in got.items()} == \
                 {w: (c, type(c)) for w, c in want.items()}, (s, t, depth)
-            # and in the pair loop's order, which a witness scan reads
-            assert list(got) == list(want), (s, t, depth)
             types.update(map(type, got.values()))
     assert types == {int, Fraction}
     # pair products that cancel leave no term, and integral sums are ints
@@ -491,6 +489,35 @@ def test_extend_flags_escaping_images():
         GridCertificate.of([ONE], [X_INV]), _shrink_by(ONE))
     with pytest.raises(SummabilityViolationError):
         out.expand(ONE)
+    # both sources reach the escaping image: the refusal names the larger,
+    # in either order of the terms
+    for terms in ([(1, ONE), (1, X_INV)], [(1, X_INV), (1, ONE)]):
+        out = extend_strongly_linear(
+            lambda m: mono_series(X2), from_terms(terms),
+            GridCertificate.of([ONE], [X_INV]), _shrink_by(ONE))
+        with pytest.raises(SummabilityViolationError,
+                           match="^image monomial x\\^2 of 1 escapes"):
+            out.expand(X_INV)
+
+
+def _typed(terms: dict) -> dict:
+    return {m: (c, type(c)) for m, c in terms.items()}
+
+
+def test_an_expansion_stores_an_integral_coefficient_as_an_int():
+    # whatever node adds the values, the memo fill stores them so
+    assert _typed(parse_series("log(1+2/x)").expand(xpow(-4))) == {
+        X_INV: (2, int), xpow(-2): (-2, int), xpow(-3): (Fraction(8, 3), Fraction),
+        xpow(-4): (-4, int)}
+    assert _typed(parse_series("exp(1/x)/2 + exp(1/x)/2").expand(ONE)) == {ONE: (1, int)}
+    half = Fraction(1, 2)
+    levels = sum_lazy([from_terms([(half, X_INV)]), from_terms([(half, X_INV)])],
+                      GridCertificate.of([ONE], [X_INV]))
+    assert _typed(levels.expand(X_INV)) == {X_INV: (1, int)}
+    image = extend_strongly_linear(lambda m: ONE_SERIES,
+                                   from_terms([(half, ONE), (half, X_INV)]),
+                                   GridCertificate.of([ONE]), lambda cutoff: X_INV)
+    assert _typed(image.expand(ONE)) == {ONE: (1, int)}
 
 
 def test_compose_flags_images_outside_its_certificate(monkeypatch):
