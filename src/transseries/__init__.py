@@ -15,8 +15,8 @@ from .monomial import (ONE, X, Monomial, atom, make_monomial, mono_cmp,
                        mono_inv, mono_mul, mono_pow, pre_log)
 from .series import (ONE_SERIES, ZERO, GridCertificate, Term,
                      TransSeries, add, compare_to_depth, const,
-                     dominant_decompose, extend_strongly_linear, from_terms,
-                     geometric_substitute, invert, mono_series, mul,
+                     divide, dominant_decompose, extend_strongly_linear,
+                     from_terms, geometric_substitute, invert, mono_series, mul,
                      render_series, scale, sum_family, sum_lazy)
 from .calculus import (DERIVATION, IDENTITY, CompositionHandle, compose, dagger,
                        dagger_support_closure, derive, exp_series,

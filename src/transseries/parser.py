@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .errors import KernelError, ParseError
 from .monomial import X, mono_pow
-from .series import (TransSeries, const, invert, mono_series, mul, scale,
+from .series import (TransSeries, const, divide, mono_series, mul, scale,
                      sum_family)
 from .calculus import X_SERIES, exp_series, log_series, pow_series
 
@@ -210,8 +210,9 @@ def parse(src: str) -> Expr:
 
 
 def elaborate(e: Expr) -> TransSeries:
-    """Evaluate an expression tree into the kernel; kernel errors are
-    re-raised with the source offset appended."""
+    """Evaluate an expression tree into the kernel: `a*b` is `mul`, `a/b`
+    the online quotient `divide`, and a +/- chain one flat sum.  Kernel
+    errors are re-raised with the source offset appended."""
     try:
         if isinstance(e, Num):
             return const(e.value)
@@ -241,7 +242,7 @@ def elaborate(e: Expr) -> TransSeries:
             right = elaborate(e.right)
             if e.op == "*":
                 return mul(left, right)
-            return mul(left, invert(right))
+            return divide(left, right)
         if isinstance(e, Power):
             # a power of x is one monomial, built without a product
             if isinstance(e.base, Var):

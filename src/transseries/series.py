@@ -606,6 +606,21 @@ def _level_cap(start: Monomial, rho: Monomial, cutoff: Monomial) -> int:
     return count
 
 
+def _neumann_grid(eps: TransSeries) -> Optional[tuple]:
+    """(tight_bases, cert) of an infinitesimal eps, None if eps is zero:
+    its bases rewritten at or below its leading monomial, the first, and
+    the grid of every sum_k a_k eps^k."""
+    lt = eps.leading_term()
+    if lt is None:
+        return None
+    if not lt.mono.is_small():
+        raise PreconditionError(
+            f"geometric substitution requires an infinitesimal series; "
+            f"dominant monomial is {lt.mono.render()}")
+    tight_bases = _infinitesimal_bases(eps.cert, lt.mono)
+    return tight_bases, GridCertificate.of([ONE], eps.cert.ratios + tight_bases)
+
+
 def geometric_substitute(coeffs: Callable[[int], object],
                          eps: TransSeries) -> TransSeries:
     """Sum_k coeffs(k) eps^k for infinitesimal eps; coeffs(k) is called
@@ -613,19 +628,16 @@ def geometric_substitute(coeffs: Callable[[int], object],
 
     Summability is the Neumann-series argument made constructive: the
     refined certificate of eps has infinitesimal bases, so each cutoff
-    admits a finite power bound.
+    admits a finite power bound.  An expansion sums the power chain
+    eps, eps^2, ... up to that bound, each power built once; a quotient
+    needs no chain (`divide`).
     """
-    lt = eps.leading_term()
-    if lt is None:
+    grid = _neumann_grid(eps)
+    if grid is None:
         return const(coeffs(0))
-    if not lt.mono.is_small():
-        raise PreconditionError(
-            f"geometric substitution requires an infinitesimal series; "
-            f"dominant monomial is {lt.mono.render()}")
-    tight_bases = _infinitesimal_bases(eps.cert, lt.mono)
+    tight_bases, cert = grid
     tight = TransSeries(GridCertificate.of(tight_bases, eps.cert.ratios), eps.expand)
-    rho = tight_bases[0]    # lt.mono, the largest of the tight bases
-    cert = GridCertificate.of([ONE], eps.cert.ratios + tight_bases)
+    rho = tight_bases[0]    # the leading monomial of eps, the largest tight base
     # (coeffs(k), eps^k on the tight grid), each built once and kept
     powers = [(_canon(coeffs(0)), ONE_SERIES)]
 
@@ -658,18 +670,71 @@ def one_term(s: TransSeries) -> Optional[Term]:
     return None if c is None else Term(c, m)
 
 
-def invert(s: TransSeries) -> TransSeries:
-    """Multiplicative inverse: (1/c)*m^-1 of one term c*m, otherwise via
-    dominant decomposition and Neumann series."""
+def divide(f: TransSeries, s: TransSeries) -> TransSeries:
+    """f/s for s = c*d*(1+eps); f times (1/c)*d^-1 when eps = 0 (one term
+    c*d included), and the zero divisor is refused.
+
+    Otherwise y = f*d^-1/c - eps*y is solved online: a heap holds the
+    pending monomials, seeded with the terms of f*d^-1/c at or above the
+    cutoff; the largest, m, is popped, y_m fixed, and -eps_u*y_m added at
+    m*u for each term u of eps, decreasing, until m*u falls below the
+    cutoff.  Each u is infinitesimal, so all that reaches m is added before
+    m is popped.  The certificate and the level bound (`_level_cap`, at
+    the cutoff eps is expanded at) are those of the product of f with the
+    Neumann series of eps times d^-1/c.
+    """
     lt = one_term(s)
-    if lt is not None:
-        return from_terms([(Fraction(1) / lt.coeff, mono_inv(lt.mono))])
-    lt = s.leading_term()
     if lt is None:
-        raise DivisionByZeroSeries("cannot invert the zero series")
-    c, d, eps = dominant_decompose(s, lt)
-    geo = geometric_substitute(lambda k: (-1) ** k, eps)
-    return scale(mul(geo, mono_series(d.inv())), Fraction(1) / c)
+        lt = s.leading_term()
+        if lt is None:
+            raise DivisionByZeroSeries("cannot invert the zero series")
+        c, d, eps = dominant_decompose(s, lt)
+        grid = _neumann_grid(eps)
+    else:
+        (c, d), grid = lt, None
+    if grid is None:
+        return mul(f, from_terms([(Fraction(1) / c, mono_inv(d))]))
+    tight_bases, neumann = grid
+    rho = tight_bases[0]    # the leading monomial of eps
+    dinv = mono_inv(d)
+    cinv = _canon(Fraction(1) / c)
+    cert = f.cert.product(neumann.product(GridCertificate((dinv,), ())))
+
+    def expander(cutoff):
+        seeds = f.expand(mono_mul(cutoff, d))
+        reach = mono_mul(mono_mul(cutoff, mono_inv(f.cert.grid_max())), d)
+        row = []
+        if _level_cap(rho, rho, reach):
+            terms = eps.expand(reach)
+            row = [(u, terms[u]) for u in sort_monomials(terms)]
+        pending = {mono_mul(m, dinv): a * cinv for m, a in seeds.items()}
+        heap = [(_HEAP_KEY(m), m) for m in pending]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            m = heapq.heappop(heap)[1]
+            y = pending.pop(m)
+            if not y:
+                continue
+            out[m] = y
+            for u, e in row:
+                w = mono_mul(m, u)
+                if mono_cmp(w, cutoff) < 0:
+                    break
+                if w in pending:
+                    pending[w] -= e * y
+                else:
+                    pending[w] = -e * y
+                    heapq.heappush(heap, (_HEAP_KEY(w), w))
+        return out
+
+    return TransSeries(cert, expander)
+
+
+def invert(s: TransSeries) -> TransSeries:
+    """Multiplicative inverse: `divide(ONE_SERIES, s)`, so (1/c)*m^-1 for
+    one term c*m."""
+    return divide(ONE_SERIES, s)
 
 
 def sum_lazy(summands: Iterable[TransSeries], cert: GridCertificate) -> TransSeries:

@@ -386,8 +386,8 @@ def _nested_quotient_coeffs(depth, n):
 
 
 def test_sixty_nested_quotients_answer():
-    # a product with the one term 1 is a scaling, so each quotient costs
-    # few enough stack frames that 60 of them answer
+    # each quotient is one division node, so 60 of them answer well
+    # within Python's stack
     deep = _nested_quotients(60)
     c = _nested_quotient_coeffs(60, 3)
     assert c[1] < 0 < c[2]
@@ -409,12 +409,46 @@ def test_a_far_bound_at_x_answers():
         0, f"locus: certified_convergent\nlhs: {side}\nrhs: {side}\nEQUAL\n")
 
 
+def _three_terms(c):
+    """The text of c[0] + c[1]*x^-1 + c[2]*x^-2 + O(x^-3), c[1], c[2] != 0."""
+    tail = "".join(f" {'-' if v < 0 else '+'} {abs(v)}*x^-{k}"
+                   for k, v in enumerate(c[1:], 1))
+    return f"{c[0]}{tail} + O(x^-3)\n"
+
+
+def test_nested_quotients_answer_up_to_the_parsers_cap():
+    # a quotient is one online division node, so 99 nested quotients, and
+    # 100, the parser's nesting cap, answer within Python's stack; the
+    # answers are the continued fraction's, computed outside the kernel
+    for depth, text in (
+            (99, "135301852344706746049/218922995834555169026"
+                 " + 1/47927278105176659888288635888015429788676*x^-1"
+                 " - 354224848179261915075/1049238330498115706686232999172965929694"
+                 "6853619604534640749576*x^-2 + O(x^-3)\n"),
+            (100, "218922995834555169026/354224848179261915075"
+                  " - 1/125475243067621153271396401396356512255625*x^-1"
+                  " + 573147844013817084101/444464489258840891059479786923819934413"
+                  "33175284391045441046875*x^-2 + O(x^-3)\n")):
+        deep = _nested_quotients(depth)
+        c = _nested_quotient_coeffs(depth, 3)
+        assert text == _three_terms(c)
+        assert run_cli(["eval", deep, "--terms", "3"]) == (0, text)
+        code, out = run_cli(["eval", deep, "--terms", "3", "--json"])
+        assert code == 0 and out.count("\n") == 1
+        assert json.loads(out) == {
+            "command": "eval", "verdict": "ok", "witnesses": [], "terms": [
+                {"coeff": str(v), "monomial": m} for v, m in zip(c, ["1", "x^-1", "x^-2"])]}
+
+
 def test_deep_quotients_are_a_resource_error():
-    # 99 nested quotients stay inside the parser's cap of 100 levels but
-    # exhaust Python's stack while the series is built or expanded: one
-    # refusal line, in text and under --json
+    # 99 nested quotients 1/(x^-1 - q*x) stay inside the parser's cap of
+    # 100 levels, but the leading term of each divisor lies as deep as the
+    # one below it, so expanding them exhausts Python's stack: one refusal
+    # line, in text and under --json
     message = "expression nests too deeply for the recursion limit"
-    deep = _nested_quotients(99)
+    deep = "x"
+    for _ in range(99):
+        deep = f"1/(x^-1-{deep}*x)"
     assert run_cli(["eval", deep, "--terms", "3"]) == (
         3, f"error: ResourceError: {message}\n")
     code, out = run_cli(["eval", deep, "--terms", "3", "--json"])

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 from transseries import (ONE, ONE_SERIES, ZERO, BudgetExceededError,
-                         DivisionByZeroSeries, compose, derive,
+                         DivisionByZeroSeries, compose, derive, divide,
                          DomainError, GridCertificate, PreconditionError,
                          SummabilityViolationError, TransSeries, X, atom,
                          dominant_decompose, extend_strongly_linear,
@@ -447,6 +447,85 @@ def test_invert_roundtrip_corpus():
         assert_depth_equal(mul(s, invert(s)), ONE_SERIES, 10, "s * 1/s")
         checked += 1
     assert checked >= 40
+
+
+
+# -- relaxed division ---------------------------------------------------------------
+
+
+def _power_chain_quotient(f, s):
+    """f/s as a product with the alternating geometric series of eps, for
+    s = c*d*(1+eps): the construction relaxed division replaces."""
+    c, d, eps = dominant_decompose(s)
+    geo = geometric_substitute(lambda k: (-1) ** k, eps)
+    return mul(f, scale(mul(geo, mono_series(mono_inv(d))), Fraction(1) / c))
+
+
+def _division_pairs():
+    """(f, s) pairs: seeded random grid and finite series, then the cases
+    that take each path of `divide`."""
+    r = rng(38)
+    pairs = []
+    for _ in range(12):
+        pairs.append((rand_grid_series(r), rand_grid_series(r)))
+        pairs.append((rand_grid_series(r), rand_finite_series(r, 3, allow_exp=True)))
+    p = parse_series
+    pairs += [
+        (p("1 + 2/x"), p("1 - 3/x - 5/x^2")),           # eps with two terms
+        (p("exp(1/x)"), p("x + 2 + 1/log(x)")),         # eps on two scales
+        (p("1 - 1/x"), p("1 - 1/x")),                   # the quotient 1
+        (ZERO, p("1 - 1/x")),
+        (p("1/(1 - 1/x)"), from_terms([(3, X2)])),      # one-term divisors
+        (p("x + log(x)"), mono_series(E_X)),
+        (p("1 + 1/x"), p("x + 1 - 1")),                 # eps = 0 on a grid of two
+        (p("log(x)"), p("exp(x) + log(x)")),            # exp and log monomials
+        (ONE_SERIES, p("log(x) - 1")),                  # eps = 1/log(x)
+        (p("exp(-x) + 1/x"), p("x*exp(x) - exp(x)/log(x) + x^-1")),
+    ]
+    return pairs
+
+
+def test_divide_matches_the_power_chain():
+    # the same expansions, coefficient types and certificate as the
+    # product with the geometric series, at three deepening cutoffs on
+    # one node each; and s * (f/s) = f
+    checked = 0
+    for f, s in _division_pairs():
+        if s.leading_term() is None:
+            continue
+        got, want = divide(f, s), _power_chain_quotient(f, s)
+        assert got.cert.bases == want.cert.bases
+        assert got.cert.ratios == want.cert.ratios
+        for depth in (3, 9, 20):
+            cutoff, _ = depth_cutoff(want, depth)
+            if cutoff is None:      # the zero quotient
+                assert got.cert.is_trivial
+                break
+            g, w = got.expand(cutoff), want.expand(cutoff)
+            assert g == w, (depth, cutoff.render())
+            assert {m: type(c) for m, c in g.items()} == {m: type(c) for m, c in w.items()}
+        assert_depth_equal(mul(s, divide(f, s)), f, 8, "s * (f/s)")
+        checked += 1
+    assert checked >= 30
+
+
+def test_divide_refuses_as_the_power_chain(monkeypatch):
+    # the level bound of eps at the cutoff the geometric node saw refuses
+    # with the same text; it also ends the online loop for eps = 1/log(x),
+    # whose every power lies above x^-1
+    monkeypatch.setattr("transseries.series.LEVEL_FUEL", 5)
+    p = parse_series
+    for f, s, cutoff in ((ONE_SERIES, p("1 - 1/x"), xpow(-6)),
+                         (p("exp(1/x)"), p("x - 3 - 5/x"), xpow(-8)),
+                         (ONE_SERIES, p("log(x) - 1"), X_INV)):
+        texts = []
+        for q in (divide(f, s), _power_chain_quotient(f, s)):
+            with pytest.raises(BudgetExceededError) as err:
+                q.expand(cutoff)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+    # one level less answers
+    assert divide(ONE_SERIES, p("1 - 1/x")).expand(xpow(-5)) == {xpow(-k): 1 for k in range(6)}
 
 
 # -- strongly linear extension -------------------------------------------------------
